@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .rootsys import RootSystem
+from .rootsys import NotARoot, RootSystem, _double, _halve
 
 Label = Hashable
 Element = dict  # Label -> Fraction, zero coefficients dropped
@@ -67,48 +67,93 @@ class VirasoroReport:
     is_conformal: bool
 
 
+# Relation codes of the internal table: an int k >= 0 is THREE_C with
+# third axis axes[k].
+_SAME = -1
+_TWO_B = -2
+
+
 class AxisAlgebra:
     """Finite-dimensional commutative algebra spanned by axes.
 
     ``relation(a, b)`` must be symmetric, return SAME on the diagonal,
     and close its THREE_C triples: relation(a, b) = ThreeC(c) forces
     relation(a, c) = ThreeC(b) and relation(b, c) = ThreeC(a).
+
+    The relation is stored as an axis-index table of int codes, so the
+    products and the solves look each label up once per term rather than
+    hashing a pair of labels per pair of terms.
     """
 
     def __init__(self, axes: Sequence[Label],
                  relation: Callable[[Label, Label], object]):
-        self.axes = tuple(axes)
-        if len(set(self.axes)) != len(self.axes):
+        axes = tuple(axes)
+        index = self._index_of(axes)
+
+        def encode(a: Label, b: Label) -> int:
+            r = relation(a, b)
+            if isinstance(r, ThreeC):
+                k = index.get(r.third)
+                if k is None:
+                    raise ValueError(f"third axis {r.third!r} of ({a!r}, {b!r}) "
+                                     "is not another axis")
+                return k
+            if r == SAME:
+                return _SAME
+            if r == TWO_B:
+                return _TWO_B
+            raise ValueError(f"unknown relation value {r!r}")
+
+        self._setup(axes, index, [[encode(a, b) for b in axes] for a in axes])
+
+    @classmethod
+    def _from_codes(cls, axes: Sequence[Label],
+                    code: list[list[int]]) -> AxisAlgebra:
+        """The algebra of an already encoded relation table, validated
+        exactly as a table read off a relation callable."""
+        A = cls.__new__(cls)
+        axes = tuple(axes)
+        A._setup(axes, cls._index_of(axes), code)
+        return A
+
+    @staticmethod
+    def _index_of(axes: tuple) -> dict[Label, int]:
+        index = {a: i for i, a in enumerate(axes)}
+        if len(index) != len(axes):
             raise ValueError("axis labels must be distinct")
-        index = {a: i for i, a in enumerate(self.axes)}
-        table: dict[tuple[Label, Label], object] = {}
-        for i, a in enumerate(self.axes):
-            if relation(a, a) != SAME:
+        return index
+
+    def _setup(self, axes: tuple, index: dict[Label, int],
+               code: list[list[int]]) -> None:
+        for i, a in enumerate(axes):
+            row = code[i]
+            if row[i] != _SAME:
                 raise ValueError(f"relation({a!r}, {a!r}) must be SAME")
-            table[(a, a)] = SAME
-            for b in self.axes[:i]:
-                r = relation(a, b)
-                if relation(b, a) != r:
+            for j in range(i):
+                b = axes[j]
+                k = row[j]
+                if code[j][i] != k:
                     raise ValueError(f"relation is not symmetric on ({a!r}, {b!r})")
-                if isinstance(r, ThreeC):
-                    g = r.third
-                    if g not in index or g == a or g == b:
-                        raise ValueError(f"third axis {g!r} of ({a!r}, {b!r}) "
-                                         "is not another axis")
-                    if relation(a, g) != ThreeC(b) or relation(b, g) != ThreeC(a):
-                        raise ValueError(f"triple through ({a!r}, {b!r}) does "
-                                         "not close")
-                elif r not in (SAME, TWO_B):
-                    raise ValueError(f"unknown relation value {r!r}")
-                table[(a, b)] = table[(b, a)] = r
+                if k < 0:
+                    continue
+                if k == i or k == j:
+                    raise ValueError(f"third axis {axes[k]!r} of ({a!r}, {b!r}) "
+                                     "is not another axis")
+                if row[k] != j or code[j][k] != i:
+                    raise ValueError(f"triple through ({a!r}, {b!r}) does "
+                                     "not close")
+        self.axes = axes
         self._index = index
-        self._table = table
+        self._code = code
 
     def __len__(self) -> int:
         return len(self.axes)
 
     def relation(self, a: Label, b: Label):
-        return self._table[(a, b)]
+        k = self._code[self._index[a]][self._index[b]]
+        if k >= 0:
+            return ThreeC(self.axes[k])
+        return SAME if k == _SAME else TWO_B
 
     def element(self, coeffs: Mapping) -> Element:
         out = {}
@@ -123,63 +168,87 @@ class AxisAlgebra:
     def axis(self, a: Label) -> Element:
         return self.element({a: 1})
 
+    def _terms(self, u: Mapping) -> list[tuple[int, Q]]:
+        """The nonzero terms of u as (axis index, coefficient)."""
+        return [(self._index[a], Q(c)) for a, c in u.items() if c]
+
     def product(self, u: Mapping, v: Mapping) -> Element:
-        out: dict = {}
+        out: dict[int, Q] = {}
 
-        def add(a: Label, c: Q) -> None:
-            if c:
-                out[a] = out.get(a, Q(0)) + c
+        def add(i: int, c: Q) -> None:
+            out[i] = out.get(i, 0) + c
 
-        for a, ca in u.items():
-            for b, cb in v.items():
-                c = Q(ca) * Q(cb)
-                if not c:
-                    continue
-                r = self._table[(a, b)]
-                if r == SAME:
-                    add(a, c)
-                    add(b, c)
-                elif isinstance(r, ThreeC):
-                    add(a, c / 32)
-                    add(b, c / 32)
-                    add(r.third, -c / 32)
-        return {a: c for a, c in out.items() if c}
+        vt = self._terms(v) if u else []
+        if vt:
+            for i, ca in self._terms(u):
+                row = self._code[i]
+                for j, cb in vt:
+                    c = ca * cb
+                    k = row[j]
+                    if k == _SAME:
+                        add(i, c)
+                        add(j, c)
+                    elif k >= 0:
+                        c = c / 32
+                        add(i, c)
+                        add(j, c)
+                        add(k, -c)
+        return {self.axes[i]: c for i, c in out.items() if c}
 
     def pairing(self, u: Mapping, v: Mapping) -> Q:
         total = Q(0)
-        for a, ca in u.items():
-            for b, cb in v.items():
-                r = self._table[(a, b)]
-                if r == SAME:
-                    total += Q(ca) * Q(cb) / 4
-                elif isinstance(r, ThreeC):
-                    total += Q(ca) * Q(cb) / 256
+        vt = self._terms(v) if u else []
+        if vt:
+            for i, ca in self._terms(u):
+                row = self._code[i]
+                for j, cb in vt:
+                    k = row[j]
+                    if k == _SAME:
+                        total += ca * cb / 4
+                    elif k >= 0:
+                        total += ca * cb / 256
         return total
 
     def gram(self) -> list[list[Q]]:
-        unit = [self.axis(a) for a in self.axes]
-        return [[self.pairing(ua, ub) for ub in unit] for ua in unit]
+        value = {_SAME: Q(1, 4), _TWO_B: Q(0)}
+        three_c = Q(1, 256)
+        return [[value.get(k, three_c) for k in row] for row in self._code]
 
 
 def from_root_system(R: RootSystem) -> AxisAlgebra:
     """One axis per positive root; pairs are THREE_C when the roots have
     product +-1 (third axis the canonical positive of their sum or
     difference) and TWO_B when orthogonal."""
-    from .linalg import dot, vec_add, vec_sub
+    pos = R.positive_roots
+    # doubled coordinates scale the inner product by 4
+    doubled = [_double(a) for a in pos]
+    where = {v: k for k, v in enumerate(doubled)}
 
-    def relation(a, b):
-        if a == b:
-            return SAME
-        s = dot(a, b)
+    def third(v: tuple[int, ...]) -> int:
+        k = where.get(v)
+        if k is None:
+            k = where.get(tuple(-c for c in v))
+        if k is None:
+            raise NotARoot(f"neither {_halve(v)} nor its negative is a "
+                           "positive root")
+        return k
+
+    def encode(i: int, j: int) -> int:
+        if i == j:
+            return _SAME
+        a, b = doubled[i], doubled[j]
+        s = sum(x * y for x, y in zip(a, b))
         if s == 0:
-            return TWO_B
-        if s == -1:
-            return ThreeC(R.canonical_positive(vec_add(a, b)))
-        if s == 1:
-            return ThreeC(R.canonical_positive(vec_sub(a, b)))
-        raise ValueError(f"unexpected root pair with product {s}")
+            return _TWO_B
+        if s == -4:
+            return third(tuple(x + y for x, y in zip(a, b)))
+        if s == 4:
+            return third(tuple(x - y for x, y in zip(a, b)))
+        raise ValueError(f"unexpected root pair with product {Q(s, 4)}")
 
-    return AxisAlgebra(R.positive_roots, relation)
+    n = len(pos)
+    return AxisAlgebra._from_codes(
+        pos, [[encode(i, j) for j in range(n)] for i in range(n)])
 
 
 def virasoro(A: AxisAlgebra) -> VirasoroReport:
@@ -191,30 +260,31 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
     """
     axes = A.axes
     n = len(axes)
-    idx = A._index
+    code = A._code
 
-    # rows: (dict var-index -> Q, rhs)
-    rows: list[tuple[dict[int, Q], Q]] = []
-    for b in axes:
+    # rows: (dict var-index -> int, rhs), every equation scaled by 32 so
+    # that its coefficients are the ints 32 (SAME) and +-1 (THREE_C)
+    rows: list[tuple[dict[int, int], int]] = []
+    for b in range(n):
         # coefficient of axis g in sum_a c_a (e_a . e_b), for each g
-        cols: dict[Label, dict[int, Q]] = {}
+        cols: dict[int, dict[int, int]] = {}
 
-        def put(g: Label, a: Label, val: Q) -> None:
-            cols.setdefault(g, {})[idx[a]] = \
-                cols.setdefault(g, {}).get(idx[a], Q(0)) + val
+        def put(g: int, a: int, val: int) -> None:
+            col = cols.setdefault(g, {})
+            col[a] = col.get(a, 0) + val
 
-        for a in axes:
-            r = A.relation(a, b)
-            if r == SAME:
-                put(a, a, Q(1))
-                put(b, a, Q(1))
-            elif isinstance(r, ThreeC):
-                put(a, a, Q(1, 32))
-                put(b, a, Q(1, 32))
-                put(r.third, a, Q(-1, 32))
+        for a in range(n):
+            k = code[a][b]
+            if k == _SAME:
+                put(a, a, 32)
+                put(b, a, 32)
+            elif k >= 0:
+                put(a, a, 1)
+                put(b, a, 1)
+                put(k, a, -1)
         for g, row in cols.items():
             row = {j: v for j, v in row.items() if v}
-            rhs = Q(2) if g == b else Q(0)
+            rhs = 64 if g == b else 0
             if row or rhs:
                 rows.append((row, rhs))
 
@@ -227,7 +297,7 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
             x = parent[x]
         return x
 
-    rest: list[tuple[dict[int, Q], Q]] = []
+    rest: list[tuple[dict[int, int], int]] = []
     for row, rhs in rows:
         if rhs == 0 and len(row) == 2:
             (x, qx), (y, qy) = row.items()
@@ -240,16 +310,16 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
     pos = {c: k for k, c in enumerate(classes)}
     m = len(classes)
 
-    reduced: dict[tuple, tuple[tuple[Q, ...], Q]] = {}
+    reduced: dict[tuple, tuple[tuple[int, ...], int]] = {}
     for row, rhs in rest:
-        acc = [Q(0)] * m
+        acc = [0] * m
         for j, v in row.items():
             acc[pos[find(j)]] += v
         key = (tuple(acc), rhs)
         reduced[key] = (tuple(acc), rhs)
 
     # exact Gaussian elimination on the reduced system
-    mat = [list(r) + [rhs] for r, rhs in reduced.values()]
+    mat = [[Q(x) for x in r] + [Q(rhs)] for r, rhs in reduced.values()]
     rank = 0
     for col in range(m):
         pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
@@ -315,11 +385,8 @@ def sub_virasoro_3C(A: AxisAlgebra, e: Label, triple: Sequence[Label]) -> Viraso
 def miyamoto_permutation(A: AxisAlgebra, e: Label) -> tuple[int, ...]:
     """Index images of the axis involution attached to e: fixes e and its
     TWO_B partners, swaps f and g in every 3C triple through e."""
-    images = []
-    for b in A.axes:
-        r = A.relation(e, b)
-        images.append(A._index[r.third] if isinstance(r, ThreeC) else A._index[b])
-    return tuple(images)
+    row = A._code[A._index[e]]
+    return tuple(k if k >= 0 else j for j, k in enumerate(row))
 
 
 def gram_positive_definite(A: AxisAlgebra) -> bool:

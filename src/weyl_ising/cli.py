@@ -203,29 +203,26 @@ def lattice_checks(R: RootSystem) -> list[dict]:
     return out
 
 
-def _oracle_sweep(R: RootSystem) -> tuple[int, int]:
+def _oracle_verdicts(R: RootSystem):
     """Compare oracle products and pairings with the closed forms over
-    all unordered pairs of distinct positive roots; returns
-    (agreements, pairs)."""
+    all unordered pairs of distinct positive roots; yields
+    (a, b, kind, agrees) per pair."""
     A = from_root_system(R)
     vectors = {a: ising_vector(malpha_lattice(R, a))
                for a in R.positive_roots}
-    agree = total = 0
     for i, a in enumerate(R.positive_roots):
         for b in R.positive_roots[:i]:
-            total += 1
             rel = A.relation(a, b)
             prod = oracle_product(vectors[a], vectors[b])
             pair = oracle_pairing(vectors[a], vectors[b])
             if rel == TWO_B:
-                if not prod and pair == 0:
-                    agree += 1
+                yield (a, b, "2B: zero product, zero pairing",
+                       not prod and pair == 0)
             else:
                 want = (vectors[a] + vectors[b]
                         - vectors[rel.third]).scale(Q(1, 32))
-                if prod == want and pair == Q(1, 256):
-                    agree += 1
-    return agree, total
+                yield (a, b, "3C: (e+f-g)/32 product, 1/256 pairing",
+                       prod == want and pair == Q(1, 256))
 
 
 def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
@@ -241,7 +238,8 @@ def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
         check("is_conformal", True, rep.is_conformal),
     ]
     if oracle:
-        agree, total = _oracle_sweep(R)
+        verdicts = [ok for _, _, _, ok in _oracle_verdicts(R)]
+        agree, total = sum(verdicts), len(verdicts)
         out.append(check("oracle_agreement", f"{total}/{total} pairs",
                          f"{agree}/{total} pairs"))
     else:
@@ -335,27 +333,9 @@ def audit_checks(path: str) -> tuple[list[dict], dict]:
 def _criterion_1() -> list[dict]:
     """Oracle products and pairings equal the closed forms on all 15
     pairs of positive roots in the rank-3 chain system."""
-    R = build_root_system("A", 3)
-    A = from_root_system(R)
-    vectors = {a: ising_vector(malpha_lattice(R, a))
-               for a in R.positive_roots}
-    out = []
-    for i, a in enumerate(R.positive_roots):
-        for b in R.positive_roots[:i]:
-            rel = A.relation(a, b)
-            prod = oracle_product(vectors[a], vectors[b])
-            pair = oracle_pairing(vectors[a], vectors[b])
-            if rel == TWO_B:
-                ok = not prod and pair == 0
-                kind = "2B: zero product, zero pairing"
-            else:
-                want = (vectors[a] + vectors[b]
-                        - vectors[rel.third]).scale(Q(1, 32))
-                ok = prod == want and pair == Q(1, 256)
-                kind = "3C: (e+f-g)/32 product, 1/256 pairing"
-            out.append(check(f"oracle {_vec(a)} | {_vec(b)}", kind,
-                             kind if ok else "oracle differs", ok=ok))
-    return out
+    return [check(f"oracle {_vec(a)} | {_vec(b)}", kind,
+                  kind if ok else "oracle differs", ok=ok)
+            for a, b, kind, ok in _oracle_verdicts(build_root_system("A", 3))]
 
 
 def _criterion_2() -> list[dict]:

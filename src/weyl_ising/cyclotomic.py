@@ -102,10 +102,18 @@ class Cyc8:
         return self.coeffs[0]
 
     def unit_exponent(self) -> int | None:
-        """k with self == z**k, or None when self is not such a unit."""
-        for k in range(8):
-            if self == Cyc8.zeta_pow(k):
-                return k
+        """k with self == z**k, or None when self is not such a unit.
+
+        On the power basis z**k is the single coefficient +-1 at k mod 4,
+        negative exactly when k >= 4."""
+        nonzero = [(k, a) for k, a in enumerate(self.coeffs) if a]
+        if len(nonzero) != 1:
+            return None
+        k, a = nonzero[0]
+        if a == 1:
+            return k
+        if a == -1:
+            return k + 4
         return None
 
     def __repr__(self) -> str:

@@ -19,20 +19,37 @@ with all scalars carried in the 8th cyclotomic field so that any sign
 convention mistake surfaces as a non-real coefficient instead of a
 silent flip.  The ambient dimension must be a multiple of 8 so the
 block residue table applies.
+
+Scale convention: every label coordinate lies in (1/2)Z, so a label x
+is stored as the int tuple 2x; the keys of ``Weight2Element.exps`` are
+these doubled labels.  A norm-4 label then has integer norm 16, a pair
+is classified by the integer 4<x,y> (+-16, +-12, +-8 or other), and
+x +- y is formed and sign-normalized in ints.  ``Fraction`` remains in
+the scalars: the coefficients of the ``Cyc8`` values (where the factor
+1/4 of a doubled quadratic term x_i x_j enters) and the quadratic part.
+The public constructor takes labels in true coordinates, rejects any
+coordinate outside (1/2)Z with ``NotHalfIntegral`` and validates every
+term; sums, scalings and oracle products are built from terms that are
+already canonical and are not validated again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import add, mul, sub
 from typing import Sequence
 
 from .cocycle import CocycleTable
 from .cyclotomic import Cyc8
 from .lattice import Lattice, shell
-from .linalg import dot, matrix_inverse
+from .linalg import matrix_inverse
 
 Vector = tuple[Q, ...]
+Label = tuple[int, ...]  # a doubled label 2x
+
+_ZERO = Cyc8.of(0)
 
 
 class WrongShellSize(ValueError):
@@ -48,16 +65,15 @@ class RootCreated(ValueError):
     rootless where it needs to be)."""
 
 
-_TABLES: dict[int, CocycleTable] = {}
+class NotHalfIntegral(ValueError):
+    """An exponential label has a coordinate outside (1/2)Z."""
 
 
+@functools.cache
 def _table_for(dim: int) -> CocycleTable:
     if dim % 8 != 0 or dim == 0:
         raise ValueError(f"ambient dimension {dim} is not a multiple of 8")
-    n = dim // 8
-    if n not in _TABLES:
-        _TABLES[n] = CocycleTable(n)
-    return _TABLES[n]
+    return CocycleTable(dim // 8)
 
 
 def canonical_label(x: Sequence) -> Vector:
@@ -71,40 +87,85 @@ def canonical_label(x: Sequence) -> Vector:
     raise ValueError("zero vector cannot label an exponential")
 
 
-def _real_unit(value: Cyc8, context: str) -> Q:
-    exponent = value.unit_exponent()
-    if exponent == 0:
-        return Q(1)
-    if exponent == 4:
-        return Q(-1)
-    raise NonRealCocycle(f"{context} produced the non-real unit {value!r}")
+def _canonical(x: Label) -> Label:
+    """``canonical_label`` on a nonzero doubled label."""
+    for c in x:
+        if c:
+            return x if c > 0 else tuple(-d for d in x)
+    raise ValueError("zero vector cannot label an exponential")
+
+
+def _doubled(x: Sequence) -> Label:
+    """2x as ints, exactly."""
+    out = []
+    for c in x:
+        c2 = 2 * Q(c)
+        if c2.denominator != 1:
+            raise NotHalfIntegral(
+                f"exponential label {tuple(x)} has a coordinate "
+                "outside (1/2)Z")
+        out.append(c2.numerator)
+    return tuple(out)
+
+
+def _halved(x: Label) -> Vector:
+    return tuple(Q(c, 2) for c in x)
+
+
+def _real_sign(residue: int, x: Label, y: Label | None) -> int:
+    """The sign z**residue of the pair (x, y), which must be +1 or -1;
+    y None stands for -x."""
+    if residue == 0:
+        return 1
+    if residue == 4:
+        return -1
+    other = "-same" if y is None else _halved(y)
+    raise NonRealCocycle(
+        f"pair ({_halved(x)}, {other}) produced the non-real unit "
+        f"{Cyc8.zeta_pow(residue)!r}")
 
 
 @dataclass
 class Weight2Element:
-    """Sparse weight-2 element over a fixed ambient basis."""
+    """Sparse weight-2 element over a fixed ambient basis.
+
+    The constructor takes ``exps`` keyed by labels in true (rational)
+    coordinates and stores them doubled (see the module docstring), so
+    ``exps`` maps doubled labels 2x to coefficients after construction.
+    """
 
     dim: int
     quad: dict[tuple[int, int], Cyc8] = field(default_factory=dict)
-    exps: dict[Vector, Cyc8] = field(default_factory=dict)
+    exps: dict[Label, Cyc8] = field(default_factory=dict)
 
     def __post_init__(self):
         self.quad = {k: Cyc8.of(v) for k, v in self.quad.items() if Cyc8.of(v)}
         for (i, j), v in list(self.quad.items()):
             if (j, i) not in self.quad or self.quad[(j, i)] != v:
                 raise ValueError("quadratic part must be symmetric")
-        clean = {}
+        clean: dict[Label, Cyc8] = {}
         for x, c in self.exps.items():
             c = Cyc8.of(c)
             if not c:
                 continue
-            label = canonical_label(x)
-            if dot(label, label) != 4:
+            label = _canonical(_doubled(x))
+            if sum(map(mul, label, label)) != 16:
                 raise ValueError(f"exponential label {x} does not have norm 4")
             if len(label) != self.dim:
                 raise ValueError("label length does not match ambient dimension")
-            clean[label] = clean.get(label, Cyc8.of(0)) + c
+            clean[label] = clean.get(label, _ZERO) + c
         self.exps = {x: c for x, c in clean.items() if c}
+
+    @classmethod
+    def _trusted(cls, dim: int, quad: dict[tuple[int, int], Cyc8],
+                 exps: dict[Label, Cyc8]) -> "Weight2Element":
+        """An element from a symmetric quadratic part and canonical doubled
+        labels, without validation; zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self.quad = {k: v for k, v in quad.items() if v}
+        self.exps = {x: c for x, c in exps.items() if c}
+        return self
 
     @staticmethod
     def zero(dim: int) -> "Weight2Element":
@@ -115,11 +176,11 @@ class Weight2Element:
             raise ValueError("ambient dimensions differ")
         quad = dict(self.quad)
         for k, v in other.quad.items():
-            quad[k] = quad.get(k, Cyc8.of(0)) + v
+            quad[k] = quad.get(k, _ZERO) + v
         exps = dict(self.exps)
         for x, c in other.exps.items():
-            exps[x] = exps.get(x, Cyc8.of(0)) + c
-        return Weight2Element(self.dim, quad, exps)
+            exps[x] = exps.get(x, _ZERO) + c
+        return Weight2Element._trusted(self.dim, quad, exps)
 
     def __neg__(self) -> "Weight2Element":
         return self.scale(-1)
@@ -129,7 +190,7 @@ class Weight2Element:
 
     def scale(self, c) -> "Weight2Element":
         c = Cyc8.of(c)
-        return Weight2Element(
+        return Weight2Element._trusted(
             self.dim,
             {k: c * v for k, v in self.quad.items()},
             {x: c * v for x, v in self.exps.items()},
@@ -197,9 +258,9 @@ def ising_vector(M: Lattice) -> Weight2Element:
     if len(sh) != 240:
         raise WrongShellSize(f"norm-4 shell has {len(sh)} vectors, expected 240")
     w = virasoro_quadratic(M).scale(Q(1, 16))
-    labels = {canonical_label(x) for x in sh}
-    exps = {x: Cyc8.of(Q(1, 32)) for x in labels}
-    return w + Weight2Element(M.ambient_dim, {}, exps)
+    coeff = Cyc8.of(Q(1, 32))
+    exps = {_canonical(_doubled(x)): coeff for x in sh}
+    return w + Weight2Element._trusted(M.ambient_dim, {}, exps)
 
 
 def _quad_rows(u: Weight2Element) -> dict[int, dict[int, Cyc8]]:
@@ -209,6 +270,14 @@ def _quad_rows(u: Weight2Element) -> dict[int, dict[int, Cyc8]]:
     return rows
 
 
+def _by_value(terms: dict) -> dict[Cyc8, list]:
+    """The keys of a term dict grouped by their coefficient."""
+    groups: dict[Cyc8, list] = {}
+    for key, value in terms.items():
+        groups.setdefault(value, []).append(key)
+    return groups
+
+
 def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     """Bilinear degree-1 product of two weight-2 elements."""
     if u.dim != v.dim:
@@ -216,15 +285,15 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     dim = u.dim
     table = _table_for(dim)
     quad: dict[tuple[int, int], Cyc8] = {}
-    exps: dict[Vector, Cyc8] = {}
+    exps: dict[Label, Cyc8] = {}
 
     def add_quad(i: int, j: int, val: Cyc8) -> None:
         if val:
-            quad[(i, j)] = quad.get((i, j), Cyc8.of(0)) + val
+            quad[(i, j)] = quad.get((i, j), _ZERO) + val
 
-    def add_exp(x: Vector, val: Cyc8) -> None:
+    def add_exp(x: Label, val: Cyc8) -> None:
         if val:
-            exps[x] = exps.get(x, Cyc8.of(0)) + val
+            exps[x] = exps.get(x, _ZERO) + val
 
     # quadratic x quadratic: 2(ST + TS)
     if u.quad and v.quad:
@@ -239,41 +308,59 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
                     add_quad(i, j, ab)
                     add_quad(j, i, ab)
 
-    # quadratic x exponential, both orders
+    # quadratic x exponential, both orders: (2x)^T S (2x) / 4, summed in
+    # ints over the entries of S that share a value
     for s_part, e_part in ((u, v), (v, u)):
         if not (s_part.quad and e_part.exps):
             continue
+        by_value = _by_value(s_part.quad)
         for x, c in e_part.exps.items():
-            acc = Cyc8.of(0)
-            for (i, j), a in s_part.quad.items():
-                if x[i] and x[j]:
-                    acc = acc + (x[i] * x[j]) * a
+            acc = _ZERO
+            for a, entries in by_value.items():
+                n = sum(x[i] * x[j] for i, j in entries)
+                if n:
+                    acc = acc + a * Q(n, 4)
             add_exp(x, acc * c)
 
-    # exponential x exponential, all ordered pairs
-    for x, cx in u.exps.items():
-        for y, cy in v.exps.items():
-            s = dot(x, y)
-            if s in (4, -4):
-                unit = _real_unit(table.eps(x, tuple(-c for c in x)),
-                                  f"pair ({x}, -same)")
-                c = (cx * cy) * unit
-                for i in range(dim):
-                    if not x[i]:
+    # exponential x exponential, all ordered pairs, by s4 = 4<x, y>.  The
+    # labels are grouped by coefficient, so the signed shifts x -+ y and
+    # the squares (2x)(2x)^T are counted in ints and meet the coefficient
+    # cx cy once per group pair.
+    v_groups = _by_value(v.exps)
+    for cx, xs in _by_value(u.exps).items():
+        for cy, ys in v_groups.items():
+            shifts: dict[Label, int] = {}
+            squares: dict[tuple[int, int], int] = {}
+            for x in xs:
+                for y in ys:
+                    s4 = sum(map(mul, x, y))
+                    if -8 < s4 < 8:
                         continue
-                    for j in range(dim):
-                        if x[j]:
-                            add_quad(i, j, (x[i] * x[j]) * c)
-            elif s in (2, -2):
-                z = tuple(a - b for a, b in zip(x, y)) if s == 2 else \
-                    tuple(a + b for a, b in zip(x, y))
-                sign = _real_unit(table.eps(x, y), f"pair ({x}, {y})")
-                add_exp(canonical_label(z), (sign * cx) * cy)
-            elif s in (3, -3):
-                raise RootCreated(
-                    f"labels {x} and {y} with product {s} create a norm-2 vector")
+                    if s4 in (8, -8):
+                        z = _canonical(tuple(map(sub, x, y)) if s4 == 8
+                                       else tuple(map(add, x, y)))
+                        sign = _real_sign(table.eps0_doubled(x, y), x, y)
+                        shifts[z] = shifts.get(z, 0) + sign
+                    elif s4 in (16, -16):
+                        sign = _real_sign(
+                            table.eps0_doubled(x, tuple(-c for c in x)),
+                            x, None)
+                        support = [i for i, a in enumerate(x) if a]
+                        for i in support:
+                            for j in support:
+                                squares[(i, j)] = (squares.get((i, j), 0)
+                                                   + sign * x[i] * x[j])
+                    elif s4 in (12, -12):
+                        raise RootCreated(
+                            f"labels {_halved(x)} and {_halved(y)} with "
+                            f"product {s4 // 4} create a norm-2 vector")
+            c = cx * cy
+            for z, n in shifts.items():
+                add_exp(z, c * n)
+            for (i, j), n in squares.items():
+                add_quad(i, j, c * Q(n, 4))
 
-    return Weight2Element(dim, quad, exps)
+    return Weight2Element._trusted(dim, quad, exps)
 
 
 def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Cyc8:

@@ -225,6 +225,43 @@ def test_relation_validation():
         AxisAlgebra(("p", "p"), lambda a, b: SAME)
 
 
+def test_unclosed_triple_rejected():
+    def open_triple(a, b):
+        if a == b:
+            return SAME
+        if {a, b} == {"p", "q"}:
+            return ThreeC("r")
+        return TWO_B  # (p, r) and (q, r) should be 3C
+
+    with pytest.raises(ValueError):
+        AxisAlgebra(("p", "q", "r"), open_triple)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_root_system_table_matches_relation_callable(kind, rank):
+    """The doubled-int table of from_root_system agrees with the algebra
+    built through the public constructor from the Fraction rule."""
+    R = build_root_system(kind, rank)
+
+    def relation(a, b):
+        if a == b:
+            return SAME
+        s = dot(a, b)
+        if s == 0:
+            return TWO_B
+        return ThreeC(R.canonical_positive(
+            tuple(x - s * y for x, y in zip(a, b))))
+
+    reference = AxisAlgebra(R.positive_roots, relation)
+    A = from_root_system(R)
+    assert A.axes == reference.axes
+    for a in A.axes:
+        assert miyamoto_permutation(A, a) == miyamoto_permutation(reference, a)
+        for b in A.axes:
+            assert A.relation(a, b) == reference.relation(a, b)
+    assert A.gram() == reference.gram()
+
+
 def test_nonunique_error_reports_dimension():
     err = NonUniqueConformalVector(3)
     assert isinstance(err, ValueError)

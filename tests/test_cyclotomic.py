@@ -58,8 +58,9 @@ def test_as_fraction():
 def test_unit_exponent():
     for k in range(8):
         assert Cyc8.zeta_pow(k).unit_exponent() == k
-    assert (2 * ONE).unit_exponent() is None
-    assert (Cyc8.zeta_pow(1) + 1).unit_exponent() is None
+    z = Cyc8.zeta_pow(1)
+    for value in (Cyc8.of(0), 2 * ONE, z + 1, z / 2):
+        assert value.unit_exponent() is None
 
 
 def test_division_restricted_to_rationals():

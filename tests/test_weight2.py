@@ -9,6 +9,7 @@ from weyl_ising.linalg import dot, vec_add
 from weyl_ising.rootsys import build_root_system
 from weyl_ising.weight2 import (
     NonRealCocycle,
+    NotHalfIntegral,
     RootCreated,
     Weight2Element,
     WrongShellSize,
@@ -125,6 +126,19 @@ def test_non_real_sign_is_rejected():
     v = Weight2Element(8, {}, {y: 1})
     with pytest.raises(NonRealCocycle):
         oracle_product(u, v)
+
+
+def test_label_outside_half_integers_is_rejected():
+    x = (Q(6, 5), Q(8, 5)) + (Q(0),) * 6
+    assert dot(x, x) == 4
+    with pytest.raises(NotHalfIntegral):
+        Weight2Element(8, {}, {x: 1})
+
+
+def test_labels_are_stored_doubled():
+    minus_x = tuple(Q(c, 2) for c in (-3, -1, -1, -1, -1, -1, -1, 1))
+    u = Weight2Element(8, {}, {minus_x: Q(1, 2)})
+    assert u.exps == {(3, 1, 1, 1, 1, 1, 1, -1): Q(1, 2)}
 
 
 def test_canonical_label_normalizes_sign():
