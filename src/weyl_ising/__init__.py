@@ -19,7 +19,6 @@ from .axes import (
     ThreeC,
     VirasoroReport,
     from_root_system,
-    gram_positive_definite,
     miyamoto_permutation,
     sub_virasoro_3C,
     virasoro,
@@ -44,12 +43,12 @@ from .lattice import (
     verify_identification,
 )
 from .permgrp import (
+    ClosureCapExceeded,
     PermGroup,
     Permutation,
     contains_minus_one,
     enumerate_elements,
     miyamoto_group,
-    schreier_sims,
     transposition_profile,
     weyl_group,
 )
@@ -75,6 +74,7 @@ from .weight2 import (
 
 __all__ = [
     "AxisAlgebra",
+    "ClosureCapExceeded",
     "CocycleTable",
     "Cyc8",
     "Lattice",
@@ -105,7 +105,6 @@ __all__ = [
     "from_basis",
     "from_generators",
     "from_root_system",
-    "gram_positive_definite",
     "intersect",
     "is_RSSD",
     "is_SSD",
@@ -117,7 +116,6 @@ __all__ = [
     "oracle_pairing",
     "oracle_product",
     "root_lattice",
-    "schreier_sims",
     "shell",
     "sub_virasoro_3C",
     "t_involution",

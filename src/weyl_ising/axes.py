@@ -388,18 +388,3 @@ def miyamoto_permutation(A: AxisAlgebra, e: Label) -> tuple[int, ...]:
     row = A._code[A._index[e]]
     return tuple(k if k >= 0 else j for j, k in enumerate(row))
 
-
-def gram_positive_definite(A: AxisAlgebra) -> bool:
-    """Exact LDL^T: true iff every pivot is positive."""
-    g = A.gram()
-    n = len(g)
-    a = [row[:] for row in g]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return True

@@ -17,18 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Q
 
 from . import __version__
 from .axes import (
     TWO_B,
     from_root_system,
-    gram_positive_definite,
     miyamoto_permutation,
     virasoro,
 )
@@ -232,7 +229,8 @@ def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
     rep = virasoro(A)
     out = [
         check("dimension", h * rank // 2, len(A)),
-        check("gram_positive_definite", True, gram_positive_definite(A)),
+        check("gram_positive_definite", True,
+              ldl_is_positive_definite(A.gram())),
         check("central_charge", Q(8 * h * rank, h + 30), rep.central_charge),
         check("conformal_norm", Q(4 * h * rank, h + 30), rep.norm),
         check("is_conformal", True, rep.is_conformal),
@@ -300,8 +298,15 @@ def audit_checks(path: str) -> tuple[list[dict], dict]:
         raise UsageError(f"cannot read gram file: {err}")
     if not isinstance(payload, dict) or "gram" not in payload:
         raise UsageError('gram file must be a JSON object {"gram": [[...]]}')
+    unknown = sorted(set(payload) - {"gram"})
+    if unknown:
+        raise UsageError(f"unknown keys in gram file: {', '.join(unknown)}")
+    rows = payload["gram"]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) for row in rows)):
+        raise UsageError("gram must be a nonempty list of rows (lists)")
     try:
-        gram = [[Q(str(x)) for x in row] for row in payload["gram"]]
+        gram = [[Q(str(x)) for x in row] for row in rows]
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise UsageError(f"gram entries must be rational numbers: {err}")
 
@@ -556,7 +561,7 @@ def _criterion_10() -> list[dict]:
     for kind, rank in [("A", 2), ("A", 4), ("D", 4), ("E", 6), ("E", 8)]:
         A = from_root_system(build_root_system(kind, rank))
         out.append(check(f"gram_positive_definite {kind}{rank}", True,
-                         gram_positive_definite(A)))
+                         ldl_is_positive_definite(A.gram())))
 
     brute_cases = []
     w_a3 = weyl_group(build_root_system("A", 3))
@@ -587,39 +592,18 @@ ACCEPTANCE = [
 ]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WEYL_ISING_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError(f"WEYL_ISING_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise UsageError("WEYL_ISING_THREADS must be at least 1")
-    return count
-
-
 def report_checks(max_n: int) -> list[dict]:
     if max_n < 6:
         raise UsageError("--max-n below 6 would drop required checks")
-    workers = _thread_count()
-    jobs = []
-    for index, (title, fn) in enumerate(ACCEPTANCE, start=1):
-        if fn is _criterion_9:
-            jobs.append((index, title, lambda: _criterion_9(max_n)))
-        else:
-            jobs.append((index, title, fn))
     out = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(index, title, pool.submit(fn))
-                   for index, title, fn in jobs]
-        for index, title, future in futures:
-            checks = future.result()
-            for c in checks:
-                c["name"] = f"{index:02d} {title}: {c['name']}"
-            out.extend(checks)
-            print(f"[weyl-ising] criterion {index} ({title}): "
-                  f"{sum(1 for c in checks if c['status'] == 'pass')}"
-                  f"/{len(checks)} pass", file=sys.stderr)
+    for index, (title, fn) in enumerate(ACCEPTANCE, start=1):
+        checks = _criterion_9(max_n) if fn is _criterion_9 else fn()
+        for c in checks:
+            c["name"] = f"{index:02d} {title}: {c['name']}"
+        out.extend(checks)
+        print(f"[weyl-ising] criterion {index} ({title}): "
+              f"{sum(1 for c in checks if c['status'] == 'pass')}"
+              f"/{len(checks)} pass", file=sys.stderr)
     return out
 
 

@@ -28,7 +28,7 @@ from .linalg import (
     gram_matrix,
     hnf,
     int_kernel,
-    ldl_is_positive_definite,
+    ldl,
     matrix_inverse,
     smith_invariants,
     solve,
@@ -349,21 +349,10 @@ def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
     if L.rank == 0:
         return [tuple(Q(0) for _ in range(L.ambient_dim))] if target == 0 else []
     r = L.rank
-    a = [[Q(x) for x in row] for row in L.gram]
-    d: list[Q] = []
-    u = [[Q(0)] * r for _ in range(r)]
-    for k in range(r):
-        dk = a[k][k]
-        if dk <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        d.append(dk)
-        for i in range(k + 1, r):
-            u[k][i] = a[k][i] / dk
-        for i in range(k + 1, r):
-            fi = u[k][i]
-            for j in range(i, r):
-                a[i][j] -= fi * dk * u[k][j]
-                a[j][i] = a[i][j]
+    factors = ldl(L.gram)
+    if factors is None:
+        raise ValueError("Gram matrix is not positive definite")
+    d, u = factors
     sols: list[tuple[int, ...]] = []
     x = [0] * r
 

@@ -163,51 +163,8 @@ def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     reduced to lie in [0, pivot).  The row span is unchanged, so this is a
     canonical form for the subgroup of Z^n generated by the input rows.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    result: list[list[int]] = []
-    col = 0
-    while work and col < ncols:
-        work = [r for r in work if any(r)]
-        cand = [r for r in work if r[col] != 0]
-        if not cand:
-            col += 1
-            continue
-        # Euclidean passes: shrink the column until one nonzero entry remains.
-        while len(cand) > 1:
-            cand.sort(key=lambda r: abs(r[col]))
-            base = cand[0]
-            for r in cand[1:]:
-                q = r[col] // base[col]
-                if q:
-                    for j in range(col, ncols):
-                        r[j] -= q * base[j]
-            cand = [r for r in cand if r[col] != 0]
-        pivot_row = cand[0]
-        if pivot_row[col] < 0:
-            for j in range(col, ncols):
-                pivot_row[j] = -pivot_row[j]
-        work.remove(pivot_row)
-        for r in work:
-            if r[col] != 0:
-                q = r[col] // pivot_row[col]
-                for j in range(col, ncols):
-                    r[j] -= q * pivot_row[j]
-        result.append(pivot_row)
-        col += 1
-    # reduce entries above each pivot, earlier pivots first so the
-    # subtraction never perturbs a column that is already normalized
-    for k in range(len(result)):
-        row = result[k]
-        p = next(j for j in range(ncols) if row[j] != 0)
-        for above in result[:k]:
-            q = above[p] // row[p]
-            if q:
-                for j in range(p, ncols):
-                    above[j] -= q * row[j]
-    return result
+    ncols = len(rows[0]) if rows else 0
+    return [r for r in hnf_full(rows, ncols) if any(r)]
 
 
 def hnf_with_transform(
@@ -227,49 +184,49 @@ def hnf_with_transform(
     return h, u
 
 
-def hnf_full(work: list[list[int]], ncols: int) -> list[list[int]]:
+def hnf_full(work: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Hermite reduction applied to the first ``ncols`` columns only.
 
     Used with augmented rows to carry a transformation; rows that become
     zero in the leading block sink to the bottom.  Returns all rows.
+    Every row still unplaced is zero before column ``col``, so each row
+    operation starts at ``col`` (Cohen, GTM 138, section 2.4).
     """
     rows = [list(r) for r in work]
     done: list[list[int]] = []
+    pivots: list[int] = []
     col = 0
-    while col < ncols:
+    while rows and col < ncols:
         cand = [r for r in rows if r[col] != 0]
         if not cand:
             col += 1
             continue
+        # Euclidean passes: shrink the column until one nonzero entry remains.
         while len(cand) > 1:
             cand.sort(key=lambda r: abs(r[col]))
             base = cand[0]
             for r in cand[1:]:
                 q = r[col] // base[col]
                 if q:
-                    for j in range(len(r)):
+                    for j in range(col, len(r)):
                         r[j] -= q * base[j]
             cand = [r for r in cand if r[col] != 0]
         pivot_row = cand[0]
         if pivot_row[col] < 0:
-            for j in range(len(pivot_row)):
+            for j in range(col, len(pivot_row)):
                 pivot_row[j] = -pivot_row[j]
         rows.remove(pivot_row)
-        for r in rows:
-            if r[col] != 0:
-                q = r[col] // pivot_row[col]
-                for j in range(len(r)):
-                    r[j] -= q * pivot_row[j]
         done.append(pivot_row)
+        pivots.append(col)
         col += 1
-    # earlier pivots first, as in hnf(), to keep the reduction canonical
-    for i in range(len(done)):
-        row = done[i]
-        p = next(j for j in range(ncols) if row[j] != 0)
-        for above in done[:i]:
+    # reduce entries above each pivot, earlier pivots first so the
+    # subtraction never perturbs a column that is already normalized
+    for k, p in enumerate(pivots):
+        row = done[k]
+        for above in done[:k]:
             q = above[p] // row[p]
             if q:
-                for j in range(len(above)):
+                for j in range(p, len(above)):
                     above[j] -= q * row[j]
     return done + rows
 
@@ -334,23 +291,34 @@ def smith_invariants(matrix: Sequence[Sequence[int]]) -> list[int]:
     return [d for d in diag if d > 1]
 
 
-def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:
-    """Exact LDL^T test: True iff the symmetric matrix is positive definite.
+def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
+    """Exact LDL^T factorization of a symmetric rational matrix.
 
-    Performs rational Cholesky-style elimination; a nonpositive pivot at any
-    stage (including the zero pivot produced by a repeated row) is a
-    counterexample witness.
+    Returns ``(d, u)`` with ``matrix == U^T diag(d) U``, where U is unit
+    upper triangular with off-diagonal entries ``u[k][i]`` (i > k), or
+    None at the first nonpositive pivot: the matrix is then not positive
+    definite (a repeated row gives a zero pivot).  Only the upper
+    triangle is read and updated.
     """
     n = len(matrix)
     a = [[Q(x) for x in row] for row in matrix]
+    d: list[Q] = []
+    u = [[Q(0)] * n for _ in range(n)]
     for k in range(n):
-        piv = a[k][k]
+        row_k = a[k]
+        piv = row_k[k]
         if piv <= 0:
-            return False
+            return None
+        d.append(piv)
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / piv
-                row_i, row_k = a[i], a[k]
-                for j in range(k, n):
+            if row_k[i] != 0:
+                f = u[k][i] = row_k[i] / piv
+                row_i = a[i]
+                for j in range(i, n):
                     row_i[j] -= f * row_k[j]
-    return True
+    return d, u
+
+
+def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:
+    """True iff the symmetric matrix is positive definite (see ``ldl``)."""
+    return ldl(matrix) is not None

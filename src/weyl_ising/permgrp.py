@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .axes import AxisAlgebra, miyamoto_permutation
 from .rootsys import RootSystem
@@ -237,9 +237,28 @@ class PermGroup:
                 f"base={list(self.base)})")
 
 
-def schreier_sims(generators: Iterable, degree: int | None = None) -> PermGroup:
-    """Deterministic BSGS construction for the given generators."""
-    return PermGroup(generators, degree)
+class ClosureCapExceeded(ValueError):
+    """A brute-force closure grew past its element cap."""
+
+
+def closure(identity, generators: Sequence, compose: Callable,
+            cap: int = 10_000) -> set:
+    """All products ``compose(g, x)`` reachable from ``identity`` by left
+    multiplication with the generators; raises ``ClosureCapExceeded``
+    instead of growing the set past ``cap`` elements.  Brute force:
+    every element is composed with every generator once."""
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        current = stack.pop()
+        for g in generators:
+            nxt = compose(g, current)
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def enumerate_elements(generators: Iterable, cap: int = 10_000) -> set:
@@ -250,19 +269,7 @@ def enumerate_elements(generators: Iterable, cap: int = 10_000) -> set:
     gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    ident = tuple(range(len(gens[0])))
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        current = queue.pop()
-        for g in gens:
-            nxt = _compose(g, current)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"closure exceeds cap {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+    return closure(tuple(range(len(gens[0]))), gens, _compose, cap)
 
 
 _WEYL_CACHE: dict[tuple[str, int], PermGroup] = {}

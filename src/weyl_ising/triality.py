@@ -29,7 +29,7 @@ from math import factorial
 from .axes import SAME, TWO_B, AxisAlgebra, ThreeC
 from .lattice import Lattice, e8_lattice, from_generators, index_in, shell
 from .linalg import dot
-from .permgrp import PermGroup, Permutation
+from .permgrp import PermGroup, Permutation, closure
 
 
 class NotFound(ValueError):
@@ -281,19 +281,10 @@ class AbstractTwistedGroup:
         self.generators = tuple(gens)
 
     def closure(self, cap: int = 10_000) -> set[TwistedGroupElement]:
-        """Brute-force closure of the generators; raises past the cap."""
-        seen = {TwistedGroupElement.identity(self.n)}
-        queue = list(seen)
-        while queue:
-            current = queue.pop()
-            for g in self.generators:
-                nxt = g.compose(current)
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"closure exceeds cap {cap}")
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
+        """Brute-force closure of the generators; raises
+        ``ClosureCapExceeded`` past the cap."""
+        return closure(TwistedGroupElement.identity(self.n), self.generators,
+                       TwistedGroupElement.compose, cap)
 
 
 def abstract_twisted_group(n: int) -> AbstractTwistedGroup:

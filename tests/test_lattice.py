@@ -154,6 +154,18 @@ def test_shell_counts():
     assert all(tuple(-c for c in v) in roots for v in roots)
 
 
+@pytest.mark.parametrize("kind, rank, norm, count", [
+    ("E", 8, 6, 6720),  # 240 * sigma_3(3) in E4 = 1 + 240 sum sigma_3(n) q^n
+    ("D", 4, 2, 24),
+    ("A", 2, 2, 6),
+])
+def test_shell_theta_coefficients(kind, rank, norm, count):
+    """Shell sizes are theta-series coefficients (Conway-Sloane, ch. 4)."""
+    L = (e8_lattice() if kind == "E"
+         else root_lattice(build_root_system(kind, rank)))
+    assert len(shell(L, norm)) == count
+
+
 def test_shell_rank_cap():
     big = from_basis([[int(i == j) for j in range(25)] for i in range(25)])
     with pytest.raises(RankTooLarge):

@@ -1,5 +1,6 @@
 """Exact linear algebra helpers: solving, determinants, Hermite and
-Smith forms.  Random cases use fixed seeds so failures reproduce."""
+Smith forms, LDL^T.  Random cases use fixed seeds so failures reproduce;
+the Hypothesis properties report their failing example."""
 
 import random
 from fractions import Fraction as Q
@@ -7,6 +8,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl_ising.linalg import (
     det_bareiss,
@@ -16,6 +19,7 @@ from weyl_ising.linalg import (
     hnf,
     hnf_with_transform,
     int_kernel,
+    ldl,
     ldl_is_positive_definite,
     mat_mul,
     mat_vec,
@@ -27,6 +31,8 @@ from weyl_ising.linalg import (
     vec_scale,
     vec_sub,
 )
+
+PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def unimodular_shuffle(rows, rng, steps=25):
@@ -166,19 +172,35 @@ def test_hnf_is_invariant_under_row_operations():
         assert hnf(rows) == hnf(unimodular_shuffle(rows, rng))
 
 
+def assert_hermite_transform(rows):
+    """U @ rows == [H; 0] with |det U| = 1, and H is hnf(rows)."""
+    n, m = len(rows), len(rows[0])
+    h, u = hnf_with_transform(rows)
+    assert abs(det_bareiss(u)) == 1
+    prod = [
+        [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(m)]
+        for i in range(n)
+    ]
+    assert prod == h + [[0] * m for _ in range(n - len(h))]
+    assert h == hnf(rows)
+
+
 def test_hnf_with_transform_recovers_form():
     rng = random.Random(41)
     for _ in range(120):
         n = rng.randrange(1, 5)
         m = rng.randrange(n, n + 3)
-        rows = [[rng.randrange(-5, 6) for _ in range(m)] for _ in range(n)]
-        h, u = hnf_with_transform(rows)
-        assert abs(det_bareiss(u)) == 1
-        prod = [
-            [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(m)]
-            for i in range(n)
-        ]
-        assert prod == h + [[0] * m for _ in range(n - len(h))]
+        assert_hermite_transform(
+            [[rng.randrange(-5, 6) for _ in range(m)] for _ in range(n)])
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+    min_size=1, max_size=5)))
+def test_hnf_with_transform_property(rows):
+    """Any shape, including more rows than columns and zero rows."""
+    assert_hermite_transform(rows)
 
 
 def test_int_kernel_annihilates():
@@ -255,3 +277,24 @@ def test_ldl_matches_gram_of_independent_vectors():
         g = gram_matrix(vecs)
         independent = det_rational(g) != 0
         assert ldl_is_positive_definite(g) == independent
+        if independent:
+            # U^T diag(d) U reproduces the Gram matrix (U unit upper)
+            d, u = ldl(g)
+            unit = [[u[i][j] + (i == j) for j in range(n)] for i in range(n)]
+            assert mat_mul(transpose(unit),
+                           [[d[i] * x for x in unit[i]] for i in range(n)]) == g
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-4, 4, max_denominator=3), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.integers(0, 8))
+def test_ldl_matches_sylvester(m, shift):
+    """Positive definite iff every leading principal minor is positive;
+    the diagonal shift makes both outcomes common."""
+    n = len(m)
+    a = [[m[min(i, j)][max(i, j)] + shift * (i == j) for j in range(n)]
+         for i in range(n)]
+    sylvester = all(det_rational([row[:k] for row in a[:k]]) > 0
+                    for k in range(1, n + 1))
+    assert ldl_is_positive_definite(a) == sylvester

@@ -8,7 +8,7 @@ import pytest
 from weyl_ising.axes import SAME, TWO_B, ThreeC, virasoro
 from weyl_ising.lattice import e8_lattice, index_in, same_lattice, shell
 from weyl_ising.linalg import dot
-from weyl_ising.permgrp import PermGroup
+from weyl_ising.permgrp import ClosureCapExceeded, PermGroup
 from weyl_ising.triality import (
     AbstractTwistedGroup,
     NotFound,
@@ -163,7 +163,7 @@ def test_abstract_closure_matches_counted_order(n):
 
 
 def test_abstract_closure_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ClosureCapExceeded):
         abstract_twisted_group(6).closure(cap=100)
 
 
