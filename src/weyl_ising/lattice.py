@@ -18,20 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 from .linalg import (
     Vector,
-    det_rational,
+    det_bareiss,
     dot,
-    gram_matrix,
     hnf,
+    int_inverse,
     int_kernel,
     ldl,
-    matrix_inverse,
     smith_invariants,
-    solve,
 )
 from .rootsys import RootSystem, build_root_system
 
@@ -54,6 +52,10 @@ class RankTooLarge(ValueError):
     """Shell enumeration refused beyond the supported rank cap."""
 
 
+class OrderCapExceeded(ValueError):
+    """A matrix order search passed its cap."""
+
+
 class IncompatibleAmbient(ValueError):
     """Operands live in different ambient coordinate spaces."""
 
@@ -62,23 +64,48 @@ class UnsupportedName(ValueError):
     """Unknown lattice-identification name."""
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _scaled_rows(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
+def _scaled_rows(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """Clear denominators: returns (integer rows, common denominator)."""
+    vecs = [[c if isinstance(c, (int, Q)) else Q(c) for c in v]
+            for v in vectors]
     den = 1
-    for v in vectors:
+    for v in vecs:
         for c in v:
-            den = _lcm(den, Q(c).denominator)
-    rows = [[int(Q(c) * den) for c in v] for v in vectors]
+            den = lcm(den, c.denominator)
+    rows = [[c.numerator * (den // c.denominator) for c in v] for v in vecs]
     return rows, den
+
+
+def _combine(w: Sequence[int], rows: Sequence[Sequence[int]],
+             width: int) -> list[int]:
+    """The integer row combination sum_k w[k] * rows[k]."""
+    out = [0] * width
+    for wk, row in zip(w, rows):
+        if wk:
+            for j, c in enumerate(row):
+                if c:
+                    out[j] += wk * c
+    return out
+
+
+def _span(rows: Sequence[Sequence[int]], den: int, ambient_dim: int) -> Lattice:
+    """Lattice spanned by integer rows over den (dependent or zero rows
+    allowed), based by their Hermite form."""
+    basis = tuple(tuple(Q(c, den) for c in row) for row in hnf(rows))
+    return Lattice(ambient_dim, basis)
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """A positive definite lattice with exact rational coordinates."""
+    """A positive definite lattice with exact rational coordinates.
+
+    Its arithmetic runs on an integer-scaled core, computed lazily once
+    per instance: the basis as int ``rows`` over a common denominator
+    ``den`` (``_scaled``), the int Gram ``g = rows rows^T``, so that
+    ``gram == g / den^2`` (``_int_gram``), and ``g^-1 == adj / D`` with an
+    int matrix ``adj`` (``_inverse``).  Values become ``Fraction`` only
+    where a public method returns them.
+    """
 
     ambient_dim: int
     basis: tuple[Vector, ...]
@@ -88,15 +115,34 @@ class Lattice:
         return len(self.basis)
 
     @cached_property
+    def _scaled(self) -> tuple[list[list[int]], int]:
+        return _scaled_rows(self.basis)
+
+    @cached_property
+    def _int_gram(self) -> list[list[int]]:
+        rows, _ = self._scaled
+        n = len(rows)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = dot(rows[i], rows[j])
+        return g
+
+    @cached_property
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        return int_inverse(self._int_gram)
+
+    @cached_property
     def gram(self) -> list[list[Q]]:
-        return gram_matrix(self.basis)
+        d2 = self._scaled[1] ** 2
+        return [[Q(c, d2) for c in row] for row in self._int_gram]
 
     @cached_property
     def _canonical(self) -> tuple:
         """Scaled HNF basis, a canonical form for lattice equality."""
         if not self.basis:
             return (self.ambient_dim, 1, ())
-        rows, den = _scaled_rows(self.basis)
+        rows, den = self._scaled
         h = hnf(rows)
         g = den
         for row in h:
@@ -106,22 +152,36 @@ class Lattice:
                 tuple(tuple(c // g for c in row) for row in h))
 
     def det(self) -> Q:
-        return det_rational(self.gram)
+        return Q(det_bareiss(self._int_gram), self._scaled[1] ** (2 * self.rank))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self.gram for c in row)
+        d2 = self._scaled[1] ** 2
+        return all(c % d2 == 0 for row in self._int_gram for c in row)
 
     def is_even(self) -> bool:
+        d2 = self._scaled[1] ** 2
         return self.is_integral() and all(
-            self.gram[i][i] % 2 == 0 for i in range(self.rank))
+            self._int_gram[i][i] % (2 * d2) == 0 for i in range(self.rank))
 
     def dual_basis(self) -> tuple[Vector, ...]:
         """Vectors spanning L* inside the rational span of L."""
-        ginv = matrix_inverse(self.gram)
+        rows, den = self._scaled
+        adj, D = self._inverse
         return tuple(
-            tuple(sum(ginv[i][k] * self.basis[k][j] for k in range(self.rank))
-                  for j in range(self.ambient_dim))
-            for i in range(self.rank))
+            tuple(Q(den * c, D) for c in _combine(a, rows, self.ambient_dim))
+            for a in adj)
+
+    def _weights(self, v: Sequence) -> tuple[list[int], list[int], list[int], int]:
+        """``(w, p, v_int, v_den)`` for ``v == v_int / v_den``, with
+        ``w = adj (rows v_int)`` and ``p = sum_k w[k] rows[k]``: v's
+        coordinates over the basis of its projection onto the span are
+        ``den w / (D v_den)``, and the projection is ``p / (D v_den)``."""
+        (v_int,), v_den = _scaled_rows([v])
+        rows, _ = self._scaled
+        adj, _ = self._inverse
+        rhs = [dot(row, v_int) for row in rows]
+        w = [dot(a, rhs) for a in adj]
+        return w, _combine(w, rows, self.ambient_dim), v_int, v_den
 
     def coordinates(self, v: Sequence) -> list[Q] | None:
         """Rational coordinates of v over the basis, or None if v is
@@ -131,14 +191,13 @@ class Lattice:
                 f"vector of length {len(v)} in ambient {self.ambient_dim}")
         if not self.basis:
             return None if any(Q(c) != 0 for c in v) else []
-        rhs = [dot(b, v) for b in self.basis]
-        coords = solve(self.gram, rhs)
-        # confirm v really lies in the span
-        recon = [sum(coords[k] * self.basis[k][j] for k in range(self.rank))
-                 for j in range(self.ambient_dim)]
-        if any(r != Q(c) for r, c in zip(recon, v)):
+        w, p, v_int, v_den = self._weights(v)
+        D = self._inverse[1]
+        # v lies in the span iff it equals its projection
+        if any(pj != D * c for pj, c in zip(p, v_int)):
             return None
-        return coords
+        den = self._scaled[1]
+        return [Q(den * wk, D * v_den) for wk in w]
 
     def contains(self, v: Sequence) -> bool:
         coords = self.coordinates(v)
@@ -148,13 +207,9 @@ class Lattice:
         """Orthogonal projection of v onto the rational span of L."""
         if not self.basis:
             return tuple(Q(0) for _ in range(self.ambient_dim))
-        ginv = matrix_inverse(self.gram)
-        rhs = [dot(b, v) for b in self.basis]
-        coef = [sum(ginv[i][k] * rhs[k] for k in range(self.rank))
-                for i in range(self.rank)]
-        return tuple(
-            sum(coef[k] * self.basis[k][j] for k in range(self.rank))
-            for j in range(self.ambient_dim))
+        _, p, _, v_den = self._weights(v)
+        scale = self._inverse[1] * v_den
+        return tuple(Q(c, scale) for c in p)
 
 
 def from_basis(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Lattice:
@@ -162,21 +217,15 @@ def from_basis(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> L
     if ambient_dim is None:
         ambient_dim = len(vecs[0])
     lat = Lattice(ambient_dim, vecs)
-    if vecs and det_rational(lat.gram) == 0:
+    if vecs and lat.det() == 0:
         raise ValueError("basis vectors are linearly dependent")
     return lat
 
 
 def from_generators(vectors: Sequence[Sequence], ambient_dim: int) -> Lattice:
     """Lattice spanned by possibly dependent/redundant generators."""
-    vecs = [tuple(Q(c) for c in v) for v in vectors]
-    vecs = [v for v in vecs if any(c != 0 for c in v)]
-    if not vecs:
-        return Lattice(ambient_dim, ())
-    rows, den = _scaled_rows(vecs)
-    h = hnf(rows)
-    basis = tuple(tuple(Q(c, den) for c in row) for row in h)
-    return Lattice(ambient_dim, basis)
+    rows, den = _scaled_rows(vectors)
+    return _span(rows, den, ambient_dim)
 
 
 def root_lattice(R: RootSystem) -> Lattice:
@@ -211,8 +260,9 @@ def discriminant_group(L: Lattice) -> tuple[int, ...]:
     """Elementary divisors > 1 of L*/L (Smith form of the Gram matrix)."""
     if not L.is_integral():
         raise NotIntegral("discriminant group needs an integral lattice")
-    g = [[int(c) for c in row] for row in L.gram]
-    return tuple(smith_invariants(g))
+    d2 = L._scaled[1] ** 2
+    return tuple(smith_invariants([[c // d2 for c in row]
+                                   for row in L._int_gram]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +285,11 @@ def intersect(M: Lattice, N: Lattice) -> Lattice:
     _check_ambient(M, N)
     if not M.basis or not N.basis:
         return Lattice(M.ambient_dim, ())
-    rows, _ = _scaled_rows(list(M.basis) + [tuple(-c for c in v)
-                                            for v in N.basis])
-    kernel = int_kernel(rows)
-    k = len(M.basis)
-    gens = []
-    for w in kernel:
-        gens.append(tuple(
-            sum(w[i] * M.basis[i][j] for i in range(k))
-            for j in range(M.ambient_dim)))
-    return from_generators(gens, M.ambient_dim)
+    rows, den = _scaled_rows(list(M.basis) + [tuple(-c for c in v)
+                                              for v in N.basis])
+    k = M.rank
+    gens = [_combine(w[:k], rows[:k], M.ambient_dim) for w in int_kernel(rows)]
+    return _span(gens, den, M.ambient_dim)
 
 
 def annihilator(M: Lattice, L: Lattice) -> Lattice:
@@ -252,15 +297,12 @@ def annihilator(M: Lattice, L: Lattice) -> Lattice:
     _check_ambient(M, L)
     if not M.basis or not L.basis:
         return L
-    pair = [[dot(lv, mv) for mv in M.basis] for lv in L.basis]
-    rows, _ = _scaled_rows([tuple(r) for r in pair])
-    kernel = int_kernel(rows)
-    gens = []
-    for w in kernel:
-        gens.append(tuple(
-            sum(w[i] * L.basis[i][j] for i in range(L.rank))
-            for j in range(L.ambient_dim)))
-    return from_generators(gens, L.ambient_dim)
+    # the pairings scaled by den_L * den_M > 0, which keeps the kernel
+    rows, den = L._scaled
+    m_rows, _ = M._scaled
+    pair = [[dot(lv, mv) for mv in m_rows] for lv in rows]
+    gens = [_combine(w, rows, L.ambient_dim) for w in int_kernel(pair)]
+    return _span(gens, den, L.ambient_dim)
 
 
 def is_sublattice(M: Lattice, L: Lattice) -> bool:
@@ -328,7 +370,7 @@ def matrix_order(T: list[list[int]], cap: int = 12) -> int:
             return k
         power = [[sum(power[i][m] * T[m][j] for m in range(n))
                   for j in range(n)] for i in range(n)]
-    raise ValueError(f"order exceeds cap {cap}")
+    raise OrderCapExceeded(f"order exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +380,11 @@ def matrix_order(T: list[list[int]], cap: int = 12) -> int:
 def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
     """All lattice vectors of the given squared norm, sorted.
 
-    Exact rational LDL^T quadratic completion with Fincke-Pohst interval
-    bounds; refuses ranks beyond the cap (desk-scale enumeration only).
+    Exact rational LDL^T quadratic completion of the int Gram (norms
+    scaled by den^2) with Fincke-Pohst interval bounds; each coefficient
+    vector maps to int coordinates through the scaled basis rows, divided
+    by den once per coordinate.  Refuses ranks beyond the cap (desk-scale
+    enumeration only).
     """
     if L.rank > cap:
         raise RankTooLarge(f"rank {L.rank} exceeds enumeration cap {cap}")
@@ -349,7 +394,9 @@ def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
     if L.rank == 0:
         return [tuple(Q(0) for _ in range(L.ambient_dim))] if target == 0 else []
     r = L.rank
-    factors = ldl(L.gram)
+    rows, den = L._scaled
+    target *= den * den
+    factors = ldl(L._int_gram)
     if factors is None:
         raise ValueError("Gram matrix is not positive definite")
     d, u = factors
@@ -375,12 +422,11 @@ def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
         x[k] = 0
 
     descend(r - 1, target)
-    vectors = []
-    for coords in sols:
-        vectors.append(tuple(
-            sum(coords[i] * L.basis[i][j] for i in range(r))
-            for j in range(L.ambient_dim)))
-    vectors.sort()
+    # one positive denominator: int order is the rational order
+    vectors = sorted(tuple(_combine(x, rows, L.ambient_dim)) for x in sols)
+    sols.clear()
+    for i, v in enumerate(vectors):  # in place, to keep the peak low
+        vectors[i] = tuple(Q(c, den) for c in v)
     return vectors
 
 

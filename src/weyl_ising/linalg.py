@@ -3,8 +3,9 @@
 Everything in this package that looks like numerics is exact: vectors are
 tuples of ``fractions.Fraction``, integer matrices are lists of lists of
 ``int``, and the routines below never touch floating point.  The integer
-routines (Hermite and Smith forms, kernels) use arbitrary-precision ints,
-so intermediate growth is a speed question, not a correctness one.
+routines (Hermite and Smith forms, kernels, the fraction-free inverse and
+determinant) use arbitrary-precision ints, so intermediate growth is a
+speed question, not a correctness one.
 """
 
 from __future__ import annotations
@@ -62,41 +63,6 @@ def transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
 
 
-def solve(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
-    """Solve ``matrix @ x = rhs`` exactly.
-
-    Returns one solution, or None when the system is inconsistent.  The
-    matrix may be rectangular; free variables are set to zero.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    a = [list(map(Q, row)) + [Q(rhs[i])] for i, row in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n] != 0:
-            return None
-    x = [Q(0)] * n
-    for r, c in pivots:
-        x[c] = a[r][n]
-    return x
-
-
 def matrix_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
     n = len(matrix)
     a = [list(map(Q, row)) + [Q(int(i == j)) for j in range(n)]
@@ -113,6 +79,47 @@ def matrix_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of a nonsingular integer matrix over one common denominator.
+
+    Returns ``(A, D)`` with ``matrix^-1 == A / D``, ``D > 0`` and
+    ``gcd(D, entries of A) == 1``.  Fraction-free Gauss-Jordan (Bareiss):
+    after step k the first k + 1 columns are the current pivot times the
+    identity (settled, so never updated again) and every other entry is a
+    minor of ``[matrix | I]``, so each division by the previous pivot is
+    exact.  The last pivot is the determinant up to sign, and the right
+    block over it is the inverse.
+    """
+    n = len(matrix)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        row_k = a[k]
+        p = row_k[k]
+        tail = row_k[k + 1:]
+        for i in range(n):
+            if i != k:
+                row_i = a[i]
+                f = row_i[k]
+                row_i[k + 1:] = [(p * x - f * y) // prev
+                                 for x, y in zip(row_i[k + 1:], tail)]
+                row_i[k] = 0
+        prev = p
+    if prev < 0:
+        prev = -prev
+        a = [[-x for x in row] for row in a]
+    g = prev
+    for row in a:
+        for x in row[n:]:
+            g = gcd(g, x)
+    return [[x // g for x in row[n:]] for row in a], prev // g
 
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:

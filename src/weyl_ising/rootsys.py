@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -153,6 +154,10 @@ class RootSystem:
 
     def simple_roots(self) -> tuple[Vector, ...]:
         """Indecomposable positive roots (a lattice basis, rank of them)."""
+        return self._simple
+
+    @cached_property
+    def _simple(self) -> tuple[Vector, ...]:
         pos = list(self._pos2)
         pos_set = self._pos2
         simple = []

@@ -1,0 +1,45 @@
+"""Plain-``Fraction`` reference algorithms for the cross-checks.
+
+The library computes lattice coordinates on an integer-scaled core
+(``Lattice._inverse``); the Gauss-Jordan solve below is the direct
+``Fraction`` computation it replaced, kept here so the property tests
+compare the two.
+"""
+
+from fractions import Fraction as Q
+from typing import Sequence
+
+
+def solve(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
+    """Solve ``matrix @ x = rhs`` exactly.
+
+    Returns one solution, or None when the system is inconsistent.  The
+    matrix may be rectangular; free variables are set to zero.
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    a = [list(map(Q, row)) + [Q(rhs[i])] for i, row in enumerate(matrix)]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if a[r][n] != 0:
+            return None
+    x = [Q(0)] * n
+    for r, c in pivots:
+        x[c] = a[r][n]
+    return x

@@ -5,13 +5,17 @@ identification of the block realizations with tensor lattices."""
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fraction_reference import solve
 from weyl_ising.lattice import (
     CopyEmbedding,
     IncompatibleAmbient,
     NotASublattice,
     NotIntegral,
     NotRSSD,
+    OrderCapExceeded,
     RankTooLarge,
     UnsupportedName,
     ade_realization,
@@ -38,7 +42,13 @@ from weyl_ising.lattice import (
     tensor_embedding,
     verify_identification,
 )
-from weyl_ising.linalg import dot, mat_mul
+from weyl_ising.linalg import (
+    det_rational,
+    dot,
+    gram_matrix,
+    mat_mul,
+    matrix_inverse,
+)
 from weyl_ising.rootsys import build_root_system
 
 
@@ -116,6 +126,66 @@ def test_coordinates_and_contains():
         lat.coordinates((1, 0))
 
 
+def _reference_coordinates(basis, v):
+    """Fraction Gauss-Jordan on the Gram system, then the span check."""
+    coords = solve(gram_matrix(basis), [dot(b, v) for b in basis])
+    recon = [sum(c * b[j] for c, b in zip(coords, basis))
+             for j in range(len(v))]
+    return coords if recon == [Q(c) for c in v] else None
+
+
+_HALF = st.integers(-4, 4).map(lambda n: Q(n, 2))
+_COEFF = st.one_of(st.integers(-3, 3).map(Q),
+                   st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def _basis_and_vectors(draw):
+    """An independent basis with entries in (1/2)Z (rank <= 4, ambient
+    <= 5), and vectors: combinations of it (in the span) and random
+    half-integral vectors (mostly outside it when the rank is short)."""
+    d = draw(st.integers(1, 5))
+    r = draw(st.integers(1, min(4, d)))
+    basis = [tuple(draw(st.lists(_HALF, min_size=d, max_size=d)))
+             for _ in range(r)]
+    assume(det_rational(gram_matrix(basis)) != 0)
+    vectors = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(_COEFF, min_size=r, max_size=r))
+        vectors.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis))
+                             for j in range(d)))
+    vectors += draw(st.lists(st.lists(_HALF, min_size=d, max_size=d).map(tuple),
+                             min_size=1, max_size=3))
+    return basis, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(_basis_and_vectors())
+def test_integer_core_matches_fraction_reference(case):
+    """The int-scaled Gram, inverse and coordinates agree with the plain
+    Fraction computations on the same basis."""
+    basis, vectors = case
+    lat = from_basis(basis, len(basis[0]))
+    g = gram_matrix(basis)
+    ginv = matrix_inverse(g)
+    assert lat.gram == g
+    assert lat.det() == det_rational(g)
+    assert lat.dual_basis() == tuple(
+        tuple(sum(ginv[i][k] * basis[k][j] for k in range(len(basis)))
+              for j in range(lat.ambient_dim))
+        for i in range(len(basis)))
+    for v in vectors:
+        ref = _reference_coordinates(basis, v)
+        assert lat.coordinates(v) == ref
+        assert lat.contains(v) == (
+            ref is not None and all(c.denominator == 1 for c in ref))
+        rhs = [dot(b, v) for b in basis]
+        coef = [dot(row, rhs) for row in ginv]
+        assert lat.project(v) == tuple(
+            sum(c * b[j] for c, b in zip(coef, basis))
+            for j in range(lat.ambient_dim))
+
+
 def test_project():
     lat = from_basis([(1, 0, 0), (0, 1, 0)])
     assert lat.project((3, 4, 5)) == (3, 4, 0)
@@ -154,16 +224,27 @@ def test_shell_counts():
     assert all(tuple(-c for c in v) in roots for v in roots)
 
 
+def _theta_lattice(kind, rank):
+    if kind == "sqrt2E":
+        # M_alpha for alpha_1 of A2: a copy of sqrt2 E8
+        a2 = build_root_system("A", 2)
+        return malpha_lattice(a2, a2.simple_roots()[0])
+    if kind == "E":
+        return e8_lattice()
+    return root_lattice(build_root_system(kind, rank))
+
+
 @pytest.mark.parametrize("kind, rank, norm, count", [
     ("E", 8, 6, 6720),  # 240 * sigma_3(3) in E4 = 1 + 240 sum sigma_3(n) q^n
     ("D", 4, 2, 24),
     ("A", 2, 2, 6),
+    # theta of sqrt2 E8 is E4(q^2): nothing at norm 2, the 240 at norm 4
+    ("sqrt2E", 8, 2, 0),
+    ("sqrt2E", 8, 4, 240),
 ])
 def test_shell_theta_coefficients(kind, rank, norm, count):
     """Shell sizes are theta-series coefficients (Conway-Sloane, ch. 4)."""
-    L = (e8_lattice() if kind == "E"
-         else root_lattice(build_root_system(kind, rank)))
-    assert len(shell(L, norm)) == count
+    assert len(shell(_theta_lattice(kind, rank), norm)) == count
 
 
 def test_shell_rank_cap():
@@ -232,8 +313,10 @@ def test_matrix_order():
     assert matrix_order([[1, 0], [0, 1]]) == 1
     assert matrix_order([[-1, 0], [0, -1]]) == 2
     assert matrix_order([[0, -1], [1, -1]]) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderCapExceeded):
         matrix_order([[2]])
+    with pytest.raises(OrderCapExceeded):
+        matrix_order([[0, -1], [1, -1]], cap=2)
 
 
 def test_copy_embedding_and_block_sum():

@@ -1,6 +1,7 @@
-"""Exact linear algebra helpers: solving, determinants, Hermite and
-Smith forms, LDL^T.  Random cases use fixed seeds so failures reproduce;
-the Hypothesis properties report their failing example."""
+"""Exact linear algebra helpers: inverses, determinants, Hermite and
+Smith forms, LDL^T, and the reference ``Fraction`` solve.  Random cases
+use fixed seeds so failures reproduce; the Hypothesis properties report
+their failing example."""
 
 import random
 from fractions import Fraction as Q
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import solve
 from weyl_ising.linalg import (
     det_bareiss,
     det_rational,
@@ -18,6 +20,7 @@ from weyl_ising.linalg import (
     gram_matrix,
     hnf,
     hnf_with_transform,
+    int_inverse,
     int_kernel,
     ldl,
     ldl_is_positive_definite,
@@ -25,7 +28,6 @@ from weyl_ising.linalg import (
     mat_vec,
     matrix_inverse,
     smith_invariants,
-    solve,
     transpose,
     vec_add,
     vec_scale,
@@ -105,6 +107,26 @@ def test_matrix_inverse_round_trip():
         eye = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
         assert mat_mul(m, inv) == eye
         assert mat_mul(inv, m) == eye
+
+
+def test_int_inverse_matches_matrix_inverse():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(0, 6)
+        m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            m[0][0] = 0  # forces a row swap when the rest is regular
+        if det_bareiss(m) == 0:
+            with pytest.raises(ZeroDivisionError):
+                int_inverse(m)
+            continue
+        adj, den = int_inverse(m)
+        assert den > 0
+        assert gcd(den, *(x for row in adj for x in row)) == 1
+        inv = matrix_inverse(m)
+        assert [[Q(x, den) for x in row] for row in adj] == inv
+    assert int_inverse([[2, 1], [1, 2]]) == ([[2, -1], [-1, 2]], 3)
+    assert int_inverse([]) == ([], 1)
 
 
 def test_det_known_values():

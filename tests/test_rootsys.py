@@ -1,5 +1,6 @@
 """Root system construction, Coxeter data, reflections."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -135,3 +136,13 @@ def test_simple_roots_span_is_basis_sized():
         # every simple root is positive and has norm 2
         for s in simple:
             assert s in R.positive_roots
+
+
+def test_simple_roots_cached_and_rank_checked():
+    R = build_root_system("E", 8)
+    assert R.simple_roots() is R.simple_roots()
+    # a rank that disagrees with the roots fails on every call
+    wrong = replace(R, rank=7)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rank"):
+            wrong.simple_roots()
