@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Hashable, Mapping, Sequence
 
-from .rootsys import NotARoot, RootSystem, _double, _halve
+from .rootsys import NotARoot, RootSystem, sign_normalized
 
 Label = Hashable
 Element = dict  # Label -> Fraction, zero coefficients dropped
@@ -221,16 +221,14 @@ def from_root_system(R: RootSystem) -> AxisAlgebra:
     difference) and TWO_B when orthogonal."""
     pos = R.positive_roots
     # doubled coordinates scale the inner product by 4
-    doubled = [_double(a) for a in pos]
+    doubled = R.positive2
     where = {v: k for k, v in enumerate(doubled)}
 
     def third(v: tuple[int, ...]) -> int:
-        k = where.get(v)
+        k = where.get(sign_normalized(v))
         if k is None:
-            k = where.get(tuple(-c for c in v))
-        if k is None:
-            raise NotARoot(f"neither {_halve(v)} nor its negative is a "
-                           "positive root")
+            raise NotARoot(f"neither the doubled vector {v} nor its "
+                           "negative is a positive root")
         return k
 
     def encode(i: int, j: int) -> int:

@@ -639,7 +639,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("rank", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check closed forms against the lattice "
-                        "oracle (kind A, rank <= 4 only)")
+                        "oracle")
     add_out(p)
 
     p = sub.add_parser("group", help="Miyamoto group versus Weyl quotient")
@@ -686,10 +686,11 @@ def main(argv=None) -> int:
                                   "shell": args.shell},
                                  lattice_checks(R), extra)
         elif args.command == "griess":
-            if args.oracle and (args.kind != "A" or args.rank > 4):
-                raise UsageError("--oracle is limited to kind A with "
-                                 "rank at most 4")
             R = _build(args.kind, args.rank)
+            if args.oracle:
+                n = len(R.positive_roots)
+                print(f"[weyl-ising] oracle sweep: {n * (n - 1) // 2} pairs",
+                      file=sys.stderr)
             report = make_report("griess",
                                  {"kind": args.kind, "rank": args.rank,
                                   "oracle": args.oracle},

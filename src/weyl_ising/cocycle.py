@@ -13,34 +13,56 @@ ambient space.  Exponentiating the residue into the 8th roots of unity
 gives the multiplier carried by the weight-2 products.  The residues
 depend on the basis order; every downstream claim is order independent.
 
-Coordinates over the x-basis are computed in integers.  The x-basis
-lies in (1/4)Z^8, so a vector v is handled as the int vector s*v at a
-fixed scale s: 4 for ``eps0``, ``eps`` and ``block_coordinates``, which
-take rational coordinates, and 2 for ``eps0_doubled``, which takes the
-doubled labels of the weight-2 oracle.  The inverse of the x-basis is
-kept as an int matrix over a common denominator, and a coordinate that
-this denominator (times s) does not divide exactly raises
-``NotInHalfLattice``.  ``Fraction`` remains only in ``x_basis`` and in
-the one-off inverse at construction.
+Coordinates over the x-basis are computed in integers at one scale,
+``SCALE = 4``, the x-basis's own: 4 x_k = 2 a_k is integral, so a vector
+v with coordinates in (1/4)Z is handled as the int vector 4v.  The
+int entry point ``eps0_scaled`` takes such vectors (the weight-2 oracle
+keeps its labels at this scale); ``eps0``, ``eps`` and
+``block_coordinates`` take rational coordinates and convert with
+``scaled``, which rejects a coordinate outside (1/4)Z.  The int matrix
+with columns 4 x_k is inverted once as ``adj / D`` (``int_inverse``), so
+the coordinates of 4v are ``adj (4v) / D``, and a coordinate that ``D``
+does not divide exactly raises ``NotInHalfLattice``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
 
 from .cyclotomic import Cyc8
 from .lattice import e8_model
-from .linalg import dot, matrix_inverse
+from .linalg import dot, int_inverse
 from .rootsys import RootSystem
 
 IntVector = tuple[int, ...]
 
+SCALE = 4
+
 
 class NotInHalfLattice(ValueError):
-    """Vector has no integer coordinates over the halved basis."""
+    """Vector has no integer coordinates over the halved basis (as when
+    a coordinate lies outside (1/4)Z)."""
+
+
+def scaled(v: Sequence) -> IntVector:
+    """SCALE * v as ints, exactly; a coordinate outside (1/4)Z raises
+    ``NotInHalfLattice``."""
+    out = []
+    for c in v:
+        q = Q(c)
+        c4, rest = divmod(SCALE * q.numerator, q.denominator)
+        if rest:
+            raise NotInHalfLattice(
+                f"{tuple(v)} has a coordinate outside (1/4)Z")
+        out.append(c4)
+    return tuple(out)
+
+
+def unscaled(w: IntVector) -> tuple[Q, ...]:
+    """The rational vector w / SCALE."""
+    return tuple(Q(c, SCALE) for c in w)
 
 
 class CocycleTable:
@@ -55,74 +77,56 @@ class CocycleTable:
         self.n = n
         simple = e8_model().simple_roots()
         self.x_basis = tuple(tuple(Q(c, 2) for c in a) for a in simple)
-        cols = [[self.x_basis[k][j] for k in range(8)] for j in range(8)]
-        xinv = matrix_inverse(cols)
-        self._den = math.lcm(*(c.denominator for row in xinv for c in row))
-        self._num = [[int(c * self._den) for c in row] for row in xinv]
+        basis = [scaled(x) for x in self.x_basis]
+        self._adj, self._den = int_inverse([list(col) for col in zip(*basis)])
+        # 4<x_k, x_l> = <4 x_k, 4 x_l> / 4
         self._table = [[0] * 8 for _ in range(8)]
         for k in range(8):
             self._table[k][k] = 1
             for l in range(k):
-                self._table[k][l] = int(4 * dot(self.x_basis[k],
-                                                self.x_basis[l])) % 8
-        # scale -> int vector -> (x-basis coordinates, coordinates times
-        # the residue table), both flattened over the blocks
-        self._memo: dict[int, dict[IntVector,
-                                   tuple[IntVector, IntVector]]] = {}
+                self._table[k][l] = (dot(basis[k], basis[l]) // 4) % 8
+        # scaled vector -> (x-basis coordinates, coordinates times the
+        # residue table), both flattened over the blocks
+        self._memo: dict[IntVector, tuple[IntVector, IntVector]] = {}
 
-    def _forms(self, w: IntVector, scale: int) -> tuple[IntVector, IntVector]:
-        """Coordinates c of w/scale over the x-basis, and c^T T blockwise
-        for the residue table T."""
-        memo = self._memo.setdefault(scale, {})
-        hit = memo.get(w)
+    def _forms(self, w: IntVector) -> tuple[IntVector, IntVector]:
+        """Coordinates c of w / SCALE over the x-basis, and c^T T
+        blockwise for the residue table T."""
+        hit = self._memo.get(w)
         if hit is not None:
             return hit
         if len(w) != 8 * self.n:
             raise NotInHalfLattice(
                 f"vector of length {len(w)} on {self.n} blocks")
-        den = scale * self._den
         coords: list[int] = []
         for t in range(self.n):
             block = w[8 * t: 8 * t + 8]
-            for row in self._num:
-                q, r = divmod(sum(map(mul, row, block)), den)
+            for row in self._adj:
+                q, r = divmod(sum(map(mul, row, block)), self._den)
                 if r:
                     raise NotInHalfLattice(
-                        f"block {t} of {w} / {scale} is not half-integral")
+                        f"block {t} of {unscaled(w)} is not an integer "
+                        "combination of the x-basis")
                 coords.append(q)
         table = self._table
         row_form = [sum(coords[8 * t + k] * table[k][l] for k in range(8))
                     for t in range(self.n) for l in range(8)]
         forms = (tuple(coords), tuple(row_form))
-        memo[w] = forms
+        self._memo[w] = forms
         return forms
-
-    def _quadrupled(self, v: Sequence) -> tuple[IntVector, IntVector]:
-        """The forms of a rational vector, taken at scale 4."""
-        w = []
-        for c in v:
-            q = Q(c)
-            c4, rest = divmod(4 * q.numerator, q.denominator)
-            if rest:
-                raise NotInHalfLattice(
-                    f"{tuple(v)} has a coordinate outside (1/4)Z")
-            w.append(c4)
-        return self._forms(tuple(w), 4)
 
     def block_coordinates(self, v: Sequence) -> list[list[int]]:
         """Integer coordinates of v over the x-basis, one list per block."""
-        coords = self._quadrupled(v)[0]
+        coords = self._forms(scaled(v))[0]
         return [list(coords[8 * t: 8 * t + 8]) for t in range(self.n)]
+
+    def eps0_scaled(self, a: IntVector, b: IntVector) -> int:
+        """``eps0(a / SCALE, b / SCALE)`` for int vectors a and b."""
+        return sum(map(mul, self._forms(a)[1], self._forms(b)[0])) % 8
 
     def eps0(self, a: Sequence, b: Sequence) -> int:
         """Residue mod 8 of the pair (a, b)."""
-        return sum(map(mul, self._quadrupled(a)[1],
-                       self._quadrupled(b)[0])) % 8
-
-    def eps0_doubled(self, a2: IntVector, b2: IntVector) -> int:
-        """``eps0(a2/2, b2/2)`` for int vectors a2, b2: the residue on
-        doubled coordinates, as the weight-2 oracle keeps its labels."""
-        return sum(map(mul, self._forms(a2, 2)[1], self._forms(b2, 2)[0])) % 8
+        return self.eps0_scaled(scaled(a), scaled(b))
 
     def eps(self, a: Sequence, b: Sequence) -> Cyc8:
         """The 8th root of unity attached to the pair (a, b)."""

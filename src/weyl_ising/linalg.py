@@ -34,20 +34,8 @@ def vec_scale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
-def qvec(v: Sequence) -> Vector:
-    return tuple(Q(a) for a in v)
-
-
 def gram_matrix(vectors: Sequence[Vector]) -> list[list[Q]]:
     return [[dot(u, v) for v in vectors] for u in vectors]
-
-
-def identity_matrix(n: int) -> list[list[Q]]:
-    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -61,24 +49,6 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
 
 def transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
-
-
-def matrix_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    n = len(matrix)
-    a = [list(map(Q, row)) + [Q(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

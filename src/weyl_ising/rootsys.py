@@ -16,6 +16,10 @@ Positivity convention, fixed once for the whole package: a root is
 positive iff its first nonzero coordinate is positive.  For the E-types
 this is the positivity induced by the generic linear functional
 v -> sum_k 3^(d-1-k) v_k, whose value is never zero on a root.
+``sign_normalized`` is the one implementation of this rule and
+``simple_system`` the one scan for indecomposable roots; both take int
+and ``Fraction`` tuples alike, so other modules apply them to their own
+root shells and labels.
 
 Coordinates are exact: externally tuples of Fraction, internally doubled
 to plain integers so the hot loops (inner products, membership) stay in
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
+from operator import sub
 from typing import Iterable
 
 Vector = tuple[Q, ...]
@@ -55,11 +60,20 @@ def _double(v: Iterable) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_positive2(v2: tuple[int, ...]) -> bool:
-    for c in v2:
+def sign_normalized(v: tuple) -> tuple:
+    """The member of {v, -v} whose first nonzero coordinate is positive."""
+    for c in v:
         if c:
-            return c > 0
-    return False
+            return v if c > 0 else tuple(-d for d in v)
+    raise ValueError("the zero vector has no sign")
+
+
+def simple_system(positive_roots: Iterable[tuple]) -> list[tuple]:
+    """The indecomposable members of a positive system, sorted: those
+    that are not a sum of two positive roots."""
+    pos = set(positive_roots)
+    return sorted(a for a in pos
+                  if not any(tuple(map(sub, a, b)) in pos for b in pos))
 
 
 def _roots2_A(rank: int) -> list[tuple[int, ...]]:
@@ -103,8 +117,9 @@ class RootSystem:
     ambient_dim: int
     roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
+    # the positive roots doubled to ints, in the order of positive_roots
+    positive2: tuple = field(repr=False, hash=False, compare=False)
     _index2: dict = field(repr=False, hash=False, compare=False)
-    _pos2: frozenset = field(repr=False, hash=False, compare=False)
 
     # -- queries ----------------------------------------------------------
 
@@ -136,7 +151,7 @@ class RootSystem:
         if a2 not in self._index2:
             raise NotARoot(f"{alpha} is not a root of {self.kind}{self.rank}")
         count = 0
-        for b2 in self._pos2:
+        for b2 in self.positive2:
             # doubled coordinates scale the inner product by 4
             if abs(sum(x * y for x, y in zip(a2, b2))) == 4:
                 count += 1
@@ -145,12 +160,9 @@ class RootSystem:
     def canonical_positive(self, v) -> Vector:
         """The positive member of {v, -v}; idempotent on positive roots."""
         v2 = _double(v)
-        if v2 in self._pos2:
-            return _halve(v2)
-        neg = tuple(-c for c in v2)
-        if neg in self._pos2:
-            return _halve(neg)
-        raise NotARoot(f"neither {v} nor its negative is a positive root")
+        if v2 not in self._index2:
+            raise NotARoot(f"neither {v} nor its negative is a positive root")
+        return _halve(sign_normalized(v2))
 
     def simple_roots(self) -> tuple[Vector, ...]:
         """Indecomposable positive roots (a lattice basis, rank of them)."""
@@ -158,23 +170,10 @@ class RootSystem:
 
     @cached_property
     def _simple(self) -> tuple[Vector, ...]:
-        pos = list(self._pos2)
-        pos_set = self._pos2
-        simple = []
-        for a in sorted(pos):
-            decomposable = False
-            for b in pos:
-                if b == a:
-                    continue
-                diff = tuple(x - y for x, y in zip(a, b))
-                if diff in pos_set:
-                    decomposable = True
-                    break
-            if not decomposable:
-                simple.append(a)
+        simple = simple_system(self.positive2)
         if len(simple) != self.rank:
             raise ValueError("simple root extraction did not match the rank")
-        return tuple(_halve(a) for a in sorted(simple))
+        return tuple(_halve(a) for a in simple)
 
 
 def build_root_system(kind: str, rank: int) -> RootSystem:
@@ -200,16 +199,13 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     else:
         raise UnsupportedRank(f"unsupported root system {kind}{rank}")
     roots2.sort()
-    pos2 = frozenset(v for v in roots2 if _is_positive2(v))
-    index2 = {v: i for i, v in enumerate(roots2)}
-    roots = tuple(_halve(v) for v in roots2)
-    positive = tuple(_halve(v) for v in roots2 if v in pos2)
+    pos2 = tuple(v for v in roots2 if sign_normalized(v) == v)
     return RootSystem(
         kind=kind,
         rank=rank,
         ambient_dim=ambient,
-        roots=roots,
-        positive_roots=positive,
-        _index2=index2,
-        _pos2=pos2,
+        roots=tuple(_halve(v) for v in roots2),
+        positive_roots=tuple(_halve(v) for v in pos2),
+        positive2=pos2,
+        _index2={v: i for i, v in enumerate(roots2)},
     )

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product as iproduct
 from math import factorial
 
 from .axes import SAME, TWO_B, AxisAlgebra, ThreeC
 from .lattice import Lattice, e8_lattice, from_generators, index_in, shell
 from .linalg import dot
 from .permgrp import PermGroup, Permutation, closure
+from .rootsys import sign_normalized, simple_system
 
 
 class NotFound(ValueError):
@@ -259,15 +259,20 @@ class TwistedGroupElement:
 
 class AbstractTwistedGroup:
     """The group of pairs (sigma, a) with sum(a) = 0 mod 3, modulo the
-    constant-vector kernel; order counted by direct enumeration of the
-    twist space, generators taken from the involution relations."""
+    constant-vector kernel; order counted over the twist space by a
+    recurrence on coordinate sums mod 3, generators taken from the
+    involution relations."""
 
     def __init__(self, n: int):
         if n < 3:
             raise ValueError("need at least three blocks")
         self.n = n
-        twist_count = sum(1 for a in iproduct(range(3), repeat=n)
-                          if sum(a) % 3 == 0)
+        # counts[r]: twist vectors of the length so far with sum = r mod 3
+        counts = [1, 0, 0]
+        for _ in range(n):
+            counts = [sum(counts[(r - a) % 3] for a in range(3))
+                      for r in range(3)]
+        twist_count = counts[0]
         kernel = sum(1 for c in range(3) if (n * c) % 3 == 0)
         self.order = factorial(n) * twist_count // kernel
         gens = []
@@ -313,22 +318,7 @@ def _classifies_as_A8(K: Lattice) -> bool:
     roots = shell(K, 2)
     if len(roots) != 72:
         return False
-    positive = []
-    for r in roots:
-        for c in r:
-            if c > 0:
-                positive.append(r)
-                break
-            if c < 0:
-                break
-    pos_set = set(positive)
-    simple = []
-    for r in positive:
-        decomposable = any(
-            tuple(x - y for x, y in zip(r, s)) in pos_set for s in positive
-            if s != r)
-        if not decomposable:
-            simple.append(r)
+    simple = simple_system(r for r in roots if sign_normalized(r) == r)
     if len(simple) != 8:
         return False
     edges = 0

@@ -20,17 +20,20 @@ convention mistake surfaces as a non-real coefficient instead of a
 silent flip.  The ambient dimension must be a multiple of 8 so the
 block residue table applies.
 
-Scale convention: every label coordinate lies in (1/2)Z, so a label x
-is stored as the int tuple 2x; the keys of ``Weight2Element.exps`` are
-these doubled labels.  A norm-4 label then has integer norm 16, a pair
-is classified by the integer 4<x,y> (+-16, +-12, +-8 or other), and
+Scale convention: a label coordinate lies in (1/4)Z (for a root alpha
+with half-integer coordinates, M_alpha = alpha (x) E8 has coordinates in
+(1/4)Z), so a label x is stored as the int tuple 4x, at the scale
+``cocycle.SCALE`` that the residue table takes as well; the keys of
+``Weight2Element.exps`` are these scaled labels.  A norm-4 label then
+has integer norm 64, a pair is classified by the integer 16<x,y> (+-32
+a shift, +-64 a square, +-48 a created root, anything else zero), and
 x +- y is formed and sign-normalized in ints.  ``Fraction`` remains in
 the scalars: the coefficients of the ``Cyc8`` values (where the factor
-1/4 of a doubled quadratic term x_i x_j enters) and the quadratic part.
+1/16 of a scaled quadratic term x_i x_j enters) and the quadratic part.
 The public constructor takes labels in true coordinates, rejects any
-coordinate outside (1/2)Z with ``NotHalfIntegral`` and validates every
-term; sums, scalings and oracle products are built from terms that are
-already canonical and are not validated again.
+coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice`` and
+validates every term; sums, scalings and oracle products are built from
+terms that are already canonical and are not validated again.
 """
 
 from __future__ import annotations
@@ -41,13 +44,15 @@ from fractions import Fraction as Q
 from operator import add, mul, sub
 from typing import Sequence
 
-from .cocycle import CocycleTable
+from .cocycle import SCALE, CocycleTable, scaled, unscaled
 from .cyclotomic import Cyc8
 from .lattice import Lattice, shell
-from .linalg import matrix_inverse
+from .rootsys import sign_normalized
 
 Vector = tuple[Q, ...]
-Label = tuple[int, ...]  # a doubled label 2x
+Label = tuple[int, ...]  # a scaled label SCALE * x
+
+_S2 = SCALE * SCALE  # <x, y> is the int dot of the scaled labels over _S2
 
 _ZERO = Cyc8.of(0)
 
@@ -65,10 +70,6 @@ class RootCreated(ValueError):
     rootless where it needs to be)."""
 
 
-class NotHalfIntegral(ValueError):
-    """An exponential label has a coordinate outside (1/2)Z."""
-
-
 @functools.cache
 def _table_for(dim: int) -> CocycleTable:
     if dim % 8 != 0 or dim == 0:
@@ -78,38 +79,7 @@ def _table_for(dim: int) -> CocycleTable:
 
 def canonical_label(x: Sequence) -> Vector:
     """The +-x representative whose first nonzero coordinate is positive."""
-    vec = tuple(Q(c) for c in x)
-    for c in vec:
-        if c > 0:
-            return vec
-        if c < 0:
-            return tuple(-d for d in vec)
-    raise ValueError("zero vector cannot label an exponential")
-
-
-def _canonical(x: Label) -> Label:
-    """``canonical_label`` on a nonzero doubled label."""
-    for c in x:
-        if c:
-            return x if c > 0 else tuple(-d for d in x)
-    raise ValueError("zero vector cannot label an exponential")
-
-
-def _doubled(x: Sequence) -> Label:
-    """2x as ints, exactly."""
-    out = []
-    for c in x:
-        c2 = 2 * Q(c)
-        if c2.denominator != 1:
-            raise NotHalfIntegral(
-                f"exponential label {tuple(x)} has a coordinate "
-                "outside (1/2)Z")
-        out.append(c2.numerator)
-    return tuple(out)
-
-
-def _halved(x: Label) -> Vector:
-    return tuple(Q(c, 2) for c in x)
+    return sign_normalized(tuple(Q(c) for c in x))
 
 
 def _real_sign(residue: int, x: Label, y: Label | None) -> int:
@@ -119,9 +89,9 @@ def _real_sign(residue: int, x: Label, y: Label | None) -> int:
         return 1
     if residue == 4:
         return -1
-    other = "-same" if y is None else _halved(y)
+    other = "-same" if y is None else unscaled(y)
     raise NonRealCocycle(
-        f"pair ({_halved(x)}, {other}) produced the non-real unit "
+        f"pair ({unscaled(x)}, {other}) produced the non-real unit "
         f"{Cyc8.zeta_pow(residue)!r}")
 
 
@@ -130,8 +100,9 @@ class Weight2Element:
     """Sparse weight-2 element over a fixed ambient basis.
 
     The constructor takes ``exps`` keyed by labels in true (rational)
-    coordinates and stores them doubled (see the module docstring), so
-    ``exps`` maps doubled labels 2x to coefficients after construction.
+    coordinates and stores them scaled (see the module docstring), so
+    ``exps`` maps scaled labels SCALE * x to coefficients after
+    construction.
     """
 
     dim: int
@@ -148,8 +119,8 @@ class Weight2Element:
             c = Cyc8.of(c)
             if not c:
                 continue
-            label = _canonical(_doubled(x))
-            if sum(map(mul, label, label)) != 16:
+            label = sign_normalized(scaled(x))
+            if sum(map(mul, label, label)) != 4 * _S2:
                 raise ValueError(f"exponential label {x} does not have norm 4")
             if len(label) != self.dim:
                 raise ValueError("label length does not match ambient dimension")
@@ -159,7 +130,7 @@ class Weight2Element:
     @classmethod
     def _trusted(cls, dim: int, quad: dict[tuple[int, int], Cyc8],
                  exps: dict[Label, Cyc8]) -> "Weight2Element":
-        """An element from a symmetric quadratic part and canonical doubled
+        """An element from a symmetric quadratic part and canonical scaled
         labels, without validation; zero coefficients are dropped."""
         self = object.__new__(cls)
         self.dim = dim
@@ -223,32 +194,15 @@ def quad_from_matrix(dim: int, matrix: Sequence[Sequence]) -> Weight2Element:
     return Weight2Element(dim, quad, {})
 
 
-def _projection_matrix(M: Lattice) -> list[list[Q]]:
-    ginv = matrix_inverse(M.gram)
-    d = M.ambient_dim
-    p = [[Q(0)] * d for _ in range(d)]
-    for a in range(M.rank):
-        for b in range(M.rank):
-            g = ginv[a][b]
-            if not g:
-                continue
-            va, vb = M.basis[a], M.basis[b]
-            for i in range(d):
-                if va[i]:
-                    gi = g * va[i]
-                    for j in range(d):
-                        if vb[j]:
-                            p[i][j] += gi * vb[j]
-    return p
-
-
 def virasoro_quadratic(M: Lattice) -> Weight2Element:
     """The quadratic (1/2) sum h_i(-1)^2 over an orthonormal frame of
     the rational span of M, written on the ambient basis (matrix P/2
-    with P the orthogonal projection onto the span)."""
-    p = _projection_matrix(M)
-    half = [[x / 2 for x in row] for row in p]
-    return quad_from_matrix(M.ambient_dim, half)
+    with P the orthogonal projection onto the span, whose rows are the
+    projections of the unit vectors)."""
+    d = M.ambient_dim
+    half = [[c / 2 for c in M.project([int(i == j) for j in range(d)])]
+            for i in range(d)]
+    return quad_from_matrix(d, half)
 
 
 def ising_vector(M: Lattice) -> Weight2Element:
@@ -259,7 +213,7 @@ def ising_vector(M: Lattice) -> Weight2Element:
         raise WrongShellSize(f"norm-4 shell has {len(sh)} vectors, expected 240")
     w = virasoro_quadratic(M).scale(Q(1, 16))
     coeff = Cyc8.of(Q(1, 32))
-    exps = {_canonical(_doubled(x)): coeff for x in sh}
+    exps = {sign_normalized(scaled(x)): coeff for x in sh}
     return w + Weight2Element._trusted(M.ambient_dim, {}, exps)
 
 
@@ -308,7 +262,7 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
                     add_quad(i, j, ab)
                     add_quad(j, i, ab)
 
-    # quadratic x exponential, both orders: (2x)^T S (2x) / 4, summed in
+    # quadratic x exponential, both orders: (4x)^T S (4x) / 16, summed in
     # ints over the entries of S that share a value
     for s_part, e_part in ((u, v), (v, u)):
         if not (s_part.quad and e_part.exps):
@@ -319,13 +273,14 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
             for a, entries in by_value.items():
                 n = sum(x[i] * x[j] for i, j in entries)
                 if n:
-                    acc = acc + a * Q(n, 4)
+                    acc = acc + a * Q(n, _S2)
             add_exp(x, acc * c)
 
-    # exponential x exponential, all ordered pairs, by s4 = 4<x, y>.  The
+    # exponential x exponential, all ordered pairs, by s = 16<x, y>.  The
     # labels are grouped by coefficient, so the signed shifts x -+ y and
-    # the squares (2x)(2x)^T are counted in ints and meet the coefficient
+    # the squares (4x)(4x)^T are counted in ints and meet the coefficient
     # cx cy once per group pair.
+    shift, root, square = 2 * _S2, 3 * _S2, 4 * _S2
     v_groups = _by_value(v.exps)
     for cx, xs in _by_value(u.exps).items():
         for cy, ys in v_groups.items():
@@ -333,32 +288,32 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
             squares: dict[tuple[int, int], int] = {}
             for x in xs:
                 for y in ys:
-                    s4 = sum(map(mul, x, y))
-                    if -8 < s4 < 8:
+                    s = sum(map(mul, x, y))
+                    if -shift < s < shift:
                         continue
-                    if s4 in (8, -8):
-                        z = _canonical(tuple(map(sub, x, y)) if s4 == 8
-                                       else tuple(map(add, x, y)))
-                        sign = _real_sign(table.eps0_doubled(x, y), x, y)
+                    if s in (shift, -shift):
+                        z = sign_normalized(tuple(map(sub, x, y)) if s > 0
+                                            else tuple(map(add, x, y)))
+                        sign = _real_sign(table.eps0_scaled(x, y), x, y)
                         shifts[z] = shifts.get(z, 0) + sign
-                    elif s4 in (16, -16):
+                    elif s in (square, -square):
                         sign = _real_sign(
-                            table.eps0_doubled(x, tuple(-c for c in x)),
+                            table.eps0_scaled(x, tuple(-c for c in x)),
                             x, None)
                         support = [i for i, a in enumerate(x) if a]
                         for i in support:
                             for j in support:
                                 squares[(i, j)] = (squares.get((i, j), 0)
                                                    + sign * x[i] * x[j])
-                    elif s4 in (12, -12):
+                    elif s in (root, -root):
                         raise RootCreated(
-                            f"labels {_halved(x)} and {_halved(y)} with "
-                            f"product {s4 // 4} create a norm-2 vector")
+                            f"labels {unscaled(x)} and {unscaled(y)} with "
+                            f"product {s // _S2} create a norm-2 vector")
             c = cx * cy
             for z, n in shifts.items():
                 add_exp(z, c * n)
             for (i, j), n in squares.items():
-                add_quad(i, j, c * Q(n, 4))
+                add_quad(i, j, c * Q(n, _S2))
 
     return Weight2Element._trusted(dim, quad, exps)
 

@@ -1,9 +1,10 @@
 """Plain-``Fraction`` reference algorithms for the cross-checks.
 
 The library computes lattice coordinates on an integer-scaled core
-(``Lattice._inverse``); the Gauss-Jordan solve below is the direct
-``Fraction`` computation it replaced, kept here so the property tests
-compare the two.
+(``Lattice._inverse``) and inverts matrices fraction-free
+(``linalg.int_inverse``); the Gauss-Jordan solve and inverse below are
+the direct ``Fraction`` computations they replaced, kept here so the
+property tests compare the two.
 """
 
 from fractions import Fraction as Q
@@ -43,3 +44,22 @@ def solve(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:
     for r, c in pivots:
         x[c] = a[r][n]
     return x
+
+
+def matrix_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
+    """The inverse of a nonsingular square matrix, by Gauss-Jordan."""
+    n = len(matrix)
+    a = [list(map(Q, row)) + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]

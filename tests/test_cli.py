@@ -94,8 +94,13 @@ def test_griess_e7_charge(capsys):
 
 
 def test_griess_oracle_restriction(capsys):
-    assert run(capsys, "griess", "D", "4", "--oracle")[0] == 2
-    assert run(capsys, "griess", "A", "5", "--oracle")[0] == 2
+    """The oracle sweep runs beyond kind A and announces its size."""
+    assert cli.main(["griess", "D", "4", "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert "oracle sweep: 66 pairs" in captured.err
+    checks = by_name(json.loads(captured.out))
+    assert checks["oracle_agreement"]["actual"] == "66/66 pairs"
+    assert checks["oracle_agreement"]["status"] == "pass"
 
 
 def test_group_a3(capsys):

@@ -109,6 +109,8 @@ def test_not_in_half_lattice():
         t.eps0(bad, t.x_basis[0])
     with pytest.raises(NotInHalfLattice):
         t.eps0((Q(0),) * 16, (Q(0),) * 16)
+    with pytest.raises(NotInHalfLattice):
+        t.block_coordinates((Q(1, 8),) + (Q(0),) * 7)
     # the all-quarters vector is half of a genuine root, hence fine
     ok = (Q(1, 4),) * 8
     assert t.eps0(ok, ok) in range(8)

@@ -3,6 +3,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl_ising.cyclotomic import MINUS_ONE, ONE, Cyc8
 
@@ -69,3 +71,28 @@ def test_division_restricted_to_rationals():
     assert z / Cyc8.of(2) == Q(1, 2) * z
     with pytest.raises(TypeError):
         z / z
+
+
+small_fractions = st.fractions(-3, 3, max_denominator=4)
+elements = st.tuples(*[small_fractions] * 4).map(Cyc8)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(elements, elements, elements)
+def test_ring_laws(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a
+    assert a + b == b + a
+    assert a - a == 0
+
+
+@PROPERTY
+@given(elements, elements)
+def test_conjugate_is_an_involutive_ring_map(a, b):
+    assert a.conjugate().conjugate() == a
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a + b).conjugate() == a.conjugate() + b.conjugate()

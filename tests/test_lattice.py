@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import solve
+from fraction_reference import matrix_inverse, solve
 from weyl_ising.lattice import (
     CopyEmbedding,
     IncompatibleAmbient,
@@ -47,7 +47,6 @@ from weyl_ising.linalg import (
     dot,
     gram_matrix,
     mat_mul,
-    matrix_inverse,
 )
 from weyl_ising.rootsys import build_root_system
 

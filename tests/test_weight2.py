@@ -4,12 +4,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from weyl_ising.cocycle import SCALE, NotInHalfLattice
 from weyl_ising.lattice import e8_lattice, malpha_lattice
-from weyl_ising.linalg import dot, vec_add
+from weyl_ising.linalg import dot, vec_add, vec_sub
 from weyl_ising.rootsys import build_root_system
 from weyl_ising.weight2 import (
     NonRealCocycle,
-    NotHalfIntegral,
     RootCreated,
     Weight2Element,
     WrongShellSize,
@@ -129,16 +129,20 @@ def test_non_real_sign_is_rejected():
 
 
 def test_label_outside_half_integers_is_rejected():
+    """Labels may lie in (1/4)Z; a coordinate outside it is rejected."""
     x = (Q(6, 5), Q(8, 5)) + (Q(0),) * 6
     assert dot(x, x) == 4
-    with pytest.raises(NotHalfIntegral):
+    with pytest.raises(NotInHalfLattice):
         Weight2Element(8, {}, {x: 1})
+    quarter = (Q(7, 4),) + (Q(1, 4),) * 15
+    assert dot(quarter, quarter) == 4
+    assert Weight2Element(16, {}, {quarter: 1}).exps
 
 
-def test_labels_are_stored_doubled():
+def test_labels_are_stored_scaled():
     minus_x = tuple(Q(c, 2) for c in (-3, -1, -1, -1, -1, -1, -1, 1))
     u = Weight2Element(8, {}, {minus_x: Q(1, 2)})
-    assert u.exps == {(3, 1, 1, 1, 1, 1, 1, -1): Q(1, 2)}
+    assert u.exps == {tuple(int(-SCALE * c) for c in minus_x): Q(1, 2)}
 
 
 def test_canonical_label_normalizes_sign():
@@ -158,3 +162,35 @@ def test_element_algebra():
         Weight2Element(8, {(0, 1): 1}, {})
     with pytest.raises(ValueError):
         Weight2Element(8, {}, {(1, 0, 0, 0, 0, 0, 0, 0): 1})
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_ising_vector_on_half_integer_e_root(rank):
+    """M_alpha of a half-integer root has labels in (1/4)Z, not (1/2)Z."""
+    R = build_root_system("E", rank)
+    alpha = next(a for a in R.positive_roots if a[0].denominator == 2)
+    e = ising_vector(malpha_lattice(R, alpha))
+    assert len(e.exps) == 120
+    assert any(c % 2 for x in e.exps for c in x)
+    assert oracle_product(e, e) == e.scale(2)
+    assert oracle_pairing(e, e) == Q(1, 4)
+
+
+@pytest.fixture(scope="module")
+def e6_half(e6_half_roots):
+    R, alpha, two_b, three_c = e6_half_roots
+    third = R.canonical_positive(vec_sub(alpha, three_c))
+    return [ising_vector(malpha_lattice(R, a))
+            for a in (alpha, two_b, three_c, third)]
+
+
+def test_e6_half_integer_2b_pair(e6_half):
+    ea, eb, _, _ = e6_half
+    assert not oracle_product(ea, eb)
+    assert oracle_pairing(ea, eb) == 0
+
+
+def test_e6_half_integer_3c_pair(e6_half):
+    ea, _, ec, eg = e6_half
+    assert oracle_product(ea, ec) == (ea + ec - eg).scale(Q(1, 32))
+    assert oracle_pairing(ea, ec) == Q(1, 256)

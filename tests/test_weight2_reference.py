@@ -4,8 +4,9 @@ The reference below works on labels in true ``Fraction`` coordinates and
 takes its residues from a ``Fraction`` inverse of the halved basis
 (``mat_vec``), transcribing the rules of the ``weight2`` and ``cocycle``
 module docstrings.  Hypothesis compares it with the integer-scaled
-implementation on random sub-elements of the A2/A3 Ising vectors plus
-random symmetric quadratics, and on random E8 half-lattice vectors.
+implementation on random sub-elements of the A2/A3 Ising vectors and of
+three E6 Ising vectors with labels in (1/4)Z, plus random symmetric
+quadratics, and on random E8 half-lattice vectors.
 """
 
 import functools
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyl_ising.cocycle import CocycleTable
+from fraction_reference import matrix_inverse
+from weyl_ising.cocycle import SCALE, CocycleTable
 from weyl_ising.cyclotomic import Cyc8
 from weyl_ising.lattice import e8_model, malpha_lattice, shell
-from weyl_ising.linalg import dot, mat_vec, matrix_inverse
+from weyl_ising.linalg import dot, mat_vec
 from weyl_ising.rootsys import build_root_system
 from weyl_ising.weight2 import (
     Weight2Element,
@@ -116,20 +118,20 @@ def ref_pairing(u, v):
 
 
 def as_reference(w: Weight2Element):
-    """The element with its doubled labels halved back."""
+    """The element with its scaled labels in true coordinates."""
     return (dict(w.quad),
-            {tuple(Q(c, 2) for c in x): a for x, a in w.exps.items()})
+            {tuple(Q(c, SCALE) for c in x): a for x, a in w.exps.items()})
 
 
-# -- random sub-elements of the A2 / A3 Ising vectors -------------------
+# -- random sub-elements of the A2 / A3 / E6 Ising vectors --------------
 
 @functools.cache
-def ising_parts(kind, rank):
-    """Per positive root: its sorted canonical norm-4 labels and the
-    quadratic part of its Ising vector."""
+def ising_parts(kind, rank, roots=None):
+    """Per positive root (or per root of ``roots``): its sorted canonical
+    norm-4 labels and the quadratic part of its Ising vector."""
     R = build_root_system(kind, rank)
     parts = []
-    for alpha in R.positive_roots:
+    for alpha in roots or R.positive_roots:
         M = malpha_lattice(R, alpha)
         labels = sorted({canonical_label(x) for x in shell(M, 4)})
         quad = virasoro_quadratic(M).scale(Q(1, 16)).quad
@@ -158,9 +160,11 @@ def sub_elements(draw, dim, parts):
 
 
 @pytest.fixture(scope="module")
-def families():
+def families(e6_half_roots):
     """Built once, outside example generation, which Hypothesis times."""
-    return [ising_parts("A", 2), ising_parts("A", 3)]
+    _, *e6_roots = e6_half_roots
+    return [ising_parts("A", 2), ising_parts("A", 3),
+            ising_parts("E", 6, tuple(e6_roots))]
 
 
 @st.composite
@@ -222,12 +226,12 @@ def test_eps0_matches_mat_vec_definition(coeffs):
 
 @PROPERTY
 @given(st.lists(small, min_size=16, max_size=16))
-def test_doubled_eps0_matches_mat_vec_definition(cs):
-    """E8 lattice vectors, which lie in (1/2)Z, through the doubled path."""
-    simple = e8_model().simple_roots()
-    a, b = [tuple(sum(c * r[j] for c, r in zip(part, simple))
+def test_scaled_eps0_matches_mat_vec_definition(cs):
+    """Half-lattice vectors, in (1/4)Z, through the int entry point."""
+    x_basis = ref_basis()[0]
+    a, b = [tuple(sum(c * r[j] for c, r in zip(part, x_basis))
                   for j in range(8)) for part in (cs[:8], cs[8:])]
-    a2, b2 = [tuple((2 * c).numerator for c in w) for w in (a, b)]
-    assert all((2 * c).denominator == 1 for c in a + b)
+    a4, b4 = [tuple((SCALE * c).numerator for c in w) for w in (a, b)]
+    assert all((SCALE * c).denominator == 1 for c in a + b)
     table = CocycleTable(1)
-    assert table.eps0_doubled(a2, b2) == ref_eps0(a, b)
+    assert table.eps0_scaled(a4, b4) == ref_eps0(a, b)
