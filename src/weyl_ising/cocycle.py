@@ -51,7 +51,7 @@ def scaled(v: Sequence) -> IntVector:
     ``NotInHalfLattice``."""
     out = []
     for c in v:
-        q = Q(c)
+        q = c if isinstance(c, (int, Q)) else Q(c)
         c4, rest = divmod(SCALE * q.numerator, q.denominator)
         if rest:
             raise NotInHalfLattice(

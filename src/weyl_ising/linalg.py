@@ -11,7 +11,7 @@ speed question, not a correctness one.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = tuple[Q, ...]
@@ -275,24 +275,39 @@ def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
     upper triangular with off-diagonal entries ``u[k][i]`` (i > k), or
     None at the first nonpositive pivot: the matrix is then not positive
     definite (a repeated row gives a zero pivot).  Only the upper
-    triangle is read and updated.
+    triangle is read.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): the upper triangle is
+    scaled to ints by the lcm ``den`` of its denominators, and step k
+    updates it by ``(p_k a_ij - a_ki a_kj) // p_(k-1)``, an exact division
+    that leaves every entry a minor of the scaled matrix.  The pivot p_k
+    is its leading principal minor of order k + 1, so
+    ``d_k = p_k / (p_(k-1) den)`` and ``u[k][i] = a_ki / p_k`` are the
+    only ``Fraction`` divisions.
     """
     n = len(matrix)
-    a = [[Q(x) for x in row] for row in matrix]
+    upper = [[Q(x) for x in matrix[i][i:]] for i in range(n)]
+    den = lcm(*(q.denominator for row in upper for q in row))
+    # a[i][j - i] holds the scaled entry (i, j), j >= i
+    a = [[q.numerator * (den // q.denominator) for q in row] for row in upper]
     d: list[Q] = []
     u = [[Q(0)] * n for _ in range(n)]
+    prev = 1
     for k in range(n):
         row_k = a[k]
-        piv = row_k[k]
-        if piv <= 0:
+        p = row_k[0]
+        if p <= 0:
             return None
-        d.append(piv)
+        d.append(Q(p, prev * den))
         for i in range(k + 1, n):
-            if row_k[i] != 0:
-                f = u[k][i] = row_k[i] / piv
-                row_i = a[i]
-                for j in range(i, n):
-                    row_i[j] -= f * row_k[j]
+            f = row_k[i - k]
+            if f:
+                u[k][i] = Q(f, p)
+                a[i] = [(p * x - f * y) // prev
+                        for x, y in zip(a[i], row_k[i - k:])]
+            else:
+                a[i] = [p * x // prev for x in a[i]]
+        prev = p
     return d, u
 
 

@@ -276,22 +276,19 @@ _WEYL_CACHE: dict[tuple[str, int], PermGroup] = {}
 
 
 def weyl_group(R: RootSystem) -> PermGroup:
-    """The reflection group of R acting on its full root set."""
+    """The reflection group of R acting on its full root set, generated
+    by the reflections in all positive roots."""
     key = (R.kind, R.rank)
     if key not in _WEYL_CACHE:
-        index = {r: i for i, r in enumerate(R.roots)}
-        gens = []
-        for alpha in R.positive_roots:
-            images = [index[R.reflect(alpha, r)] for r in R.roots]
-            gens.append(tuple(images))
+        gens = [R.reflection_images(a2) for a2 in R.positive2]
         _WEYL_CACHE[key] = PermGroup(gens, len(R.roots))
     return _WEYL_CACHE[key]
 
 
 def contains_minus_one(R: RootSystem) -> bool:
     """Whether negation of all roots lies in the reflection group."""
-    index = {r: i for i, r in enumerate(R.roots)}
-    negation = tuple(index[tuple(-c for c in r)] for r in R.roots)
+    index = {r: i for i, r in enumerate(R.roots2)}
+    negation = tuple(index[tuple(-c for c in r)] for r in R.roots2)
     return negation in weyl_group(R)
 
 

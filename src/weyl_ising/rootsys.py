@@ -22,8 +22,11 @@ and ``Fraction`` tuples alike, so other modules apply them to their own
 root shells and labels.
 
 Coordinates are exact: externally tuples of Fraction, internally doubled
-to plain integers so the hot loops (inner products, membership) stay in
-int arithmetic.
+to plain integers so the hot loops (inner products, membership and the
+reflections that generate the Weyl group) stay in int arithmetic.  In
+doubled coordinates <alpha2, v2> = 4<alpha, v>, and <alpha, v> is an
+integer for two roots, so ``reflection_images`` computes
+r_alpha(v)2 = v2 - (<alpha2, v2> / 4) alpha2 with exact int division.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
-from operator import sub
+from operator import mul, sub
 from typing import Iterable
 
 Vector = tuple[Q, ...]
@@ -117,7 +120,9 @@ class RootSystem:
     ambient_dim: int
     roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
-    # the positive roots doubled to ints, in the order of positive_roots
+    # the roots and the positive roots doubled to ints, in the order of
+    # roots and positive_roots
+    roots2: tuple = field(repr=False, hash=False, compare=False)
     positive2: tuple = field(repr=False, hash=False, compare=False)
     _index2: dict = field(repr=False, hash=False, compare=False)
 
@@ -144,6 +149,20 @@ class RootSystem:
             raise NotARoot(f"{alpha} is not a root of {self.kind}{self.rank}")
         c = self.inner(alpha, v)
         return tuple(Q(x) - c * Q(a) for x, a in zip(v, alpha))
+
+    def reflection_images(self, alpha2: tuple[int, ...]) -> tuple[int, ...]:
+        """The reflection in the root alpha2 / 2 (given doubled) as a
+        permutation of root indices: entry i is the index in ``roots`` of
+        r_alpha(roots[i]).  Int arithmetic only (see the module doc)."""
+        index = self._index2
+        if alpha2 not in index:
+            raise NotARoot(f"{alpha2} / 2 is not a root of {self.kind}{self.rank}")
+        images = []
+        for i, v2 in enumerate(self.roots2):
+            c = sum(map(mul, alpha2, v2)) // 4
+            images.append(index[tuple(x - c * a for x, a in zip(v2, alpha2))]
+                          if c else i)
+        return tuple(images)
 
     def m_alpha(self, alpha) -> int:
         """Number of positive roots beta with <alpha, beta> = +-1."""
@@ -206,6 +225,7 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         ambient_dim=ambient,
         roots=tuple(_halve(v) for v in roots2),
         positive_roots=tuple(_halve(v) for v in pos2),
+        roots2=tuple(roots2),
         positive2=pos2,
         _index2={v: i for i, v in enumerate(roots2)},
     )

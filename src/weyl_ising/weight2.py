@@ -188,9 +188,9 @@ def quad_from_matrix(dim: int, matrix: Sequence[Sequence]) -> Weight2Element:
     quad = {}
     for i in range(dim):
         for j in range(dim):
-            v = Cyc8.of(matrix[i][j])
+            v = matrix[i][j]
             if v:
-                quad[(i, j)] = v
+                quad[(i, j)] = Cyc8.of(v)
     return Weight2Element(dim, quad, {})
 
 

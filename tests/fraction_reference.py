@@ -1,9 +1,10 @@
 """Plain-``Fraction`` reference algorithms for the cross-checks.
 
 The library computes lattice coordinates on an integer-scaled core
-(``Lattice._inverse``) and inverts matrices fraction-free
-(``linalg.int_inverse``); the Gauss-Jordan solve and inverse below are
-the direct ``Fraction`` computations they replaced, kept here so the
+(``Lattice._inverse``), inverts matrices fraction-free
+(``linalg.int_inverse``) and factors them fraction-free (``linalg.ldl``);
+the Gauss-Jordan solve and inverse and the LDL^T loop below are the
+direct ``Fraction`` computations they replaced, kept here so the
 property tests compare the two.
 """
 
@@ -63,3 +64,26 @@ def matrix_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
+    """LDL^T of a symmetric matrix by ``Fraction`` elimination on the
+    upper triangle: ``(d, u)`` as ``linalg.ldl`` returns them, or None at
+    the first nonpositive pivot."""
+    n = len(matrix)
+    a = [[Q(x) for x in row] for row in matrix]
+    d: list[Q] = []
+    u = [[Q(0)] * n for _ in range(n)]
+    for k in range(n):
+        row_k = a[k]
+        piv = row_k[k]
+        if piv <= 0:
+            return None
+        d.append(piv)
+        for i in range(k + 1, n):
+            if row_k[i] != 0:
+                f = u[k][i] = row_k[i] / piv
+                row_i = a[i]
+                for j in range(i, n):
+                    row_i[j] -= f * row_k[j]
+    return d, u

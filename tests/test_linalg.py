@@ -9,10 +9,12 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import ldl as reference_ldl
 from fraction_reference import matrix_inverse, solve
+from weyl_ising.axes import from_root_system
 from weyl_ising.linalg import (
     det_bareiss,
     det_rational,
@@ -32,6 +34,7 @@ from weyl_ising.linalg import (
     vec_scale,
     vec_sub,
 )
+from weyl_ising.rootsys import build_root_system
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -319,3 +322,50 @@ def test_ldl_matches_sylvester(m, shift):
     sylvester = all(det_rational([row[:k] for row in a[:k]]) > 0
                     for k in range(1, n + 1))
     assert ldl_is_positive_definite(a) == sylvester
+
+
+SMALL_FRACTIONS = st.fractions(-4, 4, max_denominator=4)
+
+
+def _shifted_symmetric(m, shift):
+    n = len(m)
+    return [[m[min(i, j)][max(i, j)] + shift * (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+# symmetric matrices of size <= 6 with denominators <= 4: a random upper
+# triangle plus a diagonal shift (definite or indefinite), or the Gram
+# matrix of n vectors in dimension m (semidefinite, singular when m < n)
+SYMMETRIC = st.one_of(
+    st.integers(1, 6).flatmap(lambda n: st.builds(
+        _shifted_symmetric,
+        st.lists(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.integers(0, 8))),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda nm: st.lists(
+            st.lists(SMALL_FRACTIONS, min_size=nm[1], max_size=nm[1]),
+            min_size=nm[0], max_size=nm[0])).map(gram_matrix))
+
+
+@PROPERTY
+@given(SYMMETRIC)
+@example([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(3, 4)]])             # definite
+@example([[Q(1, 2), Q(1, 4)], [Q(1, 4), Q(1, 8)]])             # singular
+@example([[Q(1, 3), Q(1), Q(0)], [Q(1), Q(1, 4), Q(0)],
+          [Q(0), Q(0), Q(2)]])                                  # indefinite
+def test_ldl_matches_fraction_reference(a):
+    """The fraction-free ``ldl`` equals the ``Fraction`` loop exactly,
+    and neither reads below the diagonal."""
+    assert ldl(a) == reference_ldl(a)
+    n = len(a)
+    junk = [[a[i][j] if j >= i else Q(7 * i + j + 1, 3) for j in range(n)]
+            for i in range(n)]
+    assert ldl(junk) == ldl(a)
+
+
+def test_ldl_e6_axis_gram_matches_fraction_reference():
+    g = from_root_system(build_root_system("E", 6)).gram()
+    factors = ldl(g)
+    assert factors is not None
+    assert factors == reference_ldl(g)

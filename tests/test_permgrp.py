@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl_ising.axes import from_root_system
 from weyl_ising.permgrp import (
@@ -77,6 +79,26 @@ def test_bsgs_matches_bruteforce_oracle():
     cases.append([miyamoto_permutation(A, e) for e in A.axes])
     for gens in cases:
         assert PermGroup(gens).order == len(enumerate_elements(gens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=3)))
+def test_schreier_sims_order_matches_closure(gens):
+    gens = [tuple(g) for g in gens]
+    G = PermGroup(gens)
+    elements = enumerate_elements(gens)
+    assert G.order == len(elements)
+    assert all(g in G for g in elements)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_weyl_generators_match_fraction_reflections(kind, rank):
+    R = build_root_system(kind, rank)
+    index = {r: i for i, r in enumerate(R.roots)}
+    expected = [tuple(index[R.reflect(a, r)] for r in R.roots)
+                for a in R.positive_roots]
+    assert [g.images for g in weyl_group(R).generators] == expected
 
 
 @pytest.mark.parametrize("kind,rank,order", [

@@ -2,8 +2,11 @@
 
 from dataclasses import replace
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl_ising.rootsys import NotARoot, UnsupportedRank, build_root_system
 
@@ -77,6 +80,45 @@ def test_reflections_permute_roots():
         for a in R.positive_roots:
             images = {R.reflect(a, b) for b in R.roots}
             assert images == root_set
+
+
+# every type the int reflections are checked on
+REFLECTION_SCOPE = ([("A", n) for n in range(1, 8)]
+                    + [("D", n) for n in range(4, 8)]
+                    + [("E", n) for n in (6, 7, 8)])
+
+
+@cache
+def _system(kind, rank):
+    return build_root_system(kind, rank)
+
+
+def test_roots2_are_the_doubled_roots():
+    for kind, rank in REFLECTION_SCOPE:
+        R = _system(kind, rank)
+        assert R.roots2 == tuple(tuple(int(2 * c) for c in r) for r in R.roots)
+        assert set(R.positive2) <= set(R.roots2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(REFLECTION_SCOPE), st.data())
+def test_int_reflection_matches_fraction_reflect(kind_rank, data):
+    """The int permutation is the Fraction reflection read as root
+    indices, and it is an involution."""
+    R = _system(*kind_rank)
+    i = data.draw(st.integers(0, len(R.roots) - 1), label="root index")
+    images = R.reflection_images(R.roots2[i])
+    index = {r: k for k, r in enumerate(R.roots)}
+    assert images == tuple(index[R.reflect(R.roots[i], r)] for r in R.roots)
+    assert tuple(images[j] for j in images) == tuple(range(len(R.roots)))
+
+
+def test_reflection_images_rejects_non_roots():
+    A2 = build_root_system("A", 2)
+    with pytest.raises(NotARoot):
+        A2.reflection_images((2, 2, 0))
+    with pytest.raises(NotARoot):
+        A2.reflection_images((1, -1, 0))   # (1/2)(e1 - e2) is not a root
 
 
 def test_m_alpha_values_and_uniformity():
