@@ -27,6 +27,7 @@ from .cocycle import CocycleTable, NotInHalfLattice, check_sign_lemma
 from .cyclotomic import Cyc8
 from .lattice import (
     Lattice,
+    RankTooLarge,
     ade_realization,
     discriminant_group,
     e8_lattice,
@@ -42,6 +43,7 @@ from .lattice import (
     tensor,
     verify_identification,
 )
+from .linalg import SmithDidNotConverge
 from .permgrp import (
     ClosureCapExceeded,
     PermGroup,
@@ -84,8 +86,10 @@ __all__ = [
     "NotInHalfLattice",
     "PermGroup",
     "Permutation",
+    "RankTooLarge",
     "RootSystem",
     "SAME",
+    "SmithDidNotConverge",
     "ThreeC",
     "TWO_B",
     "TwistedAxis",

@@ -9,7 +9,8 @@ inputs produce byte-identical output: check order is fixed and timing
 goes to stderr, never into the JSON.
 
 Exit status: 0 when every check passes, 1 when any check fails,
-2 on usage errors.
+2 on usage errors and on refused computations (a shell beyond the rank
+cap, a Smith reduction past its round cap).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .axes import (
 )
 from .cocycle import CocycleTable, check_sign_lemma
 from .lattice import (
+    RankTooLarge,
     UnsupportedName,
     ade_realization,
     discriminant_group,
@@ -45,7 +47,13 @@ from .lattice import (
     tensor,
     verify_identification,
 )
-from .linalg import dot, ldl_is_positive_definite, mat_mul, smith_invariants
+from .linalg import (
+    SmithDidNotConverge,
+    dot,
+    ldl_is_positive_definite,
+    mat_mul,
+    smith_invariants,
+)
 from .permgrp import (
     contains_minus_one,
     enumerate_elements,
@@ -675,10 +683,7 @@ def main(argv=None) -> int:
             R = _build(args.kind, args.rank)
             extra = None
             if args.shell is not None:
-                script = ade_realization(R)
-                if script.rank > 24:
-                    raise UsageError("shell enumeration is capped at rank 24")
-                vectors = shell(script, args.shell)
+                vectors = shell(ade_realization(R), args.shell)
                 extra = {"shells": {str(args.shell): [_vec(v)
                                                       for v in vectors]}}
             report = make_report("lattice",
@@ -715,7 +720,7 @@ def main(argv=None) -> int:
             report = make_report("report", {"max_n": args.max_n}, checks)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as err:
+    except (UsageError, RankTooLarge, SmithDidNotConverge) as err:
         print(f"weyl-ising: {err}", file=sys.stderr)
         return 2
     code = emit(report, args.output)

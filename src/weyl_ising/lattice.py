@@ -8,9 +8,10 @@ inside blocks of E8^n, lives in some R^d without irrational entries.
 
 Contents: duals and discriminant groups (Smith form), sublattice sums /
 intersections / annihilators / indices (Hermite form), the SSD and RSSD
-predicates with their t involutions, shell enumeration by exact
-Fincke-Pohst, block embeddings of E8 into X = E8^n, and the explicit
-identifications of the script lattices with R (x) E8.
+predicates with their t involutions, shell enumeration by integer
+Fincke-Pohst on the fraction-free LDL^T of the int Gram, block
+embeddings of E8 into X = E8^n, and the explicit identifications of the
+script lattices with R (x) E8.
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from math import ceil, floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 from .linalg import (
     Vector,
+    _bareiss_ldl,
     det_bareiss,
     dot,
     hnf,
     int_inverse,
     int_kernel,
-    ldl,
     smith_invariants,
 )
 from .rootsys import RootSystem, build_root_system
@@ -374,57 +375,83 @@ def matrix_order(T: list[list[int]], cap: int = 12) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shell enumeration (exact Fincke-Pohst).
+# Shell enumeration (integer Fincke-Pohst).
 # ---------------------------------------------------------------------------
+
+def _shell_ints(L: Lattice, norm,
+                cap: int = SHELL_RANK_CAP) -> tuple[list[tuple[int, ...]], int]:
+    """``shell(L, norm, cap)`` as ``(vectors, den)``: the sorted int
+    tuples v with v / den the lattice vectors, ``den`` the common
+    denominator of L's basis.
+
+    Integer Fincke-Pohst (Fincke & Pohst, Math. Comp. 44, 1985) on the
+    int Gram g, where the coefficient vector x of a vector of norm ``norm``
+    has ``x^T g x == norm den^2``.  ``_bareiss_ldl`` gives the pivots p_k
+    and multiplier numerators a_kj of g, so with
+    ``t_k = p_k x_k + sum_(j>k) a_kj x_j`` the norm splits into the terms
+    ``t_k^2 / (p_k p_(k-1))``.  Scaled by ``M = lcm(p_k p_(k-1))`` every
+    term is the int ``w_k t_k^2`` with ``w_k = M / (p_k p_(k-1))``, so the
+    budget of each level is an int, the interval of x_k comes from
+    ``isqrt`` and floor division, and the last level solves
+    ``w_0 t_0^2 == budget`` exactly.
+    """
+    if L.rank > cap:
+        raise RankTooLarge(f"rank {L.rank} exceeds enumeration cap {cap}")
+    rows, den = L._scaled
+    target = Q(norm)
+    if target < 0:
+        return [], den
+    if L.rank == 0:
+        return ([(0,) * L.ambient_dim] if target == 0 else []), den
+    factors = _bareiss_ldl([row[i:] for i, row in enumerate(L._int_gram)])
+    if factors is None:
+        raise ValueError("Gram matrix is not positive definite")
+    target *= den * den
+    if target.denominator != 1:  # x^T g x is an int
+        return [], den
+    pivots, mult = factors
+    below = [1] + pivots[:-1]
+    scale = lcm(*(p * q for p, q in zip(pivots, below)))
+    weights = [scale // (p * q) for p, q in zip(pivots, below)]
+    r = L.rank
+    sols: list[tuple[int, ...]] = []
+    x = [0] * r
+
+    def descend(k: int, budget: int) -> None:
+        c = sum(a * xj for a, xj in zip(mult[k], x[k + 1:]) if xj)
+        p, w = pivots[k], weights[k]
+        s = isqrt(budget // w)
+        if k == 0:
+            if w * s * s == budget:
+                for t in ((s, -s) if s else (0,)):
+                    x0, rest = divmod(t - c, p)
+                    if not rest:
+                        x[0] = x0
+                        sols.append(tuple(x))
+                x[0] = 0
+            return
+        for xk in range(-((s + c) // p), (s - c) // p + 1):
+            t = p * xk + c
+            x[k] = xk
+            descend(k - 1, budget - w * t * t)
+        x[k] = 0
+
+    descend(r - 1, scale * target.numerator)
+    # one positive denominator: int order is the rational order
+    vectors = sorted(tuple(_combine(xs, rows, L.ambient_dim)) for xs in sols)
+    return vectors, den
+
 
 def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
     """All lattice vectors of the given squared norm, sorted.
 
-    Exact rational LDL^T quadratic completion of the int Gram (norms
-    scaled by den^2) with Fincke-Pohst interval bounds; each coefficient
-    vector maps to int coordinates through the scaled basis rows, divided
-    by den once per coordinate.  Refuses ranks beyond the cap (desk-scale
-    enumeration only).
+    Enumerated in ints by ``_shell_ints`` (fraction-free LDL^T and
+    integer Fincke-Pohst bounds); each int vector is divided by the common
+    denominator once per coordinate.  Refuses ranks beyond the cap
+    (desk-scale enumeration only) with ``RankTooLarge``, and raises
+    ``ValueError`` on a Gram matrix that is not positive definite.
     """
-    if L.rank > cap:
-        raise RankTooLarge(f"rank {L.rank} exceeds enumeration cap {cap}")
-    target = Q(norm)
-    if target < 0:
-        return []
-    if L.rank == 0:
-        return [tuple(Q(0) for _ in range(L.ambient_dim))] if target == 0 else []
-    r = L.rank
-    rows, den = L._scaled
-    target *= den * den
-    factors = ldl(L._int_gram)
-    if factors is None:
-        raise ValueError("Gram matrix is not positive definite")
-    d, u = factors
-    sols: list[tuple[int, ...]] = []
-    x = [0] * r
-
-    def descend(k: int, budget: Q) -> None:
-        c = sum(u[k][j] * x[j] for j in range(k + 1, r))
-        bound = budget / d[k]
-        s = isqrt(floor(bound)) + 1
-        lo = ceil(-c - s)
-        hi = floor(-c + s)
-        for xk in range(lo, hi + 1):
-            val = d[k] * (xk + c) ** 2
-            if val > budget:
-                continue
-            x[k] = xk
-            if k == 0:
-                if val == budget:
-                    sols.append(tuple(x))
-            else:
-                descend(k - 1, budget - val)
-        x[k] = 0
-
-    descend(r - 1, target)
-    # one positive denominator: int order is the rational order
-    vectors = sorted(tuple(_combine(x, rows, L.ambient_dim)) for x in sols)
-    sols.clear()
+    vectors, den = _shell_ints(L, norm, cap)
     for i, v in enumerate(vectors):  # in place, to keep the peak low
         vectors[i] = tuple(Q(c, den) for c in v)
     return vectors

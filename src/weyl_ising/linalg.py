@@ -17,6 +17,11 @@ from typing import Sequence
 Vector = tuple[Q, ...]
 
 
+class SmithDidNotConverge(ArithmeticError):
+    """The alternating Hermite reduction of ``smith_invariants`` did not
+    reach a diagonal form within its round cap."""
+
+
 def dot(u: Sequence, v: Sequence):
     """Standard dot product of two equal-length coordinate vectors."""
     return sum(a * b for a, b in zip(u, v))
@@ -252,7 +257,7 @@ def smith_invariants(matrix: Sequence[Sequence[int]]) -> list[int]:
             a = []
             break
     else:
-        raise ArithmeticError("Smith reduction did not converge")
+        raise SmithDidNotConverge("Smith reduction did not converge")
     diag.sort()
     # repair divisibility d1 | d2 | ...
     changed = True
@@ -268,6 +273,42 @@ def smith_invariants(matrix: Sequence[Sequence[int]]) -> list[int]:
     return [d for d in diag if d > 1]
 
 
+def _bareiss_ldl(a: list[list[int]]) -> tuple[list[int], list[list[int]]] | None:
+    """Fraction-free symmetric elimination of an int upper triangle.
+
+    ``a[i]`` holds the entries (i, j), j >= i, of a symmetric int matrix
+    and is consumed.  Returns ``(p, m)``: the pivots ``p[k]``, the leading
+    principal minors of orders 1..n, and the multiplier numerators
+    ``m[k][j - k - 1] = a_kj`` (j > k) as row k stands at step k, so
+    ``matrix == U^T diag(d) U`` with ``d_k = p_k / p_(k-1)`` and
+    ``u_kj = a_kj / p_k``.  None at the first nonpositive pivot.
+
+    Step k updates the rows below by ``(p_k a_ij - a_ki a_kj) // p_(k-1)``
+    (Bareiss, Math. Comp. 22, 1968), an exact division that leaves every
+    entry a minor of the input.
+    """
+    n = len(a)
+    pivots: list[int] = []
+    mult: list[list[int]] = []
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        p = row_k[0]
+        if p <= 0:
+            return None
+        pivots.append(p)
+        mult.append(row_k[1:])
+        for i in range(k + 1, n):
+            f = row_k[i - k]
+            if f:
+                a[i] = [(p * x - f * y) // prev
+                        for x, y in zip(a[i], row_k[i - k:])]
+            else:
+                a[i] = [p * x // prev for x in a[i]]
+        prev = p
+    return pivots, mult
+
+
 def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
     """Exact LDL^T factorization of a symmetric rational matrix.
 
@@ -277,37 +318,22 @@ def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
     definite (a repeated row gives a zero pivot).  Only the upper
     triangle is read.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968): the upper triangle is
-    scaled to ints by the lcm ``den`` of its denominators, and step k
-    updates it by ``(p_k a_ij - a_ki a_kj) // p_(k-1)``, an exact division
-    that leaves every entry a minor of the scaled matrix.  The pivot p_k
-    is its leading principal minor of order k + 1, so
+    Fraction-free: the upper triangle is scaled to ints by the lcm
+    ``den`` of its denominators and eliminated by ``_bareiss_ldl``, so
     ``d_k = p_k / (p_(k-1) den)`` and ``u[k][i] = a_ki / p_k`` are the
     only ``Fraction`` divisions.
     """
     n = len(matrix)
     upper = [[Q(x) for x in matrix[i][i:]] for i in range(n)]
     den = lcm(*(q.denominator for row in upper for q in row))
-    # a[i][j - i] holds the scaled entry (i, j), j >= i
-    a = [[q.numerator * (den // q.denominator) for q in row] for row in upper]
-    d: list[Q] = []
-    u = [[Q(0)] * n for _ in range(n)]
-    prev = 1
-    for k in range(n):
-        row_k = a[k]
-        p = row_k[0]
-        if p <= 0:
-            return None
-        d.append(Q(p, prev * den))
-        for i in range(k + 1, n):
-            f = row_k[i - k]
-            if f:
-                u[k][i] = Q(f, p)
-                a[i] = [(p * x - f * y) // prev
-                        for x, y in zip(a[i], row_k[i - k:])]
-            else:
-                a[i] = [p * x // prev for x in a[i]]
-        prev = p
+    factors = _bareiss_ldl(
+        [[q.numerator * (den // q.denominator) for q in row] for row in upper])
+    if factors is None:
+        return None
+    pivots, mult = factors
+    d = [Q(p, prev * den) for p, prev in zip(pivots, [1] + pivots)]
+    u = [[Q(0)] * (k + 1) + [Q(f, p) if f else Q(0) for f in row]
+         for k, (p, row) in enumerate(zip(pivots, mult))]
     return d, u
 
 

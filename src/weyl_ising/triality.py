@@ -23,10 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .axes import SAME, TWO_B, AxisAlgebra, ThreeC
-from .lattice import Lattice, e8_lattice, from_generators, index_in, shell
+from .lattice import (
+    Lattice,
+    _shell_ints,
+    e8_lattice,
+    from_generators,
+    index_in,
+    shell,
+)
 from .linalg import dot
 from .permgrp import PermGroup, Permutation, closure
 from .rootsys import sign_normalized, simple_system
@@ -348,6 +356,52 @@ def _classifies_as_A8(K: Lattice) -> bool:
     return len(reached) == 8
 
 
+def _class_root_counts(L: Lattice) -> list[int]:
+    """For every class kappa in (Z/3)^rank, at index sum kappa_i 3^i, the
+    number of roots r of L (its norm-2 vectors) with
+    ``sum c_i kappa_i = 0 mod 3``, c the coefficients of r over the basis.
+
+    A vector delta with ``<alpha_i, delta> = kappa_i mod 3`` on the basis
+    pairs with r to ``sum c_i <alpha_i, delta>``, so this counts the roots
+    of its mod-3 kernel.  For E8, which is unimodular, kappa is delta's
+    class in E8/3E8, and the 3^8 = 6561 counts are the table that
+    ``find_delta`` reads.
+
+    Bit-sliced over the roots: bit b of ``ones[i]`` (``twos[i]``) says
+    that root b has c_i = 1 (2) mod 3.  Each class's residues are two
+    masks, the roots at residue 1 and at residue 2, built from the class
+    with kappa_i = 0 by adding kappa_i c_i one basis vector at a time.
+    """
+    roots, den = _shell_ints(L, 2)
+    # c_i = <omega_i, r> for the dual basis omega
+    omega = L.dual_basis()
+    wden = lcm(*(c.denominator for w in omega for c in w))
+    ones, twos = [], []
+    for w in omega:
+        w_int = [c.numerator * (wden // c.denominator) for c in w]
+        one = two = 0
+        for b, v in enumerate(roots):
+            c = (sum(map(mul, w_int, v)) // (wden * den)) % 3
+            if c == 1:
+                one |= 1 << b
+            elif c == 2:
+                two |= 1 << b
+        ones.append(one)
+        twos.append(two)
+    full = (1 << len(roots)) - 1
+    states = [(0, 0)]  # (residue-1 mask, residue-2 mask) per class
+    for one, two in zip(ones, twos):
+        grown = list(states)
+        for a1, a2 in ((one, two), (two, one)):  # kappa_i = 1, then 2
+            a0 = full & ~(a1 | a2)
+            for r1, r2 in states:
+                r0 = full & ~(r1 | r2)
+                grown.append(((r0 & a1) | (r1 & a0) | (r2 & a2),
+                              (r0 & a2) | (r1 & a1) | (r2 & a0)))
+        states = grown
+    return [len(roots) - (r1 | r2).bit_count() for r1, r2 in states]
+
+
 _DELTA_CACHE: tuple | None = None
 
 
@@ -355,21 +409,28 @@ def find_delta() -> tuple[tuple, Lattice]:
     """Smallest-norm vector delta (lexicographic tie-break) whose mod-3
     pairing kernel inside the norm-2 shell's lattice is an index-3
     sublattice with determinant 9 and a single 8-node chain of simple
-    roots (72 roots in all)."""
+    roots (72 roots in all).
+
+    The shells of norm 2, 4, 6 and 8 are read in ints, and a candidate
+    reaches the lattice checks only when its class in E8/3E8 has 72
+    kernel roots in the ``_class_root_counts`` table."""
     global _DELTA_CACHE
     if _DELTA_CACHE is not None:
         return _DELTA_CACHE
     L = e8_lattice()
-    roots2 = [tuple(int(2 * c) for c in r) for r in shell(L, 2)]
+    counts = _class_root_counts(L)
     for norm in (2, 4, 6, 8):
-        for delta in sorted(shell(L, norm)):
-            d2 = tuple(int(2 * c) for c in delta)
-            count = 0
-            for r2 in roots2:
-                if sum(x * y for x, y in zip(r2, d2)) % 12 == 0:
-                    count += 1
-            if count != 72:
+        vectors, den = _shell_ints(L, norm)
+        # <alpha_i, v / den> = <den alpha_i, v> / den^2, i from the top
+        simple = [[int(den * c) for c in a] for a in reversed(L.basis)]
+        den2 = den * den
+        for v in vectors:
+            key = 0
+            for a in simple:
+                key = 3 * key + (sum(map(mul, a, v)) // den2) % 3
+            if counts[key] != 72:
                 continue
+            delta = tuple(Q(c, den) for c in v)
             K = kernel_mod3(delta)
             if K.det() != 9 or index_in(K, L) != 3:
                 continue

@@ -44,9 +44,9 @@ from fractions import Fraction as Q
 from operator import add, mul, sub
 from typing import Sequence
 
-from .cocycle import SCALE, CocycleTable, scaled, unscaled
+from .cocycle import SCALE, CocycleTable, NotInHalfLattice, scaled, unscaled
 from .cyclotomic import Cyc8
-from .lattice import Lattice, shell
+from .lattice import Lattice, _shell_ints
 from .rootsys import sign_normalized
 
 Vector = tuple[Q, ...]
@@ -184,36 +184,56 @@ class Weight2Element:
             v.is_rational() for v in self.exps.values())
 
 
-def quad_from_matrix(dim: int, matrix: Sequence[Sequence]) -> Weight2Element:
-    quad = {}
-    for i in range(dim):
-        for j in range(dim):
-            v = matrix[i][j]
-            if v:
-                quad[(i, j)] = Cyc8.of(v)
-    return Weight2Element(dim, quad, {})
-
-
 def virasoro_quadratic(M: Lattice) -> Weight2Element:
     """The quadratic (1/2) sum h_i(-1)^2 over an orthonormal frame of
-    the rational span of M, written on the ambient basis (matrix P/2
-    with P the orthogonal projection onto the span, whose rows are the
-    projections of the unit vectors)."""
+    the rational span of M, written on the ambient basis: the matrix P/2
+    with P the orthogonal projection onto the span.
+
+    P is built once from M's int core: with the basis as int ``rows``
+    over ``den``, the int Gram ``g = rows rows^T`` and ``g^-1 = adj / D``,
+    ``P = rows^T adj rows / D`` (the den factors cancel)."""
     d = M.ambient_dim
-    half = [[c / 2 for c in M.project([int(i == j) for j in range(d)])]
-            for i in range(d)]
-    return quad_from_matrix(d, half)
+    if not M.basis:
+        return Weight2Element.zero(d)
+    rows, _ = M._scaled
+    adj, D = M._inverse
+    cols = list(zip(*rows))
+    w = [[sum(map(mul, arow, col)) for col in cols] for arow in adj]
+    quad = {}
+    for i, col in enumerate(cols):  # row i of P is col^T w
+        support = [(k, c) for k, c in enumerate(col) if c]
+        for j in range(d):
+            n = sum(c * w[k][j] for k, c in support)
+            if n:
+                quad[(i, j)] = Cyc8.of(Q(n, 2 * D))
+    return Weight2Element._trusted(d, quad, {})
+
+
+def _labels(vectors: list[tuple[int, ...]], den: int) -> list[Label]:
+    """The scaled labels SCALE * v / den of int vectors over den; a
+    coordinate outside (1/4)Z raises ``NotInHalfLattice``."""
+    labels = []
+    for v in vectors:
+        parts = [divmod(SCALE * c, den) for c in v]
+        if any(rest for _, rest in parts):
+            raise NotInHalfLattice(
+                f"{tuple(Q(c, den) for c in v)} has a coordinate outside "
+                "(1/4)Z")
+        labels.append(tuple(c4 for c4, _ in parts))
+    return labels
 
 
 def ising_vector(M: Lattice) -> Weight2Element:
     """(1/16) of the span quadratic plus (1/32) of every norm-4
-    symmetric exponential of M; requires the 240-vector shell."""
-    sh = shell(M, 4)
-    if len(sh) != 240:
-        raise WrongShellSize(f"norm-4 shell has {len(sh)} vectors, expected 240")
+    symmetric exponential of M; requires the 240-vector shell, read in
+    ints and scaled to labels directly."""
+    vectors, den = _shell_ints(M, 4)
+    if len(vectors) != 240:
+        raise WrongShellSize(
+            f"norm-4 shell has {len(vectors)} vectors, expected 240")
     w = virasoro_quadratic(M).scale(Q(1, 16))
     coeff = Cyc8.of(Q(1, 32))
-    exps = {sign_normalized(scaled(x)): coeff for x in sh}
+    exps = {sign_normalized(x): coeff for x in _labels(vectors, den)}
     return w + Weight2Element._trusted(M.ambient_dim, {}, exps)
 
 

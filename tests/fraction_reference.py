@@ -2,13 +2,15 @@
 
 The library computes lattice coordinates on an integer-scaled core
 (``Lattice._inverse``), inverts matrices fraction-free
-(``linalg.int_inverse``) and factors them fraction-free (``linalg.ldl``);
-the Gauss-Jordan solve and inverse and the LDL^T loop below are the
-direct ``Fraction`` computations they replaced, kept here so the
+(``linalg.int_inverse``), factors them fraction-free (``linalg.ldl``)
+and enumerates shells in ints (``lattice.shell``); the Gauss-Jordan
+solve and inverse, the LDL^T loop and the Fincke-Pohst descent below are
+the direct ``Fraction`` computations they replaced, kept here so the
 property tests compare the two.
 """
 
 from fractions import Fraction as Q
+from math import ceil, floor, isqrt
 from typing import Sequence
 
 
@@ -87,3 +89,39 @@ def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
                 for j in range(i, n):
                     row_i[j] -= f * row_k[j]
     return d, u
+
+
+def shell(L, norm) -> list[tuple[Q, ...]]:
+    """The vectors of squared norm ``norm`` of the lattice L, sorted:
+    Fincke-Pohst over the ``Fraction`` LDL^T of L's Gram matrix, with
+    ``Fraction`` budgets and interval bounds at every node."""
+    target = Q(norm)
+    if target < 0:
+        return []
+    r = L.rank
+    if r == 0:
+        return [tuple(Q(0) for _ in range(L.ambient_dim))] if target == 0 else []
+    d, u = ldl(L.gram)
+    sols: list[tuple[int, ...]] = []
+    x = [0] * r
+
+    def descend(k: int, budget: Q) -> None:
+        c = sum(u[k][j] * x[j] for j in range(k + 1, r))
+        s = isqrt(floor(budget / d[k])) + 1
+        for xk in range(ceil(-c - s), floor(-c + s) + 1):
+            val = d[k] * (xk + c) ** 2
+            if val > budget:
+                continue
+            x[k] = xk
+            if k == 0:
+                if val == budget:
+                    sols.append(tuple(x))
+            else:
+                descend(k - 1, budget - val)
+        x[k] = 0
+
+    descend(r - 1, target)
+    return sorted(
+        tuple(sum((xk * b[i] for xk, b in zip(xs, L.basis)), Q(0))
+              for i in range(L.ambient_dim))
+        for xs in sols)

@@ -65,8 +65,12 @@ def test_lattice_shell_flag(capsys):
 
 
 def test_lattice_shell_rank_cap(capsys):
-    code, _ = run(capsys, "lattice", "E", "8", "--shell", "2")
-    assert code == 2
+    """The rank-64 realization of E8 is refused by ``shell`` itself
+    (``RankTooLarge``), reported as exit 2 with no report."""
+    assert cli.main(["lattice", "E", "8", "--shell", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rank 64 exceeds enumeration cap 24" in captured.err
 
 
 def test_griess_a2_oracle(capsys):
@@ -161,6 +165,19 @@ def test_audit_not_symmetric(tmp_path, capsys):
     checks = by_name(report)
     assert checks["square_symmetric"]["status"] == "fail"
     assert checks["positive_definite"]["status"] == "skipped"
+
+
+def test_audit_smith_did_not_converge(tmp_path, capsys, monkeypatch):
+    """A Smith reduction past its round cap is exit 2, not a traceback;
+    a Hermite step that leaves its rows alone never converges."""
+    from weyl_ising import linalg
+    monkeypatch.setattr(linalg, "hnf", lambda rows: [list(r) for r in rows])
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[2, -1], [-1, 2]]}))
+    assert cli.main(["audit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Smith reduction did not converge" in captured.err
 
 
 def test_audit_usage_errors(tmp_path, capsys):

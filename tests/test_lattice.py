@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import matrix_inverse, solve
+from fraction_reference import shell as reference_shell
 from weyl_ising.lattice import (
     CopyEmbedding,
     IncompatibleAmbient,
@@ -244,6 +245,46 @@ def _theta_lattice(kind, rank):
 def test_shell_theta_coefficients(kind, rank, norm, count):
     """Shell sizes are theta-series coefficients (Conway-Sloane, ch. 4)."""
     assert len(shell(_theta_lattice(kind, rank), norm)) == count
+
+
+def test_shell_is_sorted():
+    script = ade_realization(build_root_system("A", 2))
+    for lat, norm in ((e8_lattice(), 4), (script, 4),
+                      (root_lattice(build_root_system("D", 4)), 2)):
+        vectors = shell(lat, norm)
+        assert vectors and vectors == sorted(vectors)
+
+
+_QUARTER = st.tuples(st.integers(-4, 4), st.sampled_from((2, 4))).map(
+    lambda t: Q(*t))
+
+
+@st.composite
+def _lattice_and_norm(draw):
+    """A basis of rank <= 5 with entries in (1/2)Z and (1/4)Z (ambient
+    rank or rank + 1), and a norm: that of a short lattice vector, or of
+    one moved by a multiple of 1/16 (usually off the shell).  The
+    expected shell size, norm^(rank/2) / sqrt(det), is kept small."""
+    r = draw(st.integers(1, 5))
+    d = draw(st.integers(r, r + 1))
+    basis = [tuple(draw(st.lists(_QUARTER, min_size=d, max_size=d)))
+             for _ in range(r)]
+    det = det_rational(gram_matrix(basis))
+    assume(det != 0)
+    coeffs = draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r))
+    v = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d)]
+    norm = dot(v, v) + Q(draw(st.sampled_from((0, 0, 0, 1, -1, 4))), 16)
+    assume(norm ** r <= 2 ** 16 * det)
+    return from_basis(basis, d), norm
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattice_and_norm())
+def test_shell_matches_fraction_reference(case):
+    """The integer Fincke-Pohst shell equals the ``Fraction`` descent,
+    as ordered lists."""
+    lat, norm = case
+    assert shell(lat, norm) == reference_shell(lat, norm)
 
 
 def test_shell_rank_cap():

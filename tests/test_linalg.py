@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from fraction_reference import ldl as reference_ldl
 from fraction_reference import matrix_inverse, solve
+from weyl_ising import linalg
 from weyl_ising.axes import from_root_system
 from weyl_ising.linalg import (
+    SmithDidNotConverge,
     det_bareiss,
     det_rational,
     dot,
@@ -281,6 +283,13 @@ def test_smith_invariants_match_minor_gcds():
             assert prod == minor_gcd(m, k)
         for a, b in zip(full, full[1:]):
             assert b % a == 0
+
+
+def test_smith_round_cap_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(linalg, "hnf", lambda rows: [list(r) for r in rows])
+    with pytest.raises(SmithDidNotConverge):
+        smith_invariants([[2, 1], [1, 2]])
+    assert issubclass(SmithDidNotConverge, ArithmeticError)
 
 
 def test_ldl_positive_definite():

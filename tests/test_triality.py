@@ -3,7 +3,9 @@
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -16,6 +18,7 @@ from weyl_ising.triality import (
     NotFound,
     TwistedAxis,
     TwistedGroupElement,
+    _class_root_counts,
     abstract_twisted_group,
     canonical_axis,
     find_delta,
@@ -240,6 +243,22 @@ def test_find_delta():
     roots = shell(K, 2)
     assert len(roots) == 72
     assert same_lattice(kernel_mod3(delta), K)
+
+
+def test_class_root_counts_match_brute_force():
+    """The bit-sliced table against a plain count over the 240 roots for
+    every class kappa of E8/3E8, and its histogram: 72 kernel roots (the
+    A8 classes) in 1920 classes."""
+    e8 = e8_lattice()
+    counts = _class_root_counts(e8)
+    coeffs = [[int(c) for c in e8.coordinates(r)] for r in shell(e8, 2)]
+    assert len(counts) == 3 ** 8
+    for index, kappa in enumerate(itertools.product(range(3), repeat=8)):
+        kappa = kappa[::-1]  # index = sum kappa_i 3^i
+        assert counts[index] == sum(
+            1 for c in coeffs if sum(map(mul, c, kappa)) % 3 == 0)
+    assert Counter(counts) == {240: 1, 126: 240, 84: 2160, 78: 2240,
+                               72: 1920}
 
 
 def test_kernel_simple_roots_form_a_chain():

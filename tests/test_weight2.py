@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 import pytest
 
 from weyl_ising.cocycle import SCALE, NotInHalfLattice
-from weyl_ising.lattice import e8_lattice, malpha_lattice
+from weyl_ising.cyclotomic import Cyc8
+from weyl_ising.lattice import e8_lattice, from_basis, malpha_lattice, shell
 from weyl_ising.linalg import dot, vec_add, vec_sub
 from weyl_ising.rootsys import build_root_system
 from weyl_ising.weight2 import (
@@ -137,6 +138,41 @@ def test_label_outside_half_integers_is_rejected():
     quarter = (Q(7, 4),) + (Q(1, 4),) * 15
     assert dot(quarter, quarter) == 4
     assert Weight2Element(16, {}, {quarter: 1}).exps
+
+
+def test_ising_vector_rejects_labels_outside_quarter_integers():
+    """A copy of sqrt2 E8 turned by the rotation (3/5, 4/5) in one
+    coordinate plane keeps its 240 norm-4 vectors, but their coordinates
+    leave (1/4)Z, and the int shell's labels are checked."""
+    R = build_root_system("A", 2)
+    M = malpha_lattice(R, R.simple_roots()[0])  # supported on blocks 1, 2
+    turned = from_basis(
+        [b[:8] + (Q(3, 5) * b[8] - Q(4, 5) * b[9],
+                  Q(4, 5) * b[8] + Q(3, 5) * b[9]) + b[10:]
+         for b in M.basis], M.ambient_dim)
+    assert len(shell(turned, 4)) == 240
+    with pytest.raises(NotInHalfLattice):
+        ising_vector(turned)
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_virasoro_quadratic_is_half_the_projection(kind, rank):
+    """The quadratic built from the int core equals half the projection
+    of each unit vector through ``Lattice.project``; for E6 on a root
+    with half-integer coordinates."""
+    R = build_root_system(kind, rank)
+    alpha = next((a for a in R.positive_roots
+                  if any(Q(c).denominator == 2 for c in a)),
+                 R.positive_roots[0])
+    M = malpha_lattice(R, alpha)
+    d = M.ambient_dim
+    expected = {}
+    for i in range(d):
+        for j, c in enumerate(M.project([int(i == k) for k in range(d)])):
+            if c:
+                expected[(i, j)] = Cyc8.of(c / 2)
+    assert expected
+    assert virasoro_quadratic(M).quad == expected
 
 
 def test_labels_are_stored_scaled():
