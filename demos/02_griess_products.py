@@ -9,7 +9,7 @@ carries two independent routes to their products and pairings:
   algebra, and
 * an oracle that expands each e(alpha) as an explicit weight-2 element
   (a quadratic Heisenberg part plus lattice-vector terms with exact
-  cyclotomic coefficients) and multiplies those directly.
+  rational coefficients) and multiplies those directly.
 
 The two routes agree pair by pair; the demo shows both on A2 and then
 reads off the central charge.
@@ -46,10 +46,10 @@ print("axis normalization: e*e = 2e and <e,e> = 1/4")
 vectors = {a: ising_vector(malpha_lattice(R, a)) for a in labels}
 a, b = labels[0], labels[1]
 pairing = oracle_pairing(vectors[a], vectors[b])
-print(f"oracle pairing <e(a),e(b)> = {pairing.as_fraction()}")
+print(f"oracle pairing <e(a),e(b)> = {pairing}")
 
 # The same pairing through the axis algebra's closed form.
-assert A.pairing(A.axis(a), A.axis(b)) == pairing.as_fraction()
+assert A.pairing(A.axis(a), A.axis(b)) == pairing
 
 # Products agree as full weight-2 elements: expand the closed-form
 # product (a combination of Ising vectors) into oracle coordinates.

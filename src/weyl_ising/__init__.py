@@ -1,7 +1,8 @@
 """Exact-arithmetic Griess algebras of root-indexed Ising vectors.
 
-The package builds, entirely over the rationals and the 8th cyclotomic
-field, the axis algebras generated by E8-type Ising vectors attached to
+The package builds, entirely over the rationals (the 8th cyclotomic
+field enters only as the value type of the lattice cocycle), the axis
+algebras generated by E8-type Ising vectors attached to
 positive roots of ADE root systems, the lattice and cocycle machinery
 underneath them, the Miyamoto involution groups (Weyl-group quotients),
 and the 3-twisted axis systems with their 3^k:S_n groups.

@@ -15,10 +15,12 @@ evaluated from first principles:
     <quad, quad>  ->  2 tr(ST)
     <exp, exp>    ->  2 on equal labels, else 0
 
-with all scalars carried in the 8th cyclotomic field so that any sign
-convention mistake surfaces as a non-real coefficient instead of a
-silent flip.  The ambient dimension must be a multiple of 8 so the
-block residue table applies.
+with all scalars rational (``Fraction``).  The sign of a surviving
+exponential term is z**k for the cocycle residue k of its pair;
+``_real_sign`` admits only k = 0 (+1) and k = 4 (-1) and raises
+``NonRealCocycle`` for any other residue, so a sign convention mistake
+surfaces as an error instead of a silent flip.  The ambient dimension
+must be a multiple of 8 so the block residue table applies.
 
 Scale convention: a label coordinate lies in (1/4)Z (for a root alpha
 with half-integer coordinates, M_alpha = alpha (x) E8 has coordinates in
@@ -28,12 +30,14 @@ with half-integer coordinates, M_alpha = alpha (x) E8 has coordinates in
 has integer norm 64, a pair is classified by the integer 16<x,y> (+-32
 a shift, +-64 a square, +-48 a created root, anything else zero), and
 x +- y is formed and sign-normalized in ints.  ``Fraction`` remains in
-the scalars: the coefficients of the ``Cyc8`` values (where the factor
-1/16 of a scaled quadratic term x_i x_j enters) and the quadratic part.
-The public constructor takes labels in true coordinates, rejects any
-coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice`` and
-validates every term; sums, scalings and oracle products are built from
-terms that are already canonical and are not validated again.
+the scalars: the exponential coefficients (where the factor 1/16 of a
+scaled quadratic term x_i x_j enters) and the quadratic part.  The
+public constructor takes labels in true coordinates, rejects any
+coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice``, converts
+every coefficient with ``Fraction`` (a non-rational one raises
+``TypeError``) and validates every term; sums, scalings and oracle
+products are built from terms that are already canonical and are not
+validated again.
 """
 
 from __future__ import annotations
@@ -42,19 +46,14 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from operator import add, mul, sub
-from typing import Sequence
 
 from .cocycle import SCALE, CocycleTable, NotInHalfLattice, scaled, unscaled
-from .cyclotomic import Cyc8
 from .lattice import Lattice, _shell_ints
 from .rootsys import sign_normalized
 
-Vector = tuple[Q, ...]
 Label = tuple[int, ...]  # a scaled label SCALE * x
 
 _S2 = SCALE * SCALE  # <x, y> is the int dot of the scaled labels over _S2
-
-_ZERO = Cyc8.of(0)
 
 
 class WrongShellSize(ValueError):
@@ -77,11 +76,6 @@ def _table_for(dim: int) -> CocycleTable:
     return CocycleTable(dim // 8)
 
 
-def canonical_label(x: Sequence) -> Vector:
-    """The +-x representative whose first nonzero coordinate is positive."""
-    return sign_normalized(tuple(Q(c) for c in x))
-
-
 def _real_sign(residue: int, x: Label, y: Label | None) -> int:
     """The sign z**residue of the pair (x, y), which must be +1 or -1;
     y None stands for -x."""
@@ -92,7 +86,7 @@ def _real_sign(residue: int, x: Label, y: Label | None) -> int:
     other = "-same" if y is None else unscaled(y)
     raise NonRealCocycle(
         f"pair ({unscaled(x)}, {other}) produced the non-real unit "
-        f"{Cyc8.zeta_pow(residue)!r}")
+        f"z^{residue}")
 
 
 @dataclass
@@ -106,17 +100,18 @@ class Weight2Element:
     """
 
     dim: int
-    quad: dict[tuple[int, int], Cyc8] = field(default_factory=dict)
-    exps: dict[Label, Cyc8] = field(default_factory=dict)
+    quad: dict[tuple[int, int], Q] = field(default_factory=dict)
+    exps: dict[Label, Q] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.quad = {k: Cyc8.of(v) for k, v in self.quad.items() if Cyc8.of(v)}
+        quad = {k: Q(v) for k, v in self.quad.items()}
+        self.quad = {k: v for k, v in quad.items() if v}
         for (i, j), v in list(self.quad.items()):
             if (j, i) not in self.quad or self.quad[(j, i)] != v:
                 raise ValueError("quadratic part must be symmetric")
-        clean: dict[Label, Cyc8] = {}
+        clean: dict[Label, Q] = {}
         for x, c in self.exps.items():
-            c = Cyc8.of(c)
+            c = Q(c)
             if not c:
                 continue
             label = sign_normalized(scaled(x))
@@ -124,12 +119,12 @@ class Weight2Element:
                 raise ValueError(f"exponential label {x} does not have norm 4")
             if len(label) != self.dim:
                 raise ValueError("label length does not match ambient dimension")
-            clean[label] = clean.get(label, _ZERO) + c
+            clean[label] = clean.get(label, 0) + c
         self.exps = {x: c for x, c in clean.items() if c}
 
     @classmethod
-    def _trusted(cls, dim: int, quad: dict[tuple[int, int], Cyc8],
-                 exps: dict[Label, Cyc8]) -> "Weight2Element":
+    def _trusted(cls, dim: int, quad: dict[tuple[int, int], Q],
+                 exps: dict[Label, Q]) -> "Weight2Element":
         """An element from a symmetric quadratic part and canonical scaled
         labels, without validation; zero coefficients are dropped."""
         self = object.__new__(cls)
@@ -147,10 +142,10 @@ class Weight2Element:
             raise ValueError("ambient dimensions differ")
         quad = dict(self.quad)
         for k, v in other.quad.items():
-            quad[k] = quad.get(k, _ZERO) + v
+            quad[k] = quad.get(k, 0) + v
         exps = dict(self.exps)
         for x, c in other.exps.items():
-            exps[x] = exps.get(x, _ZERO) + c
+            exps[x] = exps.get(x, 0) + c
         return Weight2Element._trusted(self.dim, quad, exps)
 
     def __neg__(self) -> "Weight2Element":
@@ -160,7 +155,7 @@ class Weight2Element:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Weight2Element":
-        c = Cyc8.of(c)
+        c = Q(c)
         return Weight2Element._trusted(
             self.dim,
             {k: c * v for k, v in self.quad.items()},
@@ -178,10 +173,6 @@ class Weight2Element:
             return NotImplemented
         return (self.dim == other.dim and self.quad == other.quad
                 and self.exps == other.exps)
-
-    def is_real_rational(self) -> bool:
-        return all(v.is_rational() for v in self.quad.values()) and all(
-            v.is_rational() for v in self.exps.values())
 
 
 def virasoro_quadratic(M: Lattice) -> Weight2Element:
@@ -205,7 +196,7 @@ def virasoro_quadratic(M: Lattice) -> Weight2Element:
         for j in range(d):
             n = sum(c * w[k][j] for k, c in support)
             if n:
-                quad[(i, j)] = Cyc8.of(Q(n, 2 * D))
+                quad[(i, j)] = Q(n, 2 * D)
     return Weight2Element._trusted(d, quad, {})
 
 
@@ -232,21 +223,20 @@ def ising_vector(M: Lattice) -> Weight2Element:
         raise WrongShellSize(
             f"norm-4 shell has {len(vectors)} vectors, expected 240")
     w = virasoro_quadratic(M).scale(Q(1, 16))
-    coeff = Cyc8.of(Q(1, 32))
-    exps = {sign_normalized(x): coeff for x in _labels(vectors, den)}
+    exps = {sign_normalized(x): Q(1, 32) for x in _labels(vectors, den)}
     return w + Weight2Element._trusted(M.ambient_dim, {}, exps)
 
 
-def _quad_rows(u: Weight2Element) -> dict[int, dict[int, Cyc8]]:
-    rows: dict[int, dict[int, Cyc8]] = {}
+def _quad_rows(u: Weight2Element) -> dict[int, dict[int, Q]]:
+    rows: dict[int, dict[int, Q]] = {}
     for (i, j), v in u.quad.items():
         rows.setdefault(i, {})[j] = v
     return rows
 
 
-def _by_value(terms: dict) -> dict[Cyc8, list]:
+def _by_value(terms: dict) -> dict[Q, list]:
     """The keys of a term dict grouped by their coefficient."""
-    groups: dict[Cyc8, list] = {}
+    groups: dict[Q, list] = {}
     for key, value in terms.items():
         groups.setdefault(value, []).append(key)
     return groups
@@ -258,16 +248,16 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
         raise ValueError("ambient dimensions differ")
     dim = u.dim
     table = _table_for(dim)
-    quad: dict[tuple[int, int], Cyc8] = {}
-    exps: dict[Label, Cyc8] = {}
+    quad: dict[tuple[int, int], Q] = {}
+    exps: dict[Label, Q] = {}
 
-    def add_quad(i: int, j: int, val: Cyc8) -> None:
+    def add_quad(i: int, j: int, val: Q) -> None:
         if val:
-            quad[(i, j)] = quad.get((i, j), _ZERO) + val
+            quad[(i, j)] = quad.get((i, j), 0) + val
 
-    def add_exp(x: Label, val: Cyc8) -> None:
+    def add_exp(x: Label, val: Q) -> None:
         if val:
-            exps[x] = exps.get(x, _ZERO) + val
+            exps[x] = exps.get(x, 0) + val
 
     # quadratic x quadratic: 2(ST + TS)
     if u.quad and v.quad:
@@ -289,12 +279,12 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
             continue
         by_value = _by_value(s_part.quad)
         for x, c in e_part.exps.items():
-            acc = _ZERO
+            acc = 0
             for a, entries in by_value.items():
                 n = sum(x[i] * x[j] for i, j in entries)
                 if n:
-                    acc = acc + a * Q(n, _S2)
-            add_exp(x, acc * c)
+                    acc += a * n
+            add_exp(x, acc * c / _S2)
 
     # exponential x exponential, all ordered pairs, by s = 16<x, y>.  The
     # labels are grouped by coefficient, so the signed shifts x -+ y and
@@ -333,26 +323,26 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
             for z, n in shifts.items():
                 add_exp(z, c * n)
             for (i, j), n in squares.items():
-                add_quad(i, j, c * Q(n, _S2))
+                add_quad(i, j, c * n / _S2)
 
     return Weight2Element._trusted(dim, quad, exps)
 
 
-def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Cyc8:
+def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Q:
     """Invariant pairing: 2 tr(ST) on quadratics, 2 per shared
     exponential label, no cross terms."""
     if u.dim != v.dim:
         raise ValueError("ambient dimensions differ")
-    total = Cyc8.of(0)
+    total = Q(0)
     sv = _quad_rows(v)
     for (i, j), a in u.quad.items():
         row = sv.get(j)
         if row:
             b = row.get(i)
             if b:
-                total = total + 2 * (a * b)
+                total += 2 * (a * b)
     for x, c in u.exps.items():
         d = v.exps.get(x)
         if d:
-            total = total + 2 * (c * d)
+            total += 2 * (c * d)
     return total

@@ -285,6 +285,18 @@ def test_smith_invariants_match_minor_gcds():
             assert b % a == 0
 
 
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+    min_size=1, max_size=4)), st.randoms(use_true_random=False))
+def test_smith_invariants_under_unimodular_equivalence(m, rng):
+    """smith_invariants(U M V) == smith_invariants(M): U from random row
+    operations on M, V from random row operations on the transpose."""
+    um = unimodular_shuffle(m, rng)
+    umv = [list(c) for c in zip(*unimodular_shuffle(list(zip(*um)), rng))]
+    assert smith_invariants(umv) == smith_invariants(m)
+
+
 def test_smith_round_cap_raises_typed_error(monkeypatch):
     monkeypatch.setattr(linalg, "hnf", lambda rows: [list(r) for r in rows])
     with pytest.raises(SmithDidNotConverge):

@@ -8,13 +8,12 @@ from weyl_ising.cocycle import SCALE, NotInHalfLattice
 from weyl_ising.cyclotomic import Cyc8
 from weyl_ising.lattice import e8_lattice, from_basis, malpha_lattice, shell
 from weyl_ising.linalg import dot, vec_add, vec_sub
-from weyl_ising.rootsys import build_root_system
+from weyl_ising.rootsys import build_root_system, sign_normalized
 from weyl_ising.weight2 import (
     NonRealCocycle,
     RootCreated,
     Weight2Element,
     WrongShellSize,
-    canonical_label,
     ising_vector,
     oracle_pairing,
     oracle_product,
@@ -43,7 +42,8 @@ def test_ising_vector_shape(a2):
     (ea, _, _), _ = a2
     assert len(ea.exps) == 120
     assert all(c == Q(1, 32) for c in ea.exps.values())
-    assert ea.is_real_rational()
+    assert all(type(c) is Q for c in ea.exps.values())
+    assert all(type(c) is Q for c in ea.quad.values())
 
 
 def test_ising_norm_is_one_quarter(a2):
@@ -85,9 +85,28 @@ def test_adjacent_product_three_term(a2):
 
 
 def test_products_are_real_rational(a2):
+    """Products and pairings carry ``Fraction`` scalars only."""
     (ea, eb, _), (wa, _, _) = a2
     for u, v in [(ea, ea), (ea, eb), (wa, eb)]:
-        assert oracle_product(u, v).is_real_rational()
+        w = oracle_product(u, v)
+        assert w
+        assert all(type(c) is Q
+                   for c in [*w.quad.values(), *w.exps.values()])
+        assert type(oracle_pairing(u, v)) is Q
+    assert type(oracle_pairing(ea, Weight2Element.zero(ea.dim))) is Q
+
+
+def test_non_rational_coefficient_is_rejected():
+    """A coefficient outside Q raises ``TypeError`` in the constructor's
+    exponential and quadratic parts and in ``scale``."""
+    x = tuple(Q(c) for c in (2, 0, 0, 0, 0, 0, 0, 0))
+    z = Cyc8.zeta_pow(1)
+    with pytest.raises(TypeError):
+        Weight2Element(8, {}, {x: z})
+    with pytest.raises(TypeError):
+        Weight2Element(8, {(0, 0): z}, {})
+    with pytest.raises(TypeError):
+        Weight2Element(8, {}, {x: 1}).scale(z)
 
 
 def test_form_invariance(a2):
@@ -170,7 +189,7 @@ def test_virasoro_quadratic_is_half_the_projection(kind, rank):
     for i in range(d):
         for j, c in enumerate(M.project([int(i == k) for k in range(d)])):
             if c:
-                expected[(i, j)] = Cyc8.of(c / 2)
+                expected[(i, j)] = c / 2
     assert expected
     assert virasoro_quadratic(M).quad == expected
 
@@ -182,10 +201,13 @@ def test_labels_are_stored_scaled():
 
 
 def test_canonical_label_normalizes_sign():
-    assert canonical_label((-1, 2, 0)) == (1, -2, 0)
-    assert canonical_label((0, 3, -1)) == (0, 3, -1)
+    """Labels are canonical under ``sign_normalized``: the +-x with its
+    first nonzero coordinate positive, for Fraction and int tuples."""
+    assert sign_normalized((Q(-1), Q(2), Q(0))) == (1, -2, 0)
+    assert sign_normalized((Q(0), Q(3), Q(-1))) == (0, 3, -1)
+    assert sign_normalized((0, -4, 2, -1)) == (0, 4, -2, 1)
     with pytest.raises(ValueError):
-        canonical_label((0, 0, 0))
+        sign_normalized((Q(0), Q(0), Q(0)))
 
 
 def test_element_algebra():

@@ -21,10 +21,9 @@ from weyl_ising.cocycle import SCALE, CocycleTable
 from weyl_ising.cyclotomic import Cyc8
 from weyl_ising.lattice import e8_model, malpha_lattice, shell
 from weyl_ising.linalg import dot, mat_vec
-from weyl_ising.rootsys import build_root_system
+from weyl_ising.rootsys import build_root_system, sign_normalized
 from weyl_ising.weight2 import (
     Weight2Element,
-    canonical_label,
     oracle_pairing,
     oracle_product,
     virasoro_quadratic,
@@ -94,7 +93,7 @@ def ref_product(dim, u, v):
             s = dot(x, y)
             if s in (2, -2):
                 z = tuple(a - b if s == 2 else a + b for a, b in zip(x, y))
-                accumulate(exps, canonical_label(z), ref_sign(x, y) * cx * cy)
+                accumulate(exps, sign_normalized(z), ref_sign(x, y) * cx * cy)
             elif s in (4, -4):
                 c = ref_sign(x, tuple(-a for a in x)) * cx * cy
                 for i in range(dim):
@@ -133,7 +132,7 @@ def ising_parts(kind, rank, roots=None):
     parts = []
     for alpha in roots or R.positive_roots:
         M = malpha_lattice(R, alpha)
-        labels = sorted({canonical_label(x) for x in shell(M, 4)})
+        labels = sorted({sign_normalized(x) for x in shell(M, 4)})
         quad = virasoro_quadratic(M).scale(Q(1, 16)).quad
         parts.append((labels, quad))
     return 8 * R.ambient_dim, parts
@@ -152,10 +151,10 @@ def sub_elements(draw, dim, parts):
         sym = dict(quad)
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        c = Cyc8.of(draw(coefficients))
-        sym[(i, j)] = sym.get((i, j), Cyc8.of(0)) + c
+        c = draw(coefficients)
+        sym[(i, j)] = sym.get((i, j), 0) + c
         if i != j:
-            sym[(j, i)] = sym.get((j, i), Cyc8.of(0)) + c
+            sym[(j, i)] = sym.get((j, i), 0) + c
     return Weight2Element(dim, sym, exps)
 
 
