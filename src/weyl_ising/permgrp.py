@@ -1,8 +1,13 @@
 """Permutation groups with exact order via base and strong generating set.
 
-Permutations are image tuples on {0..N-1}.  The group engine runs a
-deterministic incremental Schreier-Sims: base points are chosen as the
-smallest moved points, Schreier generators are processed in BFS orbit
+The public types are unchanged by the internal storage: ``Permutation.images``,
+``PermGroup.generators`` and ``strong_generators``, and the elements returned
+by ``enumerate_elements`` are int image tuples on {0..N-1}.  Inside the group
+engine a permutation of degree N <= 256 is packed as ``bytes`` of length N,
+so composition is the C-level ``bytes.translate`` and inversion
+``bytes.maketrans``; above 256 points it stays an image tuple.  The engine
+runs a deterministic incremental Schreier-Sims: base points are chosen as
+the smallest moved points, Schreier generators are processed in BFS orbit
 order, and every non-trivial sift residue becomes a strong generator.
 Orders in the 10^8..10^9 range on a few hundred points are routine.
 """
@@ -10,23 +15,59 @@ Orders in the 10^8..10^9 range on a few hundred points are routine.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd, prod
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .axes import AxisAlgebra, miyamoto_permutation
 from .rootsys import RootSystem
 
+_ID256 = bytes(range(256))
 
-def _compose(p: tuple, q: tuple) -> tuple:
-    """Apply q first, then p."""
+
+def _pack(images: Iterable[int], degree: int) -> bytes | tuple:
+    """The engine's form of a permutation of ``degree`` points: ``bytes``
+    up to 256 points, an int tuple above."""
+    return bytes(images) if degree <= 256 else tuple(images)
+
+
+def _compose(p, q):
+    """Apply q first, then p; both packed alike by ``_pack``."""
+    if type(q) is bytes:
+        return q.translate(p + _ID256[len(p):])
     return tuple(map(p.__getitem__, q))
 
 
-def _inverse(p: tuple) -> tuple:
-    inv = [0] * len(p)
+def _inverse(p):
+    n = len(p)
+    if type(p) is bytes:
+        return bytes.maketrans(p, _ID256[:n])[:n]
+    inv = [0] * n
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
+
+
+def _is_bijection(images: Sequence[int]) -> bool:
+    return sorted(images) == list(range(len(images)))
+
+
+def _cycle_lengths(images: Sequence[int]) -> list[int]:
+    """Cycle lengths of a permutation in either packed form, each cycle
+    listed at its smallest point."""
+    n = len(images)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        out.append(length)
+    return out
 
 
 class Permutation:
@@ -36,7 +77,7 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         t = tuple(images)
-        if sorted(t) != list(range(len(t))):
+        if not _is_bijection(t):
             raise ValueError("images are not a bijection of 0..n-1")
         self.images = t
 
@@ -64,25 +105,10 @@ class Permutation:
         return all(v == i for i, v in enumerate(self.images))
 
     def cycle_lengths(self) -> list[int]:
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x]
-                length += 1
-            out.append(length)
-        return out
+        return _cycle_lengths(self.images)
 
     def order(self) -> int:
-        result = 1
-        for length in self.cycle_lengths():
-            result = result * length // gcd(result, length)
-        return result
+        return lcm(*self.cycle_lengths())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Permutation):
@@ -100,33 +126,33 @@ class PermGroup:
     """Group generated by permutations, with a verified BSGS."""
 
     def __init__(self, generators: Iterable, degree: int | None = None):
-        gens = []
-        for g in generators:
-            t = g.images if isinstance(g, Permutation) else tuple(g)
-            gens.append(Permutation(t).images)
+        gens = tuple(g if isinstance(g, Permutation) else Permutation(g)
+                     for g in generators)
         if degree is None:
             if not gens:
                 raise ValueError("degree is required for an empty generating set")
-            degree = len(gens[0])
-        if any(len(g) != degree for g in gens):
+            degree = gens[0].degree
+        if any(g.degree != degree for g in gens):
             raise ValueError("generators act on different sets")
         self.degree = degree
-        self.generators = tuple(Permutation(g) for g in gens)
-        self._build([g for g in gens if any(v != i for i, v in enumerate(g))])
+        self.generators = gens
+        self._build([_pack(g.images, degree) for g in gens
+                     if any(v != i for i, v in enumerate(g.images))])
 
     # -- construction ------------------------------------------------------
 
     def _build(self, gens: list) -> None:
+        """Schreier-Sims on generators already packed by ``_pack``."""
         n = self.degree
-        ident = tuple(range(n))
+        ident = _pack(range(n), n)
         base: list[int] = []
-        strong: list[tuple] = []
-        strong_set: set[tuple] = set()
+        strong: list = []
+        strong_set: set = set()
         # persistent per-level state; coset representatives are only ever
         # extended, never replaced, so a Schreier pair once verified stays
         # verified as the deeper stabilizer groups grow
-        trans: list[dict[int, tuple]] = []
-        inv: list[dict[int, tuple]] = []
+        trans: list[dict] = []
+        inv: list[dict] = []
         orbit: list[list[int]] = []
         checked: list[set[tuple[int, int]]] = []
 
@@ -143,21 +169,24 @@ class PermGroup:
                     if all(g[p] == p for p in prefix)]
 
         def extend_level(i: int, gen_idx: list[int]) -> None:
-            queue = list(orbit[i])
-            while queue:
-                p = queue.pop(0)
-                rep = trans[i][p]
+            # BFS over the orbit list itself: points appended while
+            # walking are visited in turn, in the order they were found
+            points, reps, invs = orbit[i], trans[i], inv[i]
+            pos = 0
+            while pos < len(points):
+                p = points[pos]
+                pos += 1
+                rep = reps[p]
                 for k in gen_idx:
                     s = strong[k]
                     img = s[p]
-                    if img not in trans[i]:
+                    if img not in reps:
                         new = _compose(s, rep)
-                        trans[i][img] = new
-                        inv[i][img] = _inverse(new)
-                        orbit[i].append(img)
-                        queue.append(img)
+                        reps[img] = new
+                        invs[img] = _inverse(new)
+                        points.append(img)
 
-        def sift(g: tuple, start: int) -> tuple[tuple, int]:
+        def sift(g, start: int) -> tuple:
             for i in range(start, len(base)):
                 img = g[base[i]]
                 if img not in trans[i]:
@@ -165,7 +194,7 @@ class PermGroup:
                 g = _compose(inv[i][img], g)
             return g, len(base)
 
-        def add_strong(h: tuple, j: int) -> None:
+        def add_strong(h, j: int) -> None:
             if j == len(base):
                 add_base_point(next(x for x in range(n) if h[x] != x))
             if h not in strong_set:
@@ -214,7 +243,7 @@ class PermGroup:
 
     # -- queries -----------------------------------------------------------
 
-    def _sift_final(self, g: tuple) -> tuple:
+    def _sift_final(self, g):
         for b, trans, inv in self._levels:
             img = g[b]
             if img not in trans:
@@ -223,11 +252,14 @@ class PermGroup:
         return g
 
     def __contains__(self, perm) -> bool:
+        """Membership by sifting; anything that is not a bijection of
+        {0..degree-1} (wrong length, an image out of range, a repeated
+        image) is not a member."""
         t = perm.images if isinstance(perm, Permutation) else tuple(perm)
-        if len(t) != self.degree:
+        n = self.degree
+        if len(t) != n or not _is_bijection(t):
             return False
-        ident = tuple(range(self.degree))
-        return self._sift_final(t) == ident
+        return self._sift_final(_pack(t, n)) == _pack(range(n), n)
 
     def orbit_lengths(self) -> tuple[int, ...]:
         return tuple(len(t) for _, t, _ in self._levels)
@@ -269,7 +301,11 @@ def enumerate_elements(generators: Iterable, cap: int = 10_000) -> set:
     gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    return closure(tuple(range(len(gens[0]))), gens, _compose, cap)
+    n = len(gens[0])
+    if any(len(g) != n for g in gens):
+        raise ValueError("generators act on different sets")
+    packed = [_pack(g, n) for g in gens]
+    return {tuple(x) for x in closure(_pack(range(n), n), packed, _compose, cap)}
 
 
 _WEYL_CACHE: dict[tuple[str, int], PermGroup] = {}
@@ -299,9 +335,10 @@ def miyamoto_group(A: AxisAlgebra) -> PermGroup:
 
 def transposition_profile(A: AxisAlgebra) -> Counter:
     """Orders of products of two distinct axis involutions."""
-    perms = [Permutation(miyamoto_permutation(A, e)) for e in A.axes]
+    n = len(A)
+    perms = [_pack(miyamoto_permutation(A, e), n) for e in A.axes]
     profile: Counter = Counter()
     for i, p in enumerate(perms):
         for q in perms[:i]:
-            profile[(p * q).order()] += 1
+            profile[lcm(*_cycle_lengths(_compose(p, q)))] += 1
     return profile

@@ -62,6 +62,8 @@ def test_empty_and_invalid_generators():
         PermGroup([])
     with pytest.raises(ValueError):
         PermGroup([(1, 0), (0, 1, 2)])
+    with pytest.raises(ValueError):
+        enumerate_elements([(1, 0), (0, 1, 2)])
 
 
 def test_bsgs_matches_bruteforce_oracle():
@@ -229,3 +231,60 @@ def test_enumerate_elements_cap():
     assert len(enumerate_elements(gens)) == 5
     with pytest.raises(ClosureCapExceeded):
         enumerate_elements(gens, cap=3)
+
+
+def _cycle(n: int) -> tuple:
+    return tuple(range(1, n)) + (0,)
+
+
+@pytest.mark.parametrize("degree", [3, 300])
+def test_membership_rejects_non_bijections(degree):
+    G = PermGroup([_cycle(degree)])
+    ident = tuple(range(degree))
+    assert ident in G and _cycle(degree) in G
+    assert ident[:-1] not in G                      # too short
+    assert ident + (degree,) not in G               # too long
+    assert (-1,) + ident[1:] not in G               # image below range
+    assert (degree,) + ident[1:] not in G           # image above range
+    assert (300,) + ident[1:] not in G              # past a byte
+    assert (0, 0) + ident[2:] not in G              # repeated image
+    assert Permutation(ident) in G
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_long_cycle_orders(n):
+    G = PermGroup([_cycle(n)])
+    assert G.order == n
+    assert G.base == (0,)
+    assert _cycle(n) in G
+    swap = (1, 0) + tuple(range(2, n))
+    assert swap not in G
+
+
+def _pad(g: tuple, extra: int) -> tuple:
+    return tuple(g) + tuple(range(len(g), len(g) + extra))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=3)))
+def test_bytes_and_tuple_paths_agree(gens):
+    """Generators on n <= 6 points run packed as bytes; padded with 260
+    fixed points they run as tuples.  The BSGS must be the same."""
+    gens = [tuple(g) for g in gens]
+    n = len(gens[0])
+    small = PermGroup(gens)
+    big = PermGroup([_pad(g, 260) for g in gens])
+    assert big.degree > 256
+    assert small.order == big.order
+    assert small.base == big.base
+    assert [g.images for g in small.strong_generators] == \
+        [g.images[:n] for g in big.strong_generators]
+    assert all(g.images[n:] == tuple(range(n, n + 260))
+               for g in big.strong_generators)
+    elements = enumerate_elements(gens)
+    assert all(type(x) is tuple and all(type(v) is int for v in x)
+               for x in elements)
+    assert elements == {x[:n] for x in enumerate_elements(
+        [_pad(g, 260) for g in gens])}
+
