@@ -69,7 +69,13 @@ from .triality import (
     twisted_axis_algebra,
     twisted_group,
 )
-from .weight2 import ising_vector, oracle_pairing, oracle_product
+from .weight2 import (
+    NonRealCocycle,
+    RootCreated,
+    ising_vector,
+    oracle_pairing,
+    oracle_product,
+)
 
 _COXETER = {"A": lambda r: r + 1, "D": lambda r: 2 * r - 2,
             "E": lambda r: {6: 12, 7: 18, 8: 30}[r]}
@@ -208,26 +214,41 @@ def lattice_checks(R: RootSystem) -> list[dict]:
     return out
 
 
-def _oracle_verdicts(R: RootSystem):
+def _oracle_verdicts(R: RootSystem, pairs=None):
     """Compare oracle products and pairings with the closed forms over
-    all unordered pairs of distinct positive roots; yields
-    (a, b, kind, agrees) per pair."""
+    ``pairs`` of distinct positive roots (by default all unordered pairs,
+    each as (later, earlier)); yields (a, b, kind, agrees) per pair.  A
+    product that raises ``NonRealCocycle`` or ``RootCreated`` disagrees;
+    its message goes to stderr."""
     A = from_root_system(R)
-    vectors = {a: ising_vector(malpha_lattice(R, a))
-               for a in R.positive_roots}
-    for i, a in enumerate(R.positive_roots):
-        for b in R.positive_roots[:i]:
-            rel = A.relation(a, b)
-            prod = oracle_product(vectors[a], vectors[b])
-            pair = oracle_pairing(vectors[a], vectors[b])
-            if rel == TWO_B:
-                yield (a, b, "2B: zero product, zero pairing",
-                       not prod and pair == 0)
-            else:
-                want = (vectors[a] + vectors[b]
-                        - vectors[rel.third]).scale(Q(1, 32))
-                yield (a, b, "3C: (e+f-g)/32 product, 1/256 pairing",
-                       prod == want and pair == Q(1, 256))
+    if pairs is None:
+        pairs = [(a, b) for i, a in enumerate(R.positive_roots)
+                 for b in R.positive_roots[:i]]
+    vectors: dict = {}
+
+    def vector(a):
+        if a not in vectors:
+            vectors[a] = ising_vector(malpha_lattice(R, a))
+        return vectors[a]
+
+    for a, b in pairs:
+        rel = A.relation(a, b)
+        kind = ("2B: zero product, zero pairing" if rel == TWO_B
+                else "3C: (e+f-g)/32 product, 1/256 pairing")
+        ea, eb = vector(a), vector(b)
+        try:
+            prod = oracle_product(ea, eb)
+        except (NonRealCocycle, RootCreated) as err:
+            print(f"[weyl-ising] oracle {_vec(a)} | {_vec(b)}: "
+                  f"{type(err).__name__}: {err}", file=sys.stderr)
+            yield a, b, kind, False
+            continue
+        pair = oracle_pairing(ea, eb)
+        if rel == TWO_B:
+            yield a, b, kind, not prod and pair == 0
+        else:
+            want = (ea + eb - vector(rel.third)).scale(Q(1, 32))
+            yield a, b, kind, prod == want and pair == Q(1, 256)
 
 
 def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:

@@ -70,6 +70,22 @@ def _cycle_lengths(images: Sequence[int]) -> list[int]:
     return out
 
 
+def _order(r) -> int:
+    """The order of a permutation in either packed form: 1, 2 and 3 are
+    read off r, r*r and r*r*r, any other order comes from the cycle
+    lengths."""
+    n = len(r)
+    identity = _ID256[:n] if type(r) is bytes else tuple(range(n))
+    if r == identity:
+        return 1
+    r2 = _compose(r, r)
+    if r2 == identity:
+        return 2
+    if _compose(r, r2) == identity:
+        return 3
+    return lcm(*_cycle_lengths(r))
+
+
 class Permutation:
     """Bijection of {0..degree-1} stored as its image tuple."""
 
@@ -340,5 +356,5 @@ def transposition_profile(A: AxisAlgebra) -> Counter:
     profile: Counter = Counter()
     for i, p in enumerate(perms):
         for q in perms[:i]:
-            profile[lcm(*_cycle_lengths(_compose(p, q)))] += 1
+            profile[_order(_compose(p, q))] += 1
     return profile

@@ -38,16 +38,29 @@ every coefficient with ``Fraction`` (a non-rational one raises
 ``TypeError``) and validates every term; sums, scalings and oracle
 products are built from terms that are already canonical and are not
 validated again.
+
+Packed classification: only the close pairs, |16<x,y>| >= 32, add to
+the exponential x exponential term.  Every stored label has scaled norm
+64 (the constructor checks it, and x -+ y at 16<x,y> = +-32 has norm
+64 + 64 - 64), so |16<x,y>| <= 64 by Cauchy-Schwarz and 128 + 16<x,y>
+is a byte.  The labels y_j of one coefficient group are packed column
+by column into ints P_k = sum_j y_jk 256^j; for each x, the int
+128 sum_j 256^j + sum_k x_k P_k written as bytes holds 128 + 16<x,y_j>
+in byte j, one row of big-int arithmetic per label, and a regex scan
+hands only the bytes outside 97..159 to the shift, square and
+created-root branches, in the order of the plain double loop.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from itertools import chain
 from operator import add, mul, sub
 
-from .cocycle import SCALE, CocycleTable, NotInHalfLattice, scaled, unscaled
+from .cocycle import SCALE, CocycleTable, NotInHalfLattice, scaled
 from .lattice import Lattice, _shell_ints
 from .rootsys import sign_normalized
 
@@ -76,6 +89,11 @@ def _table_for(dim: int) -> CocycleTable:
     return CocycleTable(dim // 8)
 
 
+def _vec(x: Label) -> str:
+    """A scaled label in true coordinates, printed as rationals."""
+    return "(" + ", ".join(str(Q(c, SCALE)) for c in x) + ")"
+
+
 def _real_sign(residue: int, x: Label, y: Label | None) -> int:
     """The sign z**residue of the pair (x, y), which must be +1 or -1;
     y None stands for -x."""
@@ -83,9 +101,9 @@ def _real_sign(residue: int, x: Label, y: Label | None) -> int:
         return 1
     if residue == 4:
         return -1
-    other = "-same" if y is None else unscaled(y)
+    other = "-same" if y is None else _vec(y)
     raise NonRealCocycle(
-        f"pair ({unscaled(x)}, {other}) produced the non-real unit "
+        f"pair ({_vec(x)}, {other}) produced the non-real unit "
         f"z^{residue}")
 
 
@@ -242,6 +260,46 @@ def _by_value(terms: dict) -> dict[Q, list]:
     return groups
 
 
+# Byte j of a packed row is 128 + s_j; |s_j| >= 32 outside 97..159.
+_BIAS = 128
+_FAR = re.compile(b"[^%c-%c]" % (_BIAS - 2 * _S2 + 1, _BIAS + 2 * _S2 - 1))
+
+
+def _packed_columns(ys: list[Label]) -> list[int]:
+    """Column k of the labels ys as one int P_k = sum_j ys[j][k] 256^j.
+
+    A norm-64 label has |c| <= 8 in every coordinate, so c + 8 is a
+    byte: P_k is column k of c + 8 read as little-endian bytes, less 8
+    in every byte."""
+    if not ys:
+        return []
+    n, d = len(ys), len(ys[0])
+    flat = bytes(map((8).__add__, chain.from_iterable(ys)))
+    eights = int.from_bytes(b"\x08" * n, "little")
+    return [int.from_bytes(flat[k::d], "little") - eights for k in range(d)]
+
+
+def _close_pairs(xs: list[Label], ys: list[Label], columns: list[int]):
+    """The pairs (x, y, s) with s = 16<x, y> and |s| >= 32, in the order of
+    the plain double loop over xs and ys; ``columns`` is
+    ``_packed_columns(ys)``.
+
+    Per x, the int 128 sum_j 256^j + sum_k x_k P_k has 128 + s_j in
+    byte j: |s_j| <= 64 by Cauchy-Schwarz on two norm-64 labels, so no
+    byte carries into the next."""
+    n = len(ys)
+    base = int.from_bytes(bytes([_BIAS]) * n, "little")
+    for x in xs:
+        row = base
+        for c, column in zip(x, columns):
+            if c:
+                row += c * column
+        row = row.to_bytes(n, "little")
+        for m in _FAR.finditer(row):
+            j = m.start()
+            yield x, ys[j], row[j] - _BIAS
+
+
 def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     """Bilinear degree-1 product of two weight-2 elements."""
     if u.dim != v.dim:
@@ -289,36 +347,36 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     # exponential x exponential, all ordered pairs, by s = 16<x, y>.  The
     # labels are grouped by coefficient, so the signed shifts x -+ y and
     # the squares (4x)(4x)^T are counted in ints and meet the coefficient
-    # cx cy once per group pair.
+    # cx cy once per group pair.  Only the close pairs (|s| >= 32) can
+    # contribute; ``_close_pairs`` finds them from label columns packed
+    # once per v group, one byte per dot, which the norm-64 invariant of
+    # every label (module docstring) keeps within 64..192.
     shift, root, square = 2 * _S2, 3 * _S2, 4 * _S2
-    v_groups = _by_value(v.exps)
+    v_groups = [(cy, ys, _packed_columns(ys))
+                for cy, ys in _by_value(v.exps).items()]
     for cx, xs in _by_value(u.exps).items():
-        for cy, ys in v_groups.items():
+        for cy, ys, columns in v_groups:
             shifts: dict[Label, int] = {}
             squares: dict[tuple[int, int], int] = {}
-            for x in xs:
-                for y in ys:
-                    s = sum(map(mul, x, y))
-                    if -shift < s < shift:
-                        continue
-                    if s in (shift, -shift):
-                        z = sign_normalized(tuple(map(sub, x, y)) if s > 0
-                                            else tuple(map(add, x, y)))
-                        sign = _real_sign(table.eps0_scaled(x, y), x, y)
-                        shifts[z] = shifts.get(z, 0) + sign
-                    elif s in (square, -square):
-                        sign = _real_sign(
-                            table.eps0_scaled(x, tuple(-c for c in x)),
-                            x, None)
-                        support = [i for i, a in enumerate(x) if a]
-                        for i in support:
-                            for j in support:
-                                squares[(i, j)] = (squares.get((i, j), 0)
-                                                   + sign * x[i] * x[j])
-                    elif s in (root, -root):
-                        raise RootCreated(
-                            f"labels {unscaled(x)} and {unscaled(y)} with "
-                            f"product {s // _S2} create a norm-2 vector")
+            for x, y, s in _close_pairs(xs, ys, columns):
+                if s in (shift, -shift):
+                    z = sign_normalized(tuple(map(sub, x, y)) if s > 0
+                                        else tuple(map(add, x, y)))
+                    sign = _real_sign(table.eps0_scaled(x, y), x, y)
+                    shifts[z] = shifts.get(z, 0) + sign
+                elif s in (square, -square):
+                    sign = _real_sign(
+                        table.eps0_scaled(x, tuple(-c for c in x)),
+                        x, None)
+                    support = [i for i, a in enumerate(x) if a]
+                    for i in support:
+                        for j in support:
+                            squares[(i, j)] = (squares.get((i, j), 0)
+                                               + sign * x[i] * x[j])
+                elif s in (root, -root):
+                    raise RootCreated(
+                        f"labels {_vec(x)} and {_vec(y)} with "
+                        f"product {s // _S2} create a norm-2 vector")
             c = cx * cy
             for z, n in shifts.items():
                 add_exp(z, c * n)

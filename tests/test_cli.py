@@ -107,6 +107,26 @@ def test_griess_oracle_restriction(capsys):
     assert checks["oracle_agreement"]["status"] == "pass"
 
 
+def test_griess_oracle_counts_typed_errors_as_disagreement(capsys, monkeypatch):
+    """A product that raises NonRealCocycle disagrees: the sweep and
+    criterion 1 fail with exit 1 and the message on stderr, not a
+    traceback."""
+    from weyl_ising.cocycle import CocycleTable
+    monkeypatch.setattr(CocycleTable, "eps0_scaled", lambda self, a, b: 2)
+    assert cli.main(["griess", "A", "3", "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert "NonRealCocycle: pair ((" in captured.err
+    assert "produced the non-real unit z^2" in captured.err
+    assert "Fraction" not in captured.err
+    check = by_name(json.loads(captured.out))["oracle_agreement"]
+    assert check["status"] == "fail"
+    assert check["actual"] == "3/15 pairs"
+    results = cli._criterion_1()
+    failed = [c for c in results if c["status"] == "fail"]
+    assert len(results) == 15 and len(failed) == 12
+    assert all(c["actual"] == "oracle differs" for c in failed)
+
+
 def test_group_a3(capsys):
     code, report = run(capsys, "group", "A", "3")
     assert code == 0

@@ -1,6 +1,7 @@
 """Permutation engine: BSGS orders, membership, reflection and axis groups."""
 
 import time
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,10 @@ from weyl_ising.permgrp import (
     enumerate_elements,
     miyamoto_group,
     transposition_profile,
+    _compose,
+    _cycle_lengths,
+    _order,
+    _pack,
     weyl_group,
 )
 from weyl_ising.rootsys import build_root_system
@@ -288,3 +293,39 @@ def test_bytes_and_tuple_paths_agree(gens):
     assert elements == {x[:n] for x in enumerate_elements(
         [_pad(g, 260) for g in gens])}
 
+
+
+def _packed_both(images: tuple) -> list:
+    """The permutation packed as bytes, and padded past 256 points as a
+    tuple."""
+    n = len(images)
+    return [_pack(images, n), _pack(_pad(images, 260), n + 260)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)))))
+def test_order_matches_cycle_lengths(pair):
+    """The packed-power order equals the lcm of the cycle lengths, on
+    random permutations and their products, in both packed forms."""
+    for images in pair:
+        for p in _packed_both(tuple(images)):
+            assert _order(p) == lcm(*_cycle_lengths(p))
+    for p, q in zip(*(_packed_both(tuple(g)) for g in pair)):
+        r = _compose(p, q)
+        assert _order(r) == lcm(*_cycle_lengths(r))
+
+
+@pytest.mark.parametrize("p, q, order", [
+    ((1, 0, 2, 3), (1, 0, 2, 3), 1),
+    ((1, 0, 2, 3), (0, 1, 3, 2), 2),
+    ((1, 0, 2), (0, 2, 1), 3),
+    ((1, 0, 3, 2), (0, 2, 1, 3), 4),                   # D4 on a square
+    ((0, 5, 4, 3, 2, 1), (1, 0, 5, 4, 3, 2), 6),       # D6 on a hexagon
+])
+def test_order_of_involution_products(p, q, order):
+    """Products of two involutions of every order up to 6, the ones past
+    3 from the cycle-length fallback."""
+    for pp, qq in zip(_packed_both(p), _packed_both(q)):
+        r = _compose(pp, qq)
+        assert _order(r) == order == lcm(*_cycle_lengths(r))

@@ -1,9 +1,17 @@
 """Weight-2 oracle: product and pairing identities on tensor-block lattices."""
 
+import functools
+import re
+import time
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weyl_ising.axes import TWO_B, from_root_system
+from weyl_ising.cli import _oracle_verdicts
 from weyl_ising.cocycle import SCALE, NotInHalfLattice
 from weyl_ising.cyclotomic import Cyc8
 from weyl_ising.lattice import e8_lattice, from_basis, malpha_lattice, shell
@@ -14,6 +22,8 @@ from weyl_ising.weight2 import (
     RootCreated,
     Weight2Element,
     WrongShellSize,
+    _close_pairs,
+    _packed_columns,
     ising_vector,
     oracle_pairing,
     oracle_product,
@@ -148,6 +158,30 @@ def test_non_real_sign_is_rejected():
         oracle_product(u, v)
 
 
+def test_error_messages_print_rationals():
+    """Labels in the error messages read as rationals in true
+    coordinates, not as Fraction reprs."""
+    x = tuple(Q(c) for c in (2, 0, 0, 0, 0, 0, 0, 0))
+    y = tuple(Q(c, 2) for c in (3, 1, 1, 1, 1, 1, 1, -1))
+    with pytest.raises(RootCreated) as err:
+        oracle_product(Weight2Element(8, {}, {x: 1}),
+                       Weight2Element(8, {}, {y: 1}))
+    assert str(err.value) == (
+        "labels (2, 0, 0, 0, 0, 0, 0, 0) and "
+        "(3/2, 1/2, 1/2, 1/2, 1/2, 1/2, 1/2, -1/2) with product 3 create "
+        "a norm-2 vector")
+    x = tuple(Q(c, 2) for c in (3, 2, 1, 1, 1, 0, 0, 0))
+    y = tuple(Q(c) for c in (0, 1, 0, 1, 1, 0, -1, 0))
+    with pytest.raises(NonRealCocycle) as err:
+        oracle_product(Weight2Element(8, {}, {x: 1}),
+                       Weight2Element(8, {}, {y: 1}))
+    assert re.fullmatch(
+        r"pair \(\(3/2, 1, 1/2, 1/2, 1/2, 0, 0, 0\), "
+        r"\(0, 1, 0, 1, 1, 0, -1, 0\)\) produced the non-real unit "
+        r"z\^[1-35-7]", str(err.value))
+    assert "Fraction" not in str(err.value)
+
+
 def test_label_outside_half_integers_is_rejected():
     """Labels may lie in (1/4)Z; a coordinate outside it is rejected."""
     x = (Q(6, 5), Q(8, 5)) + (Q(0),) * 6
@@ -252,3 +286,99 @@ def test_e6_half_integer_3c_pair(e6_half):
     ea, _, ec, eg = e6_half
     assert oracle_product(ea, ec) == (ea + ec - eg).scale(Q(1, 32))
     assert oracle_pairing(ea, ec) == Q(1, 256)
+
+
+# -- the packed close-pair kernel --------------------------------------------
+
+@functools.cache
+def _shell_label_pool(rank: int) -> tuple:
+    """The 240 scaled norm-4 labels (both signs) of M_alpha for the first
+    integer and the first half-integer positive root of E_rank."""
+    R = build_root_system("E", rank)
+    pool = []
+    for half in (False, True):
+        alpha = next(a for a in R.positive_roots
+                     if (a[0].denominator == 2) == half)
+        for x in ising_vector(malpha_lattice(R, alpha)).exps:
+            pool += [x, tuple(-c for c in x)]
+    return tuple(pool)
+
+
+# Two norm-64 labels at 16<x, y> = 48 (a created root); the shell labels
+# of a rootless M_alpha never meet at +-48.
+_ROOT_X = (8,) + (0,) * 63
+_ROOT_Y = (6, 2, 2, 2, 2, 2, 2, -2) + (0,) * 56
+
+
+def _brute_close_pairs(xs, ys):
+    return [(x, y, s) for x in xs for y in ys
+            if abs(s := sum(map(mul, x, y))) >= 32]
+
+
+def _signed(label, negate):
+    return tuple(-c for c in label) if negate else label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_close_pairs_match_brute_force(data):
+    """On random signed subsets of E6/E7/E8 shell labels, plus +-x of
+    drawn labels and a +-48 pair, the packed kernel yields exactly the
+    brute-force pairs with |16<x, y>| >= 32, in the same order."""
+    pool = _shell_label_pool(data.draw(st.sampled_from([6, 7, 8])))
+    pool += (_ROOT_X, _ROOT_Y)
+    label = st.builds(_signed, st.sampled_from(pool), st.booleans())
+    xs = data.draw(st.lists(label, max_size=12))
+    ys = data.draw(st.lists(label, max_size=12))
+    if xs:
+        ys += data.draw(st.lists(
+            st.builds(_signed, st.sampled_from(xs), st.booleans()),
+            max_size=3))
+    ys = data.draw(st.permutations(ys))
+    got = list(_close_pairs(xs, ys, _packed_columns(ys)))
+    assert got == _brute_close_pairs(xs, ys)
+
+
+def test_close_pairs_cover_every_close_value():
+    """Squares (+-64), created roots (+-48) and shifts (+-32) all come
+    through with their exact value; far pairs do not."""
+    pool = _shell_label_pool(8)
+    x = pool[0]
+    shift = next(y for y in pool if sum(map(mul, x, y)) == 32)
+    far = next(y for y in pool if sum(map(mul, x, y)) == 16)
+    xs = [x, _ROOT_X]
+    ys = [x, _signed(x, True), shift, _signed(shift, True), far, _ROOT_Y,
+          _signed(_ROOT_Y, True)]
+    got = list(_close_pairs(xs, ys, _packed_columns(ys)))
+    assert got == _brute_close_pairs(xs, ys)
+    assert {s for _, _, s in got} == {64, -64, 48, -48, 32, -32}
+    assert list(_close_pairs(xs, [], _packed_columns([]))) == []
+
+
+def _e8_sample_pairs(R, A, per_stratum=4):
+    """A fixed sample of E8 positive-root pairs: ``per_stratum`` evenly
+    spaced pairs of each relation (2B, 3C) on each mix of integer and
+    half-integer roots."""
+    strata: dict = {}
+    for i, a in enumerate(R.positive_roots):
+        for b in R.positive_roots[:i]:
+            halves = (a[0].denominator == 2) + (b[0].denominator == 2)
+            key = (A.relation(a, b) == TWO_B, halves)
+            strata.setdefault(key, []).append((a, b))
+    assert len(strata) == 6
+    return [pairs[k * len(pairs) // per_stratum]
+            for _, pairs in sorted(strata.items())
+            for k in range(per_stratum)]
+
+
+def test_e8_oracle_sample_within_budget():
+    """24 E8 pairs (2B and 3C, on integer and half-integer roots) agree
+    with the closed forms, checked as the full oracle sweep checks them."""
+    start = time.monotonic()
+    R = build_root_system("E", 8)
+    pairs = _e8_sample_pairs(R, from_root_system(R))
+    verdicts = list(_oracle_verdicts(R, pairs))
+    assert [(a, b) for a, b, _, _ in verdicts] == pairs
+    assert all(ok for _, _, _, ok in verdicts)
+    assert {kind[:2] for _, _, kind, _ in verdicts} == {"2B", "3C"}
+    assert time.monotonic() - start < 15
