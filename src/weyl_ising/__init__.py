@@ -1,11 +1,11 @@
 """Exact-arithmetic Griess algebras of root-indexed Ising vectors.
 
-The package builds, entirely over the rationals (the 8th cyclotomic
-field enters only as the value type of the lattice cocycle), the axis
-algebras generated by E8-type Ising vectors attached to
-positive roots of ADE root systems, the lattice and cocycle machinery
-underneath them, the Miyamoto involution groups (Weyl-group quotients),
-and the 3-twisted axis systems with their 3^k:S_n groups.
+The package builds, entirely over the rationals and the integers, the
+axis algebras generated by E8-type Ising vectors attached to positive
+roots of ADE root systems, the lattice and cocycle machinery underneath
+them (the cocycle's 8th roots of unity are kept as their exponents mod
+8), the Miyamoto involution groups (Weyl-group quotients), and the
+3-twisted axis systems with their 3^k:S_n groups.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ from .axes import (
     virasoro,
 )
 from .cocycle import CocycleTable, NotInHalfLattice, check_sign_lemma
-from .cyclotomic import Cyc8
 from .lattice import (
     Lattice,
     RankTooLarge,
@@ -79,7 +78,6 @@ __all__ = [
     "AxisAlgebra",
     "ClosureCapExceeded",
     "CocycleTable",
-    "Cyc8",
     "Lattice",
     "NoConformalVector",
     "NonUniqueConformalVector",

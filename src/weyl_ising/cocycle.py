@@ -9,20 +9,22 @@ x_i = a_i/2.  On basis pairs the residue reads
     0                   above it,
 
 and extends bilinearly, blocks summed coordinatewise on the n-block
-ambient space.  Exponentiating the residue into the 8th roots of unity
-gives the multiplier carried by the weight-2 products.  The residues
-depend on the basis order; every downstream claim is order independent.
+ambient space.  The residue k stands for the 8th root of unity z^k, the
+multiplier carried by the weight-2 products; only k is computed, and the
+products need it to be 0 or 4 (the sign +1 or -1).  The residues depend
+on the basis order; every downstream claim is order independent.
 
 Coordinates over the x-basis are computed in integers at one scale,
 ``SCALE = 4``, the x-basis's own: 4 x_k = 2 a_k is integral, so a vector
 v with coordinates in (1/4)Z is handled as the int vector 4v.  The
 int entry point ``eps0_scaled`` takes such vectors (the weight-2 oracle
-keeps its labels at this scale); ``eps0``, ``eps`` and
-``block_coordinates`` take rational coordinates and convert with
-``scaled``, which rejects a coordinate outside (1/4)Z.  The int matrix
-with columns 4 x_k is inverted once as ``adj / D`` (``int_inverse``), so
-the coordinates of 4v are ``adj (4v) / D``, and a coordinate that ``D``
-does not divide exactly raises ``NotInHalfLattice``.
+keeps its labels at this scale); ``eps0`` takes rational coordinates
+and converts with ``scaled``, which rejects a coordinate outside
+(1/4)Z.  The int matrix with columns 4 x_k is inverted once as
+``adj / D`` (``int_inverse``), so the coordinates of 4v are
+``adj (4v) / D``, and a coordinate that ``D`` does not divide exactly
+raises ``NotInHalfLattice``; its message prints the vector as rationals
+(``_vec``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
 
-from .cyclotomic import Cyc8
 from .lattice import e8_model
 from .linalg import dot, int_inverse
 from .rootsys import RootSystem
@@ -55,14 +56,14 @@ def scaled(v: Sequence) -> IntVector:
         c4, rest = divmod(SCALE * q.numerator, q.denominator)
         if rest:
             raise NotInHalfLattice(
-                f"{tuple(v)} has a coordinate outside (1/4)Z")
+                f"({', '.join(map(str, v))}) has a coordinate outside (1/4)Z")
         out.append(c4)
     return tuple(out)
 
 
-def unscaled(w: IntVector) -> tuple[Q, ...]:
-    """The rational vector w / SCALE."""
-    return tuple(Q(c, SCALE) for c in w)
+def _vec(w: IntVector) -> str:
+    """The vector w / SCALE, printed as rationals."""
+    return "(" + ", ".join(str(Q(c, SCALE)) for c in w) + ")"
 
 
 class CocycleTable:
@@ -105,7 +106,7 @@ class CocycleTable:
                 q, r = divmod(sum(map(mul, row, block)), self._den)
                 if r:
                     raise NotInHalfLattice(
-                        f"block {t} of {unscaled(w)} is not an integer "
+                        f"block {t} of {_vec(w)} is not an integer "
                         "combination of the x-basis")
                 coords.append(q)
         table = self._table
@@ -115,11 +116,6 @@ class CocycleTable:
         self._memo[w] = forms
         return forms
 
-    def block_coordinates(self, v: Sequence) -> list[list[int]]:
-        """Integer coordinates of v over the x-basis, one list per block."""
-        coords = self._forms(scaled(v))[0]
-        return [list(coords[8 * t: 8 * t + 8]) for t in range(self.n)]
-
     def eps0_scaled(self, a: IntVector, b: IntVector) -> int:
         """``eps0(a / SCALE, b / SCALE)`` for int vectors a and b."""
         return sum(map(mul, self._forms(a)[1], self._forms(b)[0])) % 8
@@ -128,15 +124,12 @@ class CocycleTable:
         """Residue mod 8 of the pair (a, b)."""
         return self.eps0_scaled(scaled(a), scaled(b))
 
-    def eps(self, a: Sequence, b: Sequence) -> Cyc8:
-        """The 8th root of unity attached to the pair (a, b)."""
-        return Cyc8.zeta_pow(self.eps0(a, b))
-
 
 def check_sign_lemma(R: RootSystem) -> bool:
-    """True when eps(alpha (x) gamma, beta (x) gamma) == -1 for every
-    ordered pair of roots of R with <alpha, beta> = +-1 and every root
-    gamma of the E8 model; vacuously true when no pair qualifies.
+    """True when eps0(alpha (x) gamma, beta (x) gamma) == 4, the sign
+    -1, for every ordered pair of roots of R with <alpha, beta> = +-1 and
+    every root gamma of the E8 model; vacuously true when no pair
+    qualifies.
 
     With a common gamma the bilinear residue factors exactly as
     <alpha, beta> * eps0(gamma, gamma), so the triple enumeration

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 from .linalg import (
     Vector,
     _bareiss_ldl,
-    det_bareiss,
     dot,
     hnf,
     int_inverse,
@@ -103,9 +102,10 @@ class Lattice:
     Its arithmetic runs on an integer-scaled core, computed lazily once
     per instance: the basis as int ``rows`` over a common denominator
     ``den`` (``_scaled``), the int Gram ``g = rows rows^T``, so that
-    ``gram == g / den^2`` (``_int_gram``), and ``g^-1 == adj / D`` with an
-    int matrix ``adj`` (``_inverse``).  Values become ``Fraction`` only
-    where a public method returns them.
+    ``gram == g / den^2`` (``_int_gram``), ``g^-1 == adj / D`` with an
+    int matrix ``adj`` (``_inverse``), and the fraction-free LDL^T of g
+    (``_ldl``), which backs both ``det`` and ``shell``.  Values become
+    ``Fraction`` only where a public method returns them.
     """
 
     ambient_dim: int
@@ -134,6 +134,14 @@ class Lattice:
         return int_inverse(self._int_gram)
 
     @cached_property
+    def _ldl(self) -> tuple[list[int], list[list[int]]] | None:
+        """``_bareiss_ldl`` of the int Gram's upper triangle: the pivots
+        (leading principal minors) and multiplier numerators, or None at
+        a pivot that is not positive.  Read only, never handed back to
+        ``_bareiss_ldl``, which consumes its input."""
+        return _bareiss_ldl([row[i:] for i, row in enumerate(self._int_gram)])
+
+    @cached_property
     def gram(self) -> list[list[Q]]:
         d2 = self._scaled[1] ** 2
         return [[Q(c, d2) for c in row] for row in self._int_gram]
@@ -153,7 +161,16 @@ class Lattice:
                 tuple(tuple(c // g for c in row) for row in h))
 
     def det(self) -> Q:
-        return Q(det_bareiss(self._int_gram), self._scaled[1] ** (2 * self.rank))
+        """The Gram determinant: the last pivot of ``_ldl`` (1 at rank 0)
+        over den^(2 rank).  A Gram of real vectors is positive
+        semidefinite, so a pivot that is not positive means it is
+        singular, and the determinant is 0."""
+        factors = self._ldl
+        if factors is None:
+            return Q(0)
+        pivots = factors[0]
+        return Q(pivots[-1] if pivots else 1,
+                 self._scaled[1] ** (2 * self.rank))
 
     def is_integral(self) -> bool:
         d2 = self._scaled[1] ** 2
@@ -386,8 +403,8 @@ def _shell_ints(L: Lattice, norm,
 
     Integer Fincke-Pohst (Fincke & Pohst, Math. Comp. 44, 1985) on the
     int Gram g, where the coefficient vector x of a vector of norm ``norm``
-    has ``x^T g x == norm den^2``.  ``_bareiss_ldl`` gives the pivots p_k
-    and multiplier numerators a_kj of g, so with
+    has ``x^T g x == norm den^2``.  ``L._ldl`` holds the pivots p_k and
+    multiplier numerators a_kj of g, so with
     ``t_k = p_k x_k + sum_(j>k) a_kj x_j`` the norm splits into the terms
     ``t_k^2 / (p_k p_(k-1))``.  Scaled by ``M = lcm(p_k p_(k-1))`` every
     term is the int ``w_k t_k^2`` with ``w_k = M / (p_k p_(k-1))``, so the
@@ -403,7 +420,7 @@ def _shell_ints(L: Lattice, norm,
         return [], den
     if L.rank == 0:
         return ([(0,) * L.ambient_dim] if target == 0 else []), den
-    factors = _bareiss_ldl([row[i:] for i, row in enumerate(L._int_gram)])
+    factors = L._ldl
     if factors is None:
         raise ValueError("Gram matrix is not positive definite")
     target *= den * den
@@ -460,21 +477,6 @@ def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
 # ---------------------------------------------------------------------------
 # Block embeddings of E8 into X = E8^n and the script realizations.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CopyEmbedding:
-    """Isometric embedding of an 8-dim coordinate vector into block i
-    of the n-block ambient R^(8n); distinct blocks are orthogonal."""
-
-    n: int
-    index: int
-
-    def __call__(self, v: Sequence) -> Vector:
-        out = [Q(0)] * (8 * self.n)
-        for k, c in enumerate(v):
-            out[8 * self.index + k] = Q(c)
-        return tuple(out)
-
 
 def block_sum(n: int, coeffs: Sequence, v: Sequence) -> Vector:
     """sum_i coeffs[i] * iota_i(v) in the 8n-dim ambient."""

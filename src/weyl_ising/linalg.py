@@ -4,7 +4,7 @@ Everything in this package that looks like numerics is exact: vectors are
 tuples of ``fractions.Fraction``, integer matrices are lists of lists of
 ``int``, and the routines below never touch floating point.  The integer
 routines (Hermite and Smith forms, kernels, the fraction-free inverse and
-determinant) use arbitrary-precision ints, so intermediate growth is a
+LDL^T) use arbitrary-precision ints, so intermediate growth is a
 speed question, not a correctness one.
 """
 
@@ -27,33 +27,9 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def gram_matrix(vectors: Sequence[Vector]) -> list[list[Q]]:
-    return [[dot(u, v) for v in vectors] for u in vectors]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [dot(row, v) for row in a]
-
-
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)]
 
 
 def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -95,43 +71,6 @@ def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         for x in row[n:]:
             g = gcd(g, x)
     return [[x // g for x in row[n:]] for row in a], prev // g
-
-
-def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def det_rational(matrix: Sequence[Sequence[Q]]) -> Q:
-    """Determinant of a rational matrix (clears denominators, then Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        return Q(1)
-    denom = 1
-    for row in matrix:
-        for x in row:
-            q = Q(x)
-            denom = denom * q.denominator // gcd(denom, q.denominator)
-    scaled = [[int(Q(x) * denom) for x in row] for row in matrix]
-    return Q(det_bareiss(scaled), denom ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,6 @@ class PermGroup:
             return False
         return self._sift_final(_pack(t, n)) == _pack(range(n), n)
 
-    def orbit_lengths(self) -> tuple[int, ...]:
-        return tuple(len(t) for _, t, _ in self._levels)
-
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self.order}, "
                 f"base={list(self.base)})")

@@ -176,13 +176,6 @@ class RootSystem:
                 count += 1
         return count
 
-    def canonical_positive(self, v) -> Vector:
-        """The positive member of {v, -v}; idempotent on positive roots."""
-        v2 = _double(v)
-        if v2 not in self._index2:
-            raise NotARoot(f"neither {v} nor its negative is a positive root")
-        return _halve(sign_normalized(v2))
-
     def simple_roots(self) -> tuple[Vector, ...]:
         """Indecomposable positive roots (a lattice basis, rank of them)."""
         return self._simple

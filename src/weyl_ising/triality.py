@@ -10,9 +10,9 @@ drive everything:
 
 The involution attached to a twisted axis is the conjugate
 rho_i^l tau_{e^{i,j}} rho_i^{-l}; its action on any axis follows by
-pushing rho factors through tau and re-canonicalizing.  A literal
-word-rewriting implementation of the same rules serves as an
-independent check on the closed-form action.
+pushing rho factors through tau and re-canonicalizing.  The tests check
+this closed-form action against a literal rewriting of the symbol word
+by the same rules.
 
 A separate abstract model composes pairs (permutation, twist vector)
 directly; comparing its order with the permutation group built from
@@ -102,55 +102,6 @@ def twisted_tau_image(t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
     w = _act_rho(t.i, -t.ell, u)
     w = _act_tau(t.i, t.j, w)
     return _act_rho(t.i, t.ell, w)
-
-
-def twisted_tau_image_by_rewriting(t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
-    """Same image, by literal rewriting of the symbol word to the
-    normal form rho-prefix . base-axis; independent of the closed-form
-    push-through above."""
-    word: list[tuple] = [
-        ("rho", t.i, t.ell),
-        ("tau", t.i, t.j),
-        ("rho", t.i, (-t.ell) % 3),
-        ("rho", u.i, u.ell),
-    ]
-    base = (u.i, u.j)
-
-    changed = True
-    while changed:
-        changed = False
-        for k, sym in enumerate(word):
-            if sym[0] != "tau":
-                continue
-            _, i, j = sym
-
-            def swap(x: int) -> int:
-                return j if x == i else i if x == j else x
-
-            if k + 1 < len(word):
-                nxt = word[k + 1]
-                if nxt[0] == "rho":
-                    word[k], word[k + 1] = ("rho", swap(nxt[1]), nxt[2]), sym
-                    changed = True
-                    break
-                if nxt[0] == "tau":
-                    continue
-            else:
-                base = (swap(base[0]), swap(base[1]))
-                word.pop(k)
-                changed = True
-                break
-
-    if any(sym[0] == "tau" for sym in word):
-        raise AssertionError("rewriting left an unabsorbed involution")
-
-    exponent = 0
-    for _, block, exp in word:
-        if block == base[0]:
-            exponent += exp
-        elif block == base[1]:
-            exponent -= exp
-    return canonical_axis(base[0], base[1], exponent)
 
 
 def twisted_tau(t: TwistedAxis, n: int) -> Permutation:

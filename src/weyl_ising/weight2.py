@@ -60,7 +60,7 @@ from fractions import Fraction as Q
 from itertools import chain
 from operator import add, mul, sub
 
-from .cocycle import SCALE, CocycleTable, NotInHalfLattice, scaled
+from .cocycle import SCALE, CocycleTable, NotInHalfLattice, _vec, scaled
 from .lattice import Lattice, _shell_ints
 from .rootsys import sign_normalized
 
@@ -87,11 +87,6 @@ def _table_for(dim: int) -> CocycleTable:
     if dim % 8 != 0 or dim == 0:
         raise ValueError(f"ambient dimension {dim} is not a multiple of 8")
     return CocycleTable(dim // 8)
-
-
-def _vec(x: Label) -> str:
-    """A scaled label in true coordinates, printed as rationals."""
-    return "(" + ", ".join(str(Q(c, SCALE)) for c in x) + ")"
 
 
 def _real_sign(residue: int, x: Label, y: Label | None) -> int:

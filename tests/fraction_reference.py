@@ -1,17 +1,85 @@
-"""Plain-``Fraction`` reference algorithms for the cross-checks.
+"""Plain-``Fraction`` reference algorithms and helpers for the tests.
 
 The library computes lattice coordinates on an integer-scaled core
 (``Lattice._inverse``), inverts matrices fraction-free
-(``linalg.int_inverse``), factors them fraction-free (``linalg.ldl``)
-and enumerates shells in ints (``lattice.shell``); the Gauss-Jordan
-solve and inverse, the LDL^T loop and the Fincke-Pohst descent below are
-the direct ``Fraction`` computations they replaced, kept here so the
-property tests compare the two.
+(``linalg.int_inverse``), factors them fraction-free (``linalg.ldl``,
+and once per lattice for ``Lattice.det`` and ``lattice.shell``) and
+enumerates shells in ints (``lattice.shell``); the Gauss-Jordan
+``solve`` and ``matrix_inverse``, the ``ldl`` loop, the determinants
+``det_bareiss`` (full-matrix Bareiss with row swaps) and
+``det_rational``, and the Fincke-Pohst ``shell`` descent below are the
+direct computations they replaced, kept here so the property tests
+compare the two.  The vector and matrix helpers ``vec_add``,
+``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec`` and
+``transpose`` build test data; the library has no use for them.
 """
 
 from fractions import Fraction as Q
-from math import ceil, floor, isqrt
+from math import ceil, floor, gcd, isqrt
 from typing import Sequence
+
+from weyl_ising.linalg import Vector, dot
+
+
+def vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u: Vector, v: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, u: Vector) -> Vector:
+    return tuple(c * a for a in u)
+
+
+def gram_matrix(vectors: Sequence[Vector]) -> list[list[Q]]:
+    return [[dot(u, v) for v in vectors] for u in vectors]
+
+
+def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
+    return [dot(row, v) for row in a]
+
+
+def transpose(a: Sequence[Sequence]) -> list[list]:
+    return [list(col) for col in zip(*a)]
+
+
+def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    a = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def det_rational(matrix: Sequence[Sequence[Q]]) -> Q:
+    """Determinant of a rational matrix (clears denominators, then Bareiss)."""
+    n = len(matrix)
+    if n == 0:
+        return Q(1)
+    denom = 1
+    for row in matrix:
+        for x in row:
+            q = Q(x)
+            denom = denom * q.denominator // gcd(denom, q.denominator)
+    scaled = [[int(Q(x) * denom) for x in row] for row in matrix]
+    return Q(det_bareiss(scaled), denom ** n)
 
 
 def solve(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:

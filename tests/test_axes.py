@@ -19,7 +19,7 @@ from weyl_ising.axes import (
     virasoro,
 )
 from weyl_ising.linalg import dot, ldl_is_positive_definite
-from weyl_ising.rootsys import build_root_system
+from weyl_ising.rootsys import build_root_system, sign_normalized
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +248,7 @@ def test_root_system_table_matches_relation_callable(kind, rank):
         s = dot(a, b)
         if s == 0:
             return TWO_B
-        return ThreeC(R.canonical_positive(
+        return ThreeC(sign_normalized(
             tuple(x - s * y for x, y in zip(a, b))))
 
     reference = AxisAlgebra(R.positive_roots, relation)

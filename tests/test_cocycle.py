@@ -7,9 +7,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fraction_reference import vec_add, vec_scale
 from weyl_ising.cocycle import CocycleTable, NotInHalfLattice, check_sign_lemma
 from weyl_ising.lattice import e8_model, malpha_lattice, tensor_embedding
-from weyl_ising.linalg import dot, vec_add, vec_scale
+from weyl_ising.linalg import dot
 from weyl_ising.rootsys import build_root_system
 
 
@@ -40,7 +41,7 @@ def test_basis_pair_values():
             assert t.eps0(x[j], x[i]) == int(4 * dot(x[j], x[i])) % 8
     assert t.eps0(vec_scale(2, x[0]), x[0]) == 2
     zero = tuple(Q(0) for _ in range(8))
-    assert t.eps(zero, x[3]) == 1
+    assert t.eps0(zero, x[3]) == 0
 
 
 def test_root_with_its_negative_half():
@@ -110,7 +111,20 @@ def test_not_in_half_lattice():
     with pytest.raises(NotInHalfLattice):
         t.eps0((Q(0),) * 16, (Q(0),) * 16)
     with pytest.raises(NotInHalfLattice):
-        t.block_coordinates((Q(1, 8),) + (Q(0),) * 7)
+        t.eps0((Q(1, 8),) + (Q(0),) * 7, t.x_basis[0])
     # the all-quarters vector is half of a genuine root, hence fine
     ok = (Q(1, 4),) * 8
     assert t.eps0(ok, ok) in range(8)
+
+
+def test_not_in_half_lattice_message_prints_rationals():
+    """The offending vector is shown in true coordinates, as rationals."""
+    t = CocycleTable(1)
+    with pytest.raises(NotInHalfLattice) as err:
+        t.eps0_scaled((1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8)
+    assert "block 0 of (1/4, 0, 0, 0, 0, 0, 0, 0)" in str(err.value)
+    assert "Fraction(" not in str(err.value)
+    with pytest.raises(NotInHalfLattice) as err:
+        t.eps0((Q(1, 8),) + (Q(0),) * 7, t.x_basis[0])
+    assert "(1/8, 0, 0, 0, 0, 0, 0, 0)" in str(err.value)
+    assert "Fraction(" not in str(err.value)

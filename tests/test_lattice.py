@@ -8,11 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import matrix_inverse, solve
+from fraction_reference import (
+    det_bareiss,
+    det_rational,
+    gram_matrix,
+    matrix_inverse,
+    solve,
+)
 from fraction_reference import shell as reference_shell
 from weyl_ising.lattice import (
-    CopyEmbedding,
     IncompatibleAmbient,
+    Lattice,
     NotASublattice,
     NotIntegral,
     NotRSSD,
@@ -43,12 +49,7 @@ from weyl_ising.lattice import (
     tensor_embedding,
     verify_identification,
 )
-from weyl_ising.linalg import (
-    det_rational,
-    dot,
-    gram_matrix,
-    mat_mul,
-)
+from weyl_ising.linalg import dot, mat_mul
 from weyl_ising.rootsys import build_root_system
 
 
@@ -162,14 +163,21 @@ def _basis_and_vectors(draw):
 @settings(max_examples=150, deadline=None)
 @given(_basis_and_vectors())
 def test_integer_core_matches_fraction_reference(case):
-    """The int-scaled Gram, inverse and coordinates agree with the plain
-    Fraction computations on the same basis."""
+    """The int-scaled Gram, inverse, determinant and coordinates agree
+    with the plain Fraction computations on the same basis.  The
+    determinant is read off the cached LDL^T: 0 for a dependent basis,
+    where elimination stops at a zero pivot, and 1 for the empty one."""
     basis, vectors = case
-    lat = from_basis(basis, len(basis[0]))
+    d = len(basis[0])
+    lat = from_basis(basis, d)
     g = gram_matrix(basis)
     ginv = matrix_inverse(g)
     assert lat.gram == g
     assert lat.det() == det_rational(g)
+    dependent = basis[:1] + [vectors[0]] + basis[1:]
+    assert (Lattice(d, tuple(dependent)).det()
+            == det_rational(gram_matrix(dependent)) == 0)
+    assert Lattice(d, ()).det() == det_bareiss([]) == 1
     assert lat.dual_basis() == tuple(
         tuple(sum(ginv[i][k] * basis[k][j] for k in range(len(basis)))
               for j in range(lat.ambient_dim))
@@ -282,9 +290,17 @@ def _lattice_and_norm(draw):
 @given(_lattice_and_norm())
 def test_shell_matches_fraction_reference(case):
     """The integer Fincke-Pohst shell equals the ``Fraction`` descent,
-    as ordered lists."""
+    as ordered lists, however often the lattice's cached LDL^T is read:
+    by ``shell`` first, again, after ``det``, or cached by ``det`` (in
+    ``from_basis``) before the first ``shell``."""
     lat, norm = case
-    assert shell(lat, norm) == reference_shell(lat, norm)
+    want = reference_shell(lat, norm)
+    fresh = Lattice(lat.ambient_dim, lat.basis)
+    assert shell(fresh, norm) == want
+    assert shell(fresh, norm) == want
+    assert fresh.det() == det_rational(lat.gram)
+    assert shell(fresh, norm) == want
+    assert shell(lat, norm) == want
 
 
 def test_shell_rank_cap():
@@ -359,11 +375,7 @@ def test_matrix_order():
         matrix_order([[0, -1], [1, -1]], cap=2)
 
 
-def test_copy_embedding_and_block_sum():
-    iota = CopyEmbedding(3, 1)
-    v = iota((1, 2, 3, 4, 5, 6, 7, 8))
-    assert v[8:16] == tuple(map(Q, (1, 2, 3, 4, 5, 6, 7, 8)))
-    assert all(c == 0 for c in v[:8]) and all(c == 0 for c in v[16:])
+def test_block_sum():
     w = block_sum(3, (1, 0, -2), (1, 0, 0, 0, 0, 0, 0, 0))
     assert w[0] == 1 and w[16] == -2 and sum(1 for c in w if c) == 2
 

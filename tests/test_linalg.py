@@ -12,16 +12,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import (
+    det_bareiss,
+    det_rational,
+    gram_matrix,
+    mat_vec,
+    matrix_inverse,
+    solve,
+    transpose,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from fraction_reference import ldl as reference_ldl
-from fraction_reference import matrix_inverse, solve
 from weyl_ising import linalg
 from weyl_ising.axes import from_root_system
 from weyl_ising.linalg import (
     SmithDidNotConverge,
-    det_bareiss,
-    det_rational,
     dot,
-    gram_matrix,
     hnf,
     hnf_with_transform,
     int_inverse,
@@ -29,12 +37,7 @@ from weyl_ising.linalg import (
     ldl,
     ldl_is_positive_definite,
     mat_mul,
-    mat_vec,
     smith_invariants,
-    transpose,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 from weyl_ising.rootsys import build_root_system
 

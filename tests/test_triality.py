@@ -28,7 +28,6 @@ from weyl_ising.triality import (
     twisted_group,
     twisted_tau,
     twisted_tau_image,
-    twisted_tau_image_by_rewriting,
 )
 
 
@@ -81,6 +80,56 @@ def test_action_shared_index_cases():
     t = TwistedAxis(1, 2, 2)
     assert twisted_tau_image(t, TwistedAxis(0, 1, 1)) == TwistedAxis(0, 2, 0)
     assert twisted_tau_image(t, TwistedAxis(0, 2, 1)) == TwistedAxis(0, 1, 2)
+
+
+def twisted_tau_image_by_rewriting(t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
+    """The image of axis u under the involution of axis t, by literal
+    rewriting of the symbol word to the normal form rho-prefix .
+    base-axis; independent of the closed-form push-through of
+    ``twisted_tau_image``."""
+    word: list[tuple] = [
+        ("rho", t.i, t.ell),
+        ("tau", t.i, t.j),
+        ("rho", t.i, (-t.ell) % 3),
+        ("rho", u.i, u.ell),
+    ]
+    base = (u.i, u.j)
+
+    changed = True
+    while changed:
+        changed = False
+        for k, sym in enumerate(word):
+            if sym[0] != "tau":
+                continue
+            _, i, j = sym
+
+            def swap(x: int) -> int:
+                return j if x == i else i if x == j else x
+
+            if k + 1 < len(word):
+                nxt = word[k + 1]
+                if nxt[0] == "rho":
+                    word[k], word[k + 1] = ("rho", swap(nxt[1]), nxt[2]), sym
+                    changed = True
+                    break
+                if nxt[0] == "tau":
+                    continue
+            else:
+                base = (swap(base[0]), swap(base[1]))
+                word.pop(k)
+                changed = True
+                break
+
+    if any(sym[0] == "tau" for sym in word):
+        raise AssertionError("rewriting left an unabsorbed involution")
+
+    exponent = 0
+    for _, block, exp in word:
+        if block == base[0]:
+            exponent += exp
+        elif block == base[1]:
+            exponent -= exp
+    return canonical_axis(base[0], base[1], exponent)
 
 
 def test_engine_matches_word_rewriting():

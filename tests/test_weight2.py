@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclotomic import Cyc8
+from fraction_reference import vec_add, vec_sub
 from weyl_ising.axes import TWO_B, from_root_system
 from weyl_ising.cli import _oracle_verdicts
 from weyl_ising.cocycle import SCALE, NotInHalfLattice
-from weyl_ising.cyclotomic import Cyc8
 from weyl_ising.lattice import e8_lattice, from_basis, malpha_lattice, shell
-from weyl_ising.linalg import dot, vec_add, vec_sub
+from weyl_ising.linalg import dot
 from weyl_ising.rootsys import build_root_system, sign_normalized
 from weyl_ising.weight2 import (
     NonRealCocycle,
@@ -271,7 +272,7 @@ def test_ising_vector_on_half_integer_e_root(rank):
 @pytest.fixture(scope="module")
 def e6_half(e6_half_roots):
     R, alpha, two_b, three_c = e6_half_roots
-    third = R.canonical_positive(vec_sub(alpha, three_c))
+    third = sign_normalized(vec_sub(alpha, three_c))
     return [ising_vector(malpha_lattice(R, a))
             for a in (alpha, two_b, three_c, third)]
 

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import matrix_inverse
-from weyl_ising.cocycle import SCALE, CocycleTable
-from weyl_ising.cyclotomic import Cyc8
+from cyclotomic import Cyc8
+from fraction_reference import mat_vec, matrix_inverse
+from weyl_ising.cocycle import SCALE, CocycleTable, scaled
 from weyl_ising.lattice import e8_model, malpha_lattice, shell
-from weyl_ising.linalg import dot, mat_vec
+from weyl_ising.linalg import dot
 from weyl_ising.rootsys import build_root_system, sign_normalized
 from weyl_ising.weight2 import (
     Weight2Element,
@@ -219,8 +219,7 @@ def test_eps0_matches_mat_vec_definition(coeffs):
     a, b = vector(coeffs[0]), vector(coeffs[1])
     table = CocycleTable(len(a) // 8)
     assert table.eps0(a, b) == ref_eps0(a, b)
-    assert table.block_coordinates(a) == [
-        list(coeffs[0][8 * t: 8 * t + 8]) for t in range(table.n)]
+    assert table._forms(scaled(a))[0] == tuple(coeffs[0])
 
 
 @PROPERTY
