@@ -25,6 +25,7 @@ from .axes import (
     virasoro,
 )
 from .cocycle import CocycleTable, NotInHalfLattice, check_sign_lemma
+from .cyclotomic import Cyc8
 from .lattice import (
     Lattice,
     RankTooLarge,
@@ -78,6 +79,7 @@ __all__ = [
     "AxisAlgebra",
     "ClosureCapExceeded",
     "CocycleTable",
+    "Cyc8",
     "Lattice",
     "NoConformalVector",
     "NonUniqueConformalVector",

@@ -1,12 +1,12 @@
-"""Exact arithmetic in the 8th cyclotomic field, for the tests.
+"""Exact arithmetic in the 8th cyclotomic field.
 
 Elements are stored on the power basis {1, z, z^2, z^3} with
 z = exp(2*pi*i/8), using z^4 = -1 for reduction.  Only the ring
 operations needed by the sign bookkeeping are provided; division is
-limited to rational divisors.  The library keeps a cocycle value z^k as
-its exponent k (``CocycleTable.eps0``); ``Cyc8`` is the scalar type of
-the independent reference oracle in ``test_weight2_reference.py``,
-which multiplies by z^k itself.
+limited to rational divisors.  The library itself keeps a cocycle value
+z^k as its exponent k (``CocycleTable.eps0``); ``Cyc8`` is the scalar
+type of the independent reference weight-2 oracle in the tests, which
+multiplies by z^k itself.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotomic import MINUS_ONE, ONE, Cyc8
+from weyl_ising.cyclotomic import MINUS_ONE, ONE, Cyc8
 
 
 def test_powers_of_zeta_cycle():

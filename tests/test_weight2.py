@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotomic import Cyc8
+from weyl_ising.cyclotomic import Cyc8
 from fraction_reference import vec_add, vec_sub
 from weyl_ising.axes import TWO_B, from_root_system
 from weyl_ising.cli import _oracle_verdicts

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclotomic import Cyc8
+from weyl_ising.cyclotomic import Cyc8
 from fraction_reference import mat_vec, matrix_inverse
 from weyl_ising.cocycle import SCALE, CocycleTable, scaled
 from weyl_ising.lattice import e8_model, malpha_lattice, shell
