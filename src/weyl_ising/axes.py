@@ -11,12 +11,23 @@ permutations all follow from the three closed-form rules
     e . f = (e + f - g)/32,  <e, f> = 1/256   (THREE_C with third g)
 
 extended bilinearly over exact rationals.
+
+Coefficients enter the products as int numerators over one common
+denominator per operand: ``product`` accumulates 32 c_a c_b (SAME) and
+c_a c_b (THREE_C) in ints and makes one ``Fraction`` per output term over
+32 d_u d_v, ``pairing`` accumulates 64 c_a c_b and c_a c_b over
+256 d_u d_v, and the action check of ``virasoro`` runs the same int
+product.  ``Fraction`` remains at the public boundaries (every
+coefficient is converted with it on the way in) and in the small dense
+elimination of ``virasoro``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
+from operator import add, mul, sub
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .rootsys import NotARoot, RootSystem, sign_normalized
@@ -156,58 +167,79 @@ class AxisAlgebra:
         return SAME if k == _SAME else TWO_B
 
     def element(self, coeffs: Mapping) -> Element:
-        out = {}
+        index = self._index
+        out: dict[int, Q] = {}
         for a, c in coeffs.items():
-            if a not in self._index:
+            i = index.get(a)
+            if i is None:
                 raise KeyError(f"{a!r} is not an axis")
             c = Q(c)
             if c:
-                out[a] = out.get(a, Q(0)) + c
-        return {a: c for a, c in out.items() if c}
+                out[i] = out.get(i, 0) + c
+        axes = self.axes
+        return {axes[i]: c for i, c in out.items() if c}
 
     def axis(self, a: Label) -> Element:
         return self.element({a: 1})
 
-    def _terms(self, u: Mapping) -> list[tuple[int, Q]]:
-        """The nonzero terms of u as (axis index, coefficient)."""
-        return [(self._index[a], Q(c)) for a, c in u.items() if c]
+    def _terms(self, u: Mapping) -> tuple[list[tuple[int, int]], int]:
+        """The terms of u with a nonzero coefficient as (axis index, int
+        numerator) over one common denominator d, and d."""
+        index = self._index
+        terms = [(index[a], c if type(c) is Q else Q(c))
+                 for a, c in u.items() if c]
+        d = lcm(*(c.denominator for _, c in terms))
+        return [(i, c.numerator * (d // c.denominator)) for i, c in terms], d
+
+    def _product_ints(self, ut: list[tuple[int, int]],
+                      vt: list[tuple[int, int]]) -> dict[int, int]:
+        """The product of two term lists over d_u and d_v as int
+        numerators over 32 d_u d_v, keyed by axis index in the order the
+        terms first reach each axis; entries may be zero."""
+        out: dict[int, int] = {}
+        get = out.get
+        code = self._code
+        for i, ca in ut:
+            row = code[i]
+            for j, cb in vt:
+                k = row[j]
+                if k == _TWO_B:
+                    continue
+                c = ca * cb
+                if k == _SAME:
+                    c *= 32
+                out[i] = get(i, 0) + c
+                out[j] = get(j, 0) + c
+                if k >= 0:
+                    out[k] = get(k, 0) - c
+        return out
 
     def product(self, u: Mapping, v: Mapping) -> Element:
-        out: dict[int, Q] = {}
-
-        def add(i: int, c: Q) -> None:
-            out[i] = out.get(i, 0) + c
-
-        vt = self._terms(v) if u else []
-        if vt:
-            for i, ca in self._terms(u):
-                row = self._code[i]
-                for j, cb in vt:
-                    c = ca * cb
-                    k = row[j]
-                    if k == _SAME:
-                        add(i, c)
-                        add(j, c)
-                    elif k >= 0:
-                        c = c / 32
-                        add(i, c)
-                        add(j, c)
-                        add(k, -c)
-        return {self.axes[i]: c for i, c in out.items() if c}
+        vt, dv = self._terms(v) if u else ([], 1)
+        if not vt:
+            return {}
+        ut, du = self._terms(u)
+        den = 32 * du * dv
+        axes = self.axes
+        return {axes[i]: Q(c, den)
+                for i, c in self._product_ints(ut, vt).items() if c}
 
     def pairing(self, u: Mapping, v: Mapping) -> Q:
-        total = Q(0)
-        vt = self._terms(v) if u else []
-        if vt:
-            for i, ca in self._terms(u):
-                row = self._code[i]
-                for j, cb in vt:
-                    k = row[j]
-                    if k == _SAME:
-                        total += ca * cb / 4
-                    elif k >= 0:
-                        total += ca * cb / 256
-        return total
+        vt, dv = self._terms(v) if u else ([], 1)
+        if not vt:
+            return Q(0)
+        ut, du = self._terms(u)
+        total = 0
+        code = self._code
+        for i, ca in ut:
+            row = code[i]
+            for j, cb in vt:
+                k = row[j]
+                if k == _SAME:
+                    total += 64 * ca * cb
+                elif k >= 0:
+                    total += ca * cb
+        return Q(total, 256 * du * dv)
 
     def gram(self) -> list[list[Q]]:
         value = {_SAME: Q(1, 4), _TWO_B: Q(0)}
@@ -232,21 +264,23 @@ def from_root_system(R: RootSystem) -> AxisAlgebra:
         return k
 
     def encode(i: int, j: int) -> int:
-        if i == j:
-            return _SAME
         a, b = doubled[i], doubled[j]
-        s = sum(x * y for x, y in zip(a, b))
+        s = sum(map(mul, a, b))
         if s == 0:
             return _TWO_B
         if s == -4:
-            return third(tuple(x + y for x, y in zip(a, b)))
+            return third(tuple(map(add, a, b)))
         if s == 4:
-            return third(tuple(x - y for x, y in zip(a, b)))
+            return third(tuple(map(sub, a, b)))
         raise ValueError(f"unexpected root pair with product {Q(s, 4)}")
 
     n = len(pos)
-    return AxisAlgebra._from_codes(
-        pos, [[encode(i, j) for j in range(n)] for i in range(n)])
+    code = [[_SAME] * n for _ in range(n)]
+    for i in range(n):
+        row = code[i]
+        for j in range(i):
+            row[j] = code[j][i] = encode(i, j)
+    return AxisAlgebra._from_codes(pos, code)
 
 
 def virasoro(A: AxisAlgebra) -> VirasoroReport:
@@ -343,7 +377,11 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
         values[col] = mat[r][m]
 
     w = A.element({a: values[pos[find(j)]] for j, a in enumerate(axes)})
-    ok = all(A.product(w, A.axis(b)) == A.element({b: 2}) for b in axes)
+    # w . e_b = 2 e_b for every b, checked by the int product: with w's
+    # terms over d, 32 d (w . e_b) must be {b: 64 d}
+    wt, d = A._terms(w)
+    ok = all({i: c for i, c in A._product_ints(wt, [(b, 1)]).items() if c}
+             == {b: 64 * d} for b in range(n))
     if not ok:
         raise NoConformalVector("solved vector fails the action check")
     norm = A.pairing(w, w)

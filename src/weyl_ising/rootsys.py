@@ -27,6 +27,12 @@ reflections that generate the Weyl group) stay in int arithmetic.  In
 doubled coordinates <alpha2, v2> = 4<alpha, v>, and <alpha, v> is an
 integer for two roots, so ``reflection_images`` computes
 r_alpha(v)2 = v2 - (<alpha2, v2> / 4) alpha2 with exact int division.
+
+The Fraction tuples of ``roots``, ``positive_roots`` and
+``simple_roots`` cache their hash: each is a private tuple subclass that
+computes ``hash(tuple(r))`` once at construction and otherwise behaves
+as the plain tuple (equal to it, hashing like it, pickled as it), since
+the axis algebras key their dicts by these roots.
 """
 
 from __future__ import annotations
@@ -49,8 +55,34 @@ class NotARoot(ValueError):
     """Raised when a vector expected to be a root is not one."""
 
 
+class _Root(tuple):
+    """A tuple of ``Fraction`` coordinates that hashes once.
+
+    ``Fraction.__hash__`` is Python code, and a root label is hashed on
+    every dict operation that takes it as a key, so the tuple hash is
+    computed at construction and kept.  Equality, hash, ordering, repr
+    and JSON form are those of the plain tuple, so plain ``Fraction``
+    tuples and roots find each other as dict keys.
+    """
+
+    def __new__(cls, coords):
+        self = super().__new__(cls, coords)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return _Root, (tuple(self),)
+
+
+# a root's doubled coordinates lie in -2..2; the roots share their halves
+_HALVES = {c: Q(c, 2) for c in range(-2, 3)}
+
+
 def _halve(v2: tuple[int, ...]) -> Vector:
-    return tuple(Q(c, 2) for c in v2)
+    return _Root(_HALVES[c] for c in v2)
 
 
 def _double(v: Iterable) -> tuple[int, ...]:
@@ -185,7 +217,7 @@ class RootSystem:
         simple = simple_system(self.positive2)
         if len(simple) != self.rank:
             raise ValueError("simple root extraction did not match the rank")
-        return tuple(_halve(a) for a in simple)
+        return tuple(self.roots[self._index2[a]] for a in simple)
 
 
 def build_root_system(kind: str, rank: int) -> RootSystem:
@@ -212,13 +244,15 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         raise UnsupportedRank(f"unsupported root system {kind}{rank}")
     roots2.sort()
     pos2 = tuple(v for v in roots2 if sign_normalized(v) == v)
+    index2 = {v: i for i, v in enumerate(roots2)}
+    roots = tuple(_halve(v) for v in roots2)
     return RootSystem(
         kind=kind,
         rank=rank,
         ambient_dim=ambient,
-        roots=tuple(_halve(v) for v in roots2),
-        positive_roots=tuple(_halve(v) for v in pos2),
+        roots=roots,
+        positive_roots=tuple(roots[index2[v]] for v in pos2),
         roots2=tuple(roots2),
         positive2=pos2,
-        _index2={v: i for i, v in enumerate(roots2)},
+        _index2=index2,
     )

@@ -4,11 +4,13 @@ The library computes lattice coordinates on an integer-scaled core
 (``Lattice._inverse``), inverts matrices fraction-free
 (``linalg.int_inverse``), factors them fraction-free (``linalg.ldl``,
 and once per lattice for ``Lattice.det`` and ``lattice.shell``) and
-enumerates shells in ints (``lattice.shell``); the Gauss-Jordan
-``solve`` and ``matrix_inverse``, the ``ldl`` loop, the determinants
-``det_bareiss`` (full-matrix Bareiss with row swaps) and
-``det_rational``, and the Fincke-Pohst ``shell`` descent below are the
-direct computations they replaced, kept here so the property tests
+enumerates shells in ints (``lattice.shell``) and multiplies and pairs
+axis-algebra elements on int numerators (``AxisAlgebra.product`` and
+``pairing``); the Gauss-Jordan ``solve`` and ``matrix_inverse``, the
+``ldl`` loop, the determinants ``det_bareiss`` (full-matrix Bareiss with
+row swaps) and ``det_rational``, the Fincke-Pohst ``shell`` descent and
+the ``Fraction`` loops ``axis_product`` and ``axis_pairing`` below are
+the direct computations they replaced, kept here so the property tests
 compare the two.  The vector and matrix helpers ``vec_add``,
 ``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec`` and
 ``transpose`` build test data; the library has no use for them.
@@ -18,6 +20,7 @@ from fractions import Fraction as Q
 from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
+from weyl_ising.axes import SAME, TWO_B
 from weyl_ising.linalg import Vector, dot
 
 
@@ -193,3 +196,49 @@ def shell(L, norm) -> list[tuple[Q, ...]]:
         tuple(sum((xk * b[i] for xk, b in zip(xs, L.basis)), Q(0))
               for i in range(L.ambient_dim))
         for xs in sols)
+
+
+def _axis_terms(u) -> list[tuple]:
+    """The terms of u with a nonzero coefficient as (label, Fraction)."""
+    return [(a, Q(c)) for a, c in u.items() if c]
+
+
+def axis_product(A, u, v) -> dict:
+    """u . v in the axis algebra A by the closed-form rules, one
+    ``Fraction`` product per pair of terms, with the relation read
+    through ``A.relation``."""
+    out: dict = {}
+
+    def add(a, c: Q) -> None:
+        out[a] = out.get(a, 0) + c
+
+    vt = _axis_terms(v) if u else []
+    if vt:
+        for a, ca in _axis_terms(u):
+            for b, cb in vt:
+                c = ca * cb
+                r = A.relation(a, b)
+                if r == SAME:
+                    add(a, c)
+                    add(b, c)
+                elif r != TWO_B:
+                    c = c / 32
+                    add(a, c)
+                    add(b, c)
+                    add(r.third, -c)
+    return {a: c for a, c in out.items() if c}
+
+
+def axis_pairing(A, u, v) -> Q:
+    """<u, v> in the axis algebra A by the closed-form rules."""
+    total = Q(0)
+    vt = _axis_terms(v) if u else []
+    if vt:
+        for a, ca in _axis_terms(u):
+            for b, cb in vt:
+                r = A.relation(a, b)
+                if r == SAME:
+                    total += ca * cb / 4
+                elif r != TWO_B:
+                    total += ca * cb / 256
+    return total

@@ -2,8 +2,13 @@
 
 import random
 from fractions import Fraction as Q
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraction_reference import axis_pairing, axis_product
 
 from weyl_ising.axes import (
     SAME,
@@ -20,6 +25,11 @@ from weyl_ising.axes import (
 )
 from weyl_ising.linalg import dot, ldl_is_positive_definite
 from weyl_ising.rootsys import build_root_system, sign_normalized
+from weyl_ising.triality import twisted_axis_algebra
+
+
+def three_c_partners(A, a) -> int:
+    return sum(isinstance(A.relation(a, b), ThreeC) for b in A.axes)
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +106,21 @@ def test_pairing_rules(A3):
     ("E", 6, Q(96, 7)),
     ("E", 7, Q(21)),
     ("E", 8, Q(32)),
+    ("A", 3, Q(48, 17)),
+    ("A", 5, Q(20, 3)),
+    ("A", 6, Q(336, 37)),
+    ("A", 7, Q(224, 19)),
+    ("A", 8, Q(192, 13)),
+    ("D", 5, Q(160, 19)),
+    ("D", 6, Q(12)),
+    ("D", 7, Q(16)),
+    ("D", 8, Q(224, 11)),
 ])
 def test_virasoro_central_charges(kind, rank, charge):
+    """omega = 32/(h+30) sum_{alpha>0} e_alpha: each axis has 2(h-2) 3C
+    partners, and each triple through e_b adds 2/32 e_b to omega . e_b.
+    The action omega . e = 2e is checked again with the ``Fraction``
+    reference product."""
     R = build_root_system(kind, rank)
     A = from_root_system(R)
     report = virasoro(A)
@@ -107,6 +130,9 @@ def test_virasoro_central_charges(kind, rank, charge):
     coeff = Q(32, h + 30)
     assert report.vector == {a: coeff for a in A.axes}
     assert report.is_conformal
+    for a in A.axes:
+        assert three_c_partners(A, a) == 2 * (h - 2)
+        assert axis_product(A, report.vector, A.axis(a)) == {a: 2}
 
 
 def test_sub_virasoro_triple(A2):
@@ -273,3 +299,71 @@ def test_element_helpers(A2):
     assert A2.element({e: Q(1, 2), A2.axes[1]: 0}) == {e: Q(1, 2)}
     with pytest.raises(KeyError):
         A2.element({"nope": 1})
+
+
+@cache
+def algebra(name: str):
+    if name == "twisted 4":
+        return twisted_axis_algebra(4)
+    return from_root_system(build_root_system(name[0], int(name[1:])))
+
+
+# mixed and pairwise coprime denominators; 32 and 256 are the rule's own
+DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 7, 9, 32, 33, 256, 1001])
+FRACTIONS = st.builds(Q, st.integers(-40, 40), DENOMINATORS)
+COEFFICIENTS = st.one_of(
+    FRACTIONS,
+    st.integers(-6, 6),
+    FRACTIONS.map(str),           # "-3/7", and "0", kept as a zero term
+    st.integers(-6, 6).map(str),
+)
+
+
+def elements(A):
+    """Random rational elements of A as plain dicts, empty ones included;
+    root labels are sometimes given as plain ``Fraction`` tuples."""
+    label = st.sampled_from(A.axes)
+    if isinstance(A.axes[0], tuple):
+        label = st.one_of(label, label.map(tuple))
+    return st.lists(st.tuples(label, COEFFICIENTS), max_size=8,
+                    unique_by=lambda t: t[0]).map(dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["A3", "D4", "E6", "twisted 4"]), st.data())
+def test_product_and_pairing_match_fraction_reference(name, data):
+    A = algebra(name)
+    u = data.draw(elements(A), label="u")
+    v = data.draw(elements(A), label="v")
+    got = A.product(u, v)
+    assert list(got.items()) == list(axis_product(A, u, v).items())
+    assert all(type(c) is Q for c in got.values())
+    pairing = A.pairing(u, v)
+    assert type(pairing) is Q
+    assert pairing == axis_pairing(A, u, v)
+
+
+def test_zero_terms_keep_the_reference_key_order():
+    """A coefficient that is truthy but zero ("0") still places its axis
+    in the output order, as the reference loop does."""
+    A = algebra("A3")
+    e, f = A.axes[:2]
+    u = {e: "0", f: Q(1, 3)}
+    v = {f: 2, e: "1/5"}
+    assert list(A.product(u, v).items()) == \
+        list(axis_product(A, u, v).items())
+    assert A.product({}, {"not an axis": 1}) == {}
+    assert A.pairing({e: 1}, {}) == 0
+
+
+def test_kernel_validation_is_unchanged():
+    A = algebra("A3")
+    e = A.axes[0]
+    with pytest.raises(KeyError):
+        A.product({"not an axis": 1}, {e: 1})
+    with pytest.raises(KeyError):
+        A.pairing({e: 1}, {"not an axis": 1})
+    with pytest.raises(ValueError):
+        A.product({e: "one"}, {e: 1})
+    with pytest.raises(TypeError):
+        A.pairing({e: 1}, {e: [1]})

@@ -1,5 +1,7 @@
 """Root system construction, Coxeter data, reflections."""
 
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction as Q
 from functools import cache
@@ -194,3 +196,38 @@ def test_simple_roots_cached_and_rank_checked():
     for _ in range(2):
         with pytest.raises(ValueError, match="rank"):
             wrong.simple_roots()
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E", 8)])
+def test_root_labels_hash_and_compare_as_plain_tuples(kind, rank):
+    """Roots cache their hash; they stay interchangeable with plain
+    ``Fraction`` tuples as dict keys, through pickle and deepcopy."""
+    R = build_root_system(kind, rank)
+    plain = [tuple(r) for r in R.roots]
+    assert all(type(p) is tuple for p in plain)
+    for r, p in zip(R.roots, plain):
+        assert r == p and p == r
+        assert hash(r) == hash(p) == hash(tuple(Q(c) for c in p))
+    by_root = {r: k for k, r in enumerate(R.roots)}
+    by_plain = {p: k for k, p in enumerate(plain)}
+    assert all(by_root[p] == k for k, p in enumerate(plain))
+    assert all(by_plain[r] == k for k, r in enumerate(R.roots))
+    assert set(R.positive_roots) <= set(plain)
+    for r in R.roots[:12] + R.positive_roots[-12:]:
+        for copied in (pickle.loads(pickle.dumps(r, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)):
+            assert copied == r and hash(copied) == hash(r) == hash(tuple(r))
+        copied = copy.deepcopy(r)
+        assert copied == r and hash(copied) == hash(tuple(r))
+        assert repr(r) == repr(tuple(r))
+
+
+def test_root_system_equality_is_that_of_plain_tuples():
+    R = build_root_system("D", 4)
+    plain = replace(R, roots=tuple(map(tuple, R.roots)),
+                    positive_roots=tuple(map(tuple, R.positive_roots)))
+    assert R == plain and hash(R) == hash(plain)
+    assert R == build_root_system("D", 4)
+    assert R != build_root_system("A", 4)
+    assert pickle.loads(pickle.dumps(R)) == R
+    assert copy.deepcopy(R) == R

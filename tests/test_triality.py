@@ -9,6 +9,7 @@ from operator import mul
 
 import pytest
 
+from fraction_reference import axis_product
 from weyl_ising.axes import SAME, TWO_B, ThreeC, virasoro
 from weyl_ising.lattice import e8_lattice, index_in, same_lattice, shell
 from weyl_ising.linalg import dot
@@ -178,9 +179,21 @@ def test_two_block_algebra_is_one_triple():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_central_charges(n):
-    rep = virasoro(twisted_axis_algebra(n))
+    """Each twisted axis has m = 6n - 10 3C partners, so
+    omega = 64/(64 + m) = 32/(3(n+9)) times the sum of the axes, with norm
+    4n(n-1)/(n+9); the action omega . e = 2e is checked again with the
+    ``Fraction`` reference product."""
+    A = twisted_axis_algebra(n)
+    rep = virasoro(A)
     assert rep.central_charge == Q(8 * n * (n - 1), n + 9)
+    assert rep.norm == Q(4 * n * (n - 1), n + 9)
     assert rep.is_conformal
+    coeff = Q(32, 3 * (n + 9))
+    assert rep.vector == {a: coeff for a in A.axes}
+    for a in A.axes:
+        partners = sum(isinstance(A.relation(a, b), ThreeC) for b in A.axes)
+        assert partners == 6 * n - 10 and Q(64, 64 + partners) == coeff
+        assert axis_product(A, rep.vector, A.axis(a)) == {a: 2}
 
 
 @pytest.mark.parametrize("n,order,kernel", [
