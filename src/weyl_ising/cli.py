@@ -22,6 +22,7 @@ import random
 import sys
 import time
 from fractions import Fraction as Q
+from typing import NamedTuple
 
 from . import __version__
 from .axes import (
@@ -76,10 +77,6 @@ from .weight2 import (
     oracle_pairing,
     oracle_product,
 )
-
-_COXETER = {"A": lambda r: r + 1, "D": lambda r: 2 * r - 2,
-            "E": lambda r: {6: 12, 7: 18, 8: 30}[r]}
-
 
 class UsageError(Exception):
     """Bad command-line usage; reported on stderr with exit code 2."""
@@ -154,17 +151,110 @@ def _build(kind: str, rank: int) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand check builders.
+# Closed forms: every expected value derives from the degrees of the Weyl
+# group (Humphreys, Reflection Groups and Coxeter Groups, CUP 1990, ch. 3).
+# The Coxeter number h is the largest degree, |Phi+| = sum(d - 1) = hn/2,
+# |W| is the product of the degrees, and -1 lies in W exactly when every
+# degree is even.
 # ---------------------------------------------------------------------------
 
+def _degrees(kind: str, rank: int) -> tuple[int, ...]:
+    if kind == "A":
+        return tuple(range(2, rank + 2))
+    if kind == "D":
+        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
+    return {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+            8: (2, 8, 12, 14, 18, 20, 24, 30)}[rank]
+
+
+class _Forms(NamedTuple):
+    """The closed forms of one root system of rank n."""
+    h: int
+    positive: int       # |Phi+|, also the number of axes
+    m_alpha: int        # 3C partners of each root
+    charge: Q           # central charge 8hn/(h+30)
+    norm: Q             # conformal norm, half the charge
+    order3: int         # axis pairs whose involutions multiply to order 3
+    weyl_order: int
+    minus_one: bool     # whether -1 lies in W
+    miyamoto: int       # |W| / |W meet {1, -1}|
+
+
+def _forms(kind: str, rank: int) -> _Forms:
+    degrees = _degrees(kind, rank)
+    h = max(degrees)
+    positive = sum(d - 1 for d in degrees)
+    m_alpha = 2 * (h - 2)
+    charge = Q(8 * h * rank, h + 30)
+    order = math.prod(degrees)
+    minus_one = all(d % 2 == 0 for d in degrees)
+    return _Forms(h, positive, m_alpha, charge, charge / 2,
+                  positive * m_alpha // 2, order, minus_one,
+                  order // (2 if minus_one else 1))
+
+
+class _Twisted(NamedTuple):
+    """The closed forms of the twisted system on n blocks."""
+    k: int
+    kernel: int         # the normal subgroup 3^k
+    pair_action: int    # S_n
+    order: int          # 3^k:S_n
+    axes: int
+    charge: Q
+
+
+def _twisted(n: int) -> _Twisted:
+    k = n - 2 if n % 3 == 0 else n - 1
+    kernel, pair_action = 3 ** k, math.factorial(n)
+    return _Twisted(k, kernel, pair_action, kernel * pair_action,
+                    3 * n * (n - 1) // 2, Q(8 * n * (n - 1), n + 9))
+
+
+# ---------------------------------------------------------------------------
+# Check builders of the subcommands.  The first three also back the
+# acceptance criteria that check the same fact.
+# ---------------------------------------------------------------------------
+
+def _charge_checks(forms: _Forms, rep, suffix: str = "") -> list[dict]:
+    """Central charge and conformal norm of a Virasoro solve ``rep``."""
+    return [check(f"central_charge{suffix}", forms.charge, rep.central_charge),
+            check(f"conformal_norm{suffix}", forms.norm, rep.norm)]
+
+
+def _t_order_checks(R: RootSystem, script, prefix: str) -> list[dict]:
+    """Order of t_a t_b on the realization ``script`` for the first
+    adjacent (order 3) and the first orthogonal (order 2) pair of simple
+    roots, each skipped when R has no such pair."""
+    simple = R.simple_roots()
+    pairs = [(a, b) for i, b in enumerate(simple) for a in simple[:i]]
+    out = []
+    for label, inner, order in (("adjacent", -1, 3), ("orthogonal", 0, 2)):
+        name = f"{prefix}_{label}"
+        pair = next((p for p in pairs if R.inner(*p) == inner), None)
+        if pair is None:
+            out.append(skipped(name, f"no {label} simple pair at this rank"))
+        else:
+            t1, t2 = (t_involution(malpha_lattice(R, a), script) for a in pair)
+            out.append(check(name, order, matrix_order(mat_mul(t1, t2))))
+    return out
+
+
+def _weyl_quotient(R: RootSystem) -> tuple[int, bool, int]:
+    """Computed from R: |W|, whether -1 lies in W, and the order
+    |W| / |W meet {1, -1}| that the Miyamoto group must have."""
+    order = weyl_group(R).order
+    minus_one = contains_minus_one(R)
+    return order, minus_one, order // (2 if minus_one else 1)
+
+
 def roots_checks(R: RootSystem) -> list[dict]:
-    h = _COXETER[R.kind](R.rank)
+    forms = _forms(R.kind, R.rank)
     m_values = sorted({R.m_alpha(a) for a in R.roots})
     return [
-        check("root_count", h * R.rank, len(R.roots)),
-        check("positive_root_count", h * R.rank // 2, len(R.positive_roots)),
-        check("coxeter_number", h, R.coxeter_number()),
-        check("m_alpha_uniform", [2 * (h - 2)], m_values),
+        check("root_count", 2 * forms.positive, len(R.roots)),
+        check("positive_root_count", forms.positive, len(R.positive_roots)),
+        check("coxeter_number", forms.h, R.coxeter_number()),
+        check("m_alpha_uniform", [forms.m_alpha], m_values),
     ]
 
 
@@ -188,30 +278,7 @@ def lattice_checks(R: RootSystem) -> list[dict]:
                            "shell enumeration capped at rank 24"))
         out.append(skipped("block_rssd",
                            "annihilator shell work capped at rank 24"))
-
-    simple = R.simple_roots()
-    adjacent = orthogonal = None
-    for i in range(len(simple)):
-        for j in range(i):
-            s = R.inner(simple[i], simple[j])
-            if s == -1 and adjacent is None:
-                adjacent = (simple[j], simple[i])
-            if s == 0 and orthogonal is None:
-                orthogonal = (simple[j], simple[i])
-    if adjacent:
-        t1 = t_involution(malpha_lattice(R, adjacent[0]), script)
-        t2 = t_involution(malpha_lattice(R, adjacent[1]), script)
-        out.append(check("t_product_order_adjacent", 3,
-                         matrix_order(mat_mul(t1, t2))))
-    if orthogonal:
-        t1 = t_involution(malpha_lattice(R, orthogonal[0]), script)
-        t2 = t_involution(malpha_lattice(R, orthogonal[1]), script)
-        out.append(check("t_product_order_orthogonal", 2,
-                         matrix_order(mat_mul(t1, t2))))
-    else:
-        out.append(skipped("t_product_order_orthogonal",
-                           "no orthogonal simple pair at this rank"))
-    return out
+    return out + _t_order_checks(R, script, "t_product_order")
 
 
 def _is_three_c_form(prod, ea, eb, eg) -> bool:
@@ -269,16 +336,14 @@ def _oracle_verdicts(R: RootSystem, pairs=None):
 
 
 def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
-    h = _COXETER[R.kind](R.rank)
-    rank = R.rank
+    forms = _forms(R.kind, R.rank)
     A = from_root_system(R)
     rep = virasoro(A)
     out = [
-        check("dimension", h * rank // 2, len(A)),
+        check("dimension", forms.positive, len(A)),
         check("gram_positive_definite", True,
               ldl_is_positive_definite(A.gram())),
-        check("central_charge", Q(8 * h * rank, h + 30), rep.central_charge),
-        check("conformal_norm", Q(4 * h * rank, h + 30), rep.norm),
+        *_charge_checks(forms, rep),
         check("is_conformal", True, rep.is_conformal),
     ]
     if oracle:
@@ -292,22 +357,19 @@ def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
 
 
 def group_checks(R: RootSystem) -> tuple[list[dict], dict]:
-    h = _COXETER[R.kind](R.rank)
     A = from_root_system(R)
     G = miyamoto_group(A)
-    W = weyl_group(R)
-    minus_one = contains_minus_one(R)
-    quotient = W.order // (2 if minus_one else 1)
+    order, minus_one, quotient = _weyl_quotient(R)
     profile = transposition_profile(A)
     checks = [
         check("miyamoto_equals_weyl_quotient", quotient, G.order),
         check("transposition_orders", "subset of {1, 2, 3}",
               "{" + ", ".join(str(k) for k in sorted(profile)) + "}",
               ok=set(profile) <= {1, 2, 3}),
-        check("order3_pair_count", (h * R.rank // 2) * (h - 2),
+        check("order3_pair_count", _forms(R.kind, R.rank).order3,
               profile.get(3, 0)),
     ]
-    extra = {"weyl_order": W.order, "minus_one_in_weyl": minus_one,
+    extra = {"weyl_order": order, "minus_one_in_weyl": minus_one,
              "miyamoto_order": G.order}
     return checks, extra
 
@@ -327,20 +389,19 @@ def triality_checks(n: int) -> tuple[list[dict], dict]:
     if n < 3:
         raise UsageError("triality needs at least 3 blocks")
     report = twisted_group(n)
-    k = n - 2 if n % 3 == 0 else n - 1
+    forms = _twisted(n)
     rep = virasoro(twisted_axis_algebra(n))
     delta, kernel = _delta_kernel_checks()
     checks = [
-        check("axis_count", 3 * n * (n - 1) // 2, len(twisted_axes(n))),
-        check("group_order", 3 ** k * math.factorial(n), report.group.order),
-        check("kernel_order", 3 ** k, report.kernel_order),
-        check("pair_action_order", math.factorial(n),
+        check("axis_count", forms.axes, len(twisted_axes(n))),
+        check("group_order", forms.order, report.group.order),
+        check("kernel_order", forms.kernel, report.kernel_order),
+        check("pair_action_order", forms.pair_action,
               report.pair_action_order),
-        check("shape", f"3^{k}:S_{n}", report.shape),
+        check("shape", f"3^{forms.k}:S_{n}", report.shape),
         check("abstract_order_agrees", report.group.order,
               abstract_twisted_group(n).order),
-        check("central_charge", Q(8 * n * (n - 1), n + 9),
-              rep.central_charge),
+        check("central_charge", forms.charge, rep.central_charge),
     ]
     return checks + kernel, {"delta": _vec(delta)}
 
@@ -418,13 +479,8 @@ def _criterion_3() -> list[dict]:
     """Central charges and conformal norms from the Virasoro solve."""
     out = []
     for kind, rank in _CHARGE_SYSTEMS:
-        R = build_root_system(kind, rank)
-        h = _COXETER[kind](rank)
-        rep = virasoro(from_root_system(R))
-        out.append(check(f"central_charge {kind}{rank}",
-                         Q(8 * h * rank, h + 30), rep.central_charge))
-        out.append(check(f"conformal_norm {kind}{rank}",
-                         Q(4 * h * rank, h + 30), rep.norm))
+        rep = virasoro(from_root_system(build_root_system(kind, rank)))
+        out += _charge_checks(_forms(kind, rank), rep, f" {kind}{rank}")
     return out
 
 
@@ -443,19 +499,18 @@ def _criterion_4() -> list[dict]:
     ]
 
 
-_GROUP_ORDERS = [("A", 3, 24), ("D", 4, 96), ("E", 6, 51840),
-                 ("E", 7, 1451520), ("E", 8, 348364800)]
+_GROUP_SYSTEMS = [("A", 3), ("D", 4), ("E", 6), ("E", 7), ("E", 8)]
 
 
 def _criterion_5() -> list[dict]:
     """Miyamoto group orders equal Weyl quotients, both sides computed
     independently."""
     out = []
-    for kind, rank, expected in _GROUP_ORDERS:
+    for kind, rank in _GROUP_SYSTEMS:
         R = build_root_system(kind, rank)
+        expected = _forms(kind, rank).miyamoto
         G = miyamoto_group(from_root_system(R))
-        W = weyl_group(R)
-        quotient = W.order // (2 if contains_minus_one(R) else 1)
+        quotient = _weyl_quotient(R)[2]
         out.append(check(f"miyamoto_order {kind}{rank}", expected, G.order))
         out.append(check(f"weyl_quotient {kind}{rank}", expected, quotient))
     return out
@@ -470,12 +525,11 @@ def _criterion_6() -> list[dict]:
     out = []
     for kind, rank in _PROFILE_SYSTEMS:
         R = build_root_system(kind, rank)
-        h = _COXETER[kind](rank)
         profile = transposition_profile(from_root_system(R))
         out.append(check(f"orders_in_123 {kind}{rank}", True,
                          set(profile) <= {1, 2, 3}))
         out.append(check(f"order3_count {kind}{rank}",
-                         (h * rank // 2) * (h - 2), profile.get(3, 0)))
+                         _forms(kind, rank).order3, profile.get(3, 0)))
     return out
 
 
@@ -497,18 +551,11 @@ def _criterion_7() -> list[dict]:
         out.append(check(f"identification {kind}{rank}", True,
                          verify_identification(kind, rank)))
     script3 = ade_realization(a3)
-    b = a3.simple_roots()
-    pairs = [(b[0], b[1], 3), (b[0], b[2], 2)]
-    for x, y, order in pairs:
-        tx = t_involution(malpha_lattice(a3, x), script3)
-        ty = t_involution(malpha_lattice(a3, y), script3)
-        label = "adjacent" if order == 3 else "orthogonal"
-        out.append(check(f"t_order_{label}", order,
-                         matrix_order(mat_mul(tx, ty))))
+    out += _t_order_checks(a3, script3, "t_order")
     out.append(check("block_ssd", True, is_SSD(m)))
     script2 = ade_realization(a2)
     out.append(check("block_rssd_A2", True, is_RSSD(m, script2)))
-    m3 = malpha_lattice(a3, b[0])
+    m3 = malpha_lattice(a3, a3.simple_roots()[0])
     out.append(check("block_rssd_A3", True, is_RSSD(m3, script3)))
     out.append(check("tensor_no_norm2", 0, len(shell(script2, 2))))
     return out
@@ -538,14 +585,9 @@ def _criterion_8() -> list[dict]:
         return tuple(sum(c * s[j] for c, s in zip(coeffs, simple))
                      for j in range(8))
 
-    holds = True
-    for _ in range(100):
-        a = lattice_vector()
-        bvec = lattice_vector()
-        if (table.eps0(a, bvec) - table.eps0(bvec, a)) % 8 \
-                != (4 * dot(a, bvec)) % 8:
-            holds = False
-            break
+    pairs = ((lattice_vector(), lattice_vector()) for _ in range(100))
+    holds = all((table.eps0(a, b) - table.eps0(b, a)) % 8 == (4 * dot(a, b)) % 8
+                for a, b in pairs)
     out.append(check("commutator_identity", True, holds))
     return out
 
@@ -555,18 +597,18 @@ def _criterion_9(max_n: int = 6) -> list[dict]:
     abstract agreement, twisted central charges."""
     _, out = _delta_kernel_checks()
     for n in range(3, max_n + 1):
-        k = n - 2 if n % 3 == 0 else n - 1
+        forms = _twisted(n)
         report = twisted_group(n)
-        out.append(check(f"twisted_order n={n}",
-                         3 ** k * math.factorial(n), report.group.order))
-        out.append(check(f"twisted_kernel n={n}", 3 ** k,
+        out.append(check(f"twisted_order n={n}", forms.order,
+                         report.group.order))
+        out.append(check(f"twisted_kernel n={n}", forms.kernel,
                          report.kernel_order))
         out.append(check(f"abstract_agrees n={n}", report.group.order,
                          abstract_twisted_group(n).order))
     for n in range(2, max(7, max_n) + 1):
         rep = virasoro(twisted_axis_algebra(n))
-        out.append(check(f"twisted_charge n={n}",
-                         Q(8 * n * (n - 1), n + 9), rep.central_charge))
+        out.append(check(f"twisted_charge n={n}", _twisted(n).charge,
+                         rep.central_charge))
     return out
 
 
@@ -583,12 +625,9 @@ def _criterion_10() -> list[dict]:
     E = from_root_system(build_root_system("E", 8))
     rng = random.Random(5)
     units = [E.axis(a) for a in E.axes]
-    ok = True
-    for _ in range(1000):
-        u, v, w = (rng.choice(units) for _ in range(3))
-        if E.pairing(E.product(u, v), w) != E.pairing(u, E.product(v, w)):
-            ok = False
-            break
+    triples = ([rng.choice(units) for _ in range(3)] for _ in range(1000))
+    ok = all(E.pairing(E.product(u, v), w) == E.pairing(u, E.product(v, w))
+             for u, v, w in triples)
     out.append(check("associativity_random_E8 (1000 triples)", True, ok))
 
     for kind, rank in [("A", 3), ("D", 4)]:
@@ -597,13 +636,10 @@ def _criterion_10() -> list[dict]:
         for e in A.axes:
             perm = miyamoto_permutation(A, e)
             image = {a: A.axes[perm[i]] for i, a in enumerate(A.axes)}
-            for a in A.axes:
-                for b in A.axes:
-                    lhs = {image[k]: c
-                           for k, c in A.product(A.axis(a), A.axis(b)).items()}
-                    rhs = A.product(A.axis(image[a]), A.axis(image[b]))
-                    if lhs != rhs:
-                        ok = False
+            ok = ok and all(
+                {image[k]: c for k, c in A.product(A.axis(a), A.axis(b)).items()}
+                == A.product(A.axis(image[a]), A.axis(image[b]))
+                for a in A.axes for b in A.axes)
         out.append(check(f"miyamoto_automorphism {kind}{rank}", True, ok))
 
     for kind, rank in [("A", 2), ("A", 4), ("D", 4), ("E", 6), ("E", 8)]:
@@ -611,15 +647,13 @@ def _criterion_10() -> list[dict]:
         out.append(check(f"gram_positive_definite {kind}{rank}", True,
                          ldl_is_positive_definite(A.gram())))
 
-    brute_cases = []
-    w_a3 = weyl_group(build_root_system("A", 3))
-    brute_cases.append(("weyl A3", w_a3))
-    m_d4 = miyamoto_group(from_root_system(build_root_system("D", 4)))
-    brute_cases.append(("miyamoto D4", m_d4))
-    t4 = twisted_group(4).group
-    brute_cases.append(("twisted n=4", t4))
-    t5 = twisted_group(5).group
-    brute_cases.append(("twisted n=5", t5))
+    brute_cases = [
+        ("weyl A3", weyl_group(build_root_system("A", 3))),
+        ("miyamoto D4",
+         miyamoto_group(from_root_system(build_root_system("D", 4)))),
+        ("twisted n=4", twisted_group(4).group),
+        ("twisted n=5", twisted_group(5).group),
+    ]
     for label, G in brute_cases:
         brute = len(enumerate_elements(G.generators))
         out.append(check(f"bsgs_vs_bruteforce {label}", brute, G.order))
@@ -714,38 +748,29 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.command in ("roots", "lattice", "griess", "group"):
+            R = _build(args.kind, args.rank)
+            system = {"kind": args.kind, "rank": args.rank}
         if args.command == "roots":
-            R = _build(args.kind, args.rank)
-            report = make_report("roots", {"kind": args.kind,
-                                           "rank": args.rank},
-                                 roots_checks(R))
+            report = make_report("roots", system, roots_checks(R))
         elif args.command == "lattice":
-            R = _build(args.kind, args.rank)
             extra = None
             if args.shell is not None:
                 vectors = shell(ade_realization(R), args.shell)
                 extra = {"shells": {str(args.shell): [_vec(v)
                                                       for v in vectors]}}
-            report = make_report("lattice",
-                                 {"kind": args.kind, "rank": args.rank,
-                                  "shell": args.shell},
+            report = make_report("lattice", {**system, "shell": args.shell},
                                  lattice_checks(R), extra)
         elif args.command == "griess":
-            R = _build(args.kind, args.rank)
             if args.oracle:
                 n = len(R.positive_roots)
                 print(f"[weyl-ising] oracle sweep: {n * (n - 1) // 2} pairs",
                       file=sys.stderr)
-            report = make_report("griess",
-                                 {"kind": args.kind, "rank": args.rank,
-                                  "oracle": args.oracle},
+            report = make_report("griess", {**system, "oracle": args.oracle},
                                  griess_checks(R, args.oracle))
         elif args.command == "group":
-            R = _build(args.kind, args.rank)
             checks, extra = group_checks(R)
-            report = make_report("group", {"kind": args.kind,
-                                           "rank": args.rank},
-                                 checks, extra)
+            report = make_report("group", system, checks, extra)
         elif args.command == "triality":
             checks, extra = triality_checks(args.n)
             report = make_report("triality", {"n": args.n}, checks, extra)

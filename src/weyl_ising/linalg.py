@@ -153,18 +153,13 @@ def hnf_full(work: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 
 
 def int_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {x in Z^m : x @ matrix = 0} for an m-row integer matrix."""
-    m = len(matrix)
-    if m == 0:
+    """Basis of {x in Z^m : x @ matrix = 0} for an m-row integer matrix:
+    the rows of ``hnf_with_transform``'s U below its Hermite rows, which
+    send ``matrix`` to zero, put in Hermite form."""
+    if not matrix:
         return []
-    _, u = hnf_with_transform(matrix)
-    ncols = len(matrix[0])
-    kernel = []
-    for i, urow in enumerate(u):
-        image = [sum(urow[k] * matrix[k][j] for k in range(m)) for j in range(ncols)]
-        if not any(image):
-            kernel.append(urow)
-    return hnf(kernel)
+    h, u = hnf_with_transform(matrix)
+    return hnf(u[len(h):])
 
 
 def smith_invariants(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -248,34 +243,16 @@ def _bareiss_ldl(a: list[list[int]]) -> tuple[list[int], list[list[int]]] | None
     return pivots, mult
 
 
-def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
-    """Exact LDL^T factorization of a symmetric rational matrix.
+def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:
+    """True iff the symmetric rational matrix is positive definite.
 
-    Returns ``(d, u)`` with ``matrix == U^T diag(d) U``, where U is unit
-    upper triangular with off-diagonal entries ``u[k][i]`` (i > k), or
-    None at the first nonpositive pivot: the matrix is then not positive
-    definite (a repeated row gives a zero pivot).  Only the upper
-    triangle is read.
-
-    Fraction-free: the upper triangle is scaled to ints by the lcm
-    ``den`` of its denominators and eliminated by ``_bareiss_ldl``, so
-    ``d_k = p_k / (p_(k-1) den)`` and ``u[k][i] = a_ki / p_k`` are the
-    only ``Fraction`` divisions.
+    The upper triangle, scaled to ints by the lcm of its denominators,
+    is eliminated by ``_bareiss_ldl``, which stops at the first
+    nonpositive pivot (a repeated row gives a zero pivot).  Only the
+    upper triangle is read.
     """
     n = len(matrix)
     upper = [[Q(x) for x in matrix[i][i:]] for i in range(n)]
     den = lcm(*(q.denominator for row in upper for q in row))
-    factors = _bareiss_ldl(
-        [[q.numerator * (den // q.denominator) for q in row] for row in upper])
-    if factors is None:
-        return None
-    pivots, mult = factors
-    d = [Q(p, prev * den) for p, prev in zip(pivots, [1] + pivots)]
-    u = [[Q(0)] * (k + 1) + [Q(f, p) if f else Q(0) for f in row]
-         for k, (p, row) in enumerate(zip(pivots, mult))]
-    return d, u
-
-
-def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:
-    """True iff the symmetric matrix is positive definite (see ``ldl``)."""
-    return ldl(matrix) is not None
+    return _bareiss_ldl([[q.numerator * (den // q.denominator) for q in row]
+                         for row in upper]) is not None

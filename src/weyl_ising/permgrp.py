@@ -97,10 +97,6 @@ class Permutation:
             raise ValueError("images are not a bijection of 0..n-1")
         self.images = t
 
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
-
     @property
     def degree(self) -> int:
         return len(self.images)

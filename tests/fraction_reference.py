@@ -2,18 +2,19 @@
 
 The library computes lattice coordinates on an integer-scaled core
 (``Lattice._inverse``), inverts matrices fraction-free
-(``linalg.int_inverse``), factors them fraction-free (``linalg.ldl``,
-and once per lattice for ``Lattice.det`` and ``lattice.shell``) and
-enumerates shells in ints (``lattice.shell``) and multiplies and pairs
-axis-algebra elements on int numerators (``AxisAlgebra.product`` and
-``pairing``); the Gauss-Jordan ``solve`` and ``matrix_inverse``, the
-``ldl`` loop, the determinants ``det_bareiss`` (full-matrix Bareiss with
-row swaps) and ``det_rational``, the Fincke-Pohst ``shell`` descent and
-the ``Fraction`` loops ``axis_product`` and ``axis_pairing`` below are
-the direct computations they replaced, kept here so the property tests
-compare the two.  The vector and matrix helpers ``vec_add``,
-``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec`` and
-``transpose`` build test data; the library has no use for them.
+(``linalg.int_inverse``), factors them fraction-free
+(``linalg.ldl_is_positive_definite``, and once per lattice for
+``Lattice.det`` and ``lattice.shell``) and enumerates shells in ints
+(``lattice.shell``) and multiplies and pairs axis-algebra elements on
+int numerators (``AxisAlgebra.product`` and ``pairing``); the
+Gauss-Jordan ``solve`` and ``matrix_inverse``, the ``ldl`` loop, the
+determinants ``det_bareiss`` (full-matrix Bareiss with row swaps) and
+``det_rational``, the Fincke-Pohst ``shell`` descent and the
+``Fraction`` loops ``axis_product`` and ``axis_pairing`` below are the
+direct computations they replaced, kept here so the property tests
+compare the two.  The vector and matrix helpers ``vec_add``, ``vec_sub``,
+``vec_scale``, ``gram_matrix``, ``mat_vec`` and ``transpose`` build test
+data; the library has no use for them.
 """
 
 from fractions import Fraction as Q
@@ -141,8 +142,9 @@ def matrix_inverse(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
 
 def ldl(matrix: Sequence[Sequence[Q]]) -> tuple[list[Q], list[list[Q]]] | None:
     """LDL^T of a symmetric matrix by ``Fraction`` elimination on the
-    upper triangle: ``(d, u)`` as ``linalg.ldl`` returns them, or None at
-    the first nonpositive pivot."""
+    upper triangle: ``(d, u)`` with ``matrix == U^T diag(d) U`` for U unit
+    upper triangular with entries ``u[k][i]`` (i > k), or None at the
+    first nonpositive pivot."""
     n = len(matrix)
     a = [[Q(x) for x in row] for row in matrix]
     d: list[Q] = []

@@ -1,10 +1,21 @@
 """Command-line surface: subcommands, JSON shape, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from weyl_ising import cli
+from weyl_ising.axes import from_root_system
+from weyl_ising.permgrp import (
+    contains_minus_one,
+    miyamoto_group,
+    transposition_profile,
+    weyl_group,
+)
+from weyl_ising.rootsys import build_root_system
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -55,6 +66,17 @@ def test_lattice_a2(capsys):
     checks = by_name(report)
     assert checks["block_discriminant"]["status"] == "pass"
     assert checks["t_product_order_adjacent"]["actual"]["exact"] == "3"
+    assert checks["t_product_order_orthogonal"]["status"] == "skipped"
+
+
+def test_lattice_a1_skips_both_t_orders(capsys):
+    """A1 has one simple root, so neither t-involution pair exists; both
+    checks are recorded as skipped."""
+    code, report = run(capsys, "lattice", "A", "1")
+    assert code == 0
+    checks = by_name(report)
+    assert checks["t_product_order_adjacent"] == cli.skipped(
+        "t_product_order_adjacent", "no adjacent simple pair at this rank")
     assert checks["t_product_order_orthogonal"]["status"] == "skipped"
 
 
@@ -267,3 +289,44 @@ def test_render_values():
     assert cli._render(True) is True
     assert cli._render(None) is None
     assert cli._render([1, "x"]) == [{"exact": "1", "approx": 1.0}, "x"]
+
+
+SYSTEMS = ([("A", n) for n in range(1, 11)] + [("D", n) for n in range(4, 11)]
+           + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind,rank", SYSTEMS,
+                         ids=[f"{k}{r}" for k, r in SYSTEMS])
+def test_degree_forms_match_computed(kind, rank):
+    """Every closed form the CLI checks against, derived from the Weyl
+    degrees, equals the value computed from the root system itself."""
+    R = build_root_system(kind, rank)
+    A = from_root_system(R)
+    forms = cli._forms(kind, rank)
+    assert forms.h == R.coxeter_number()
+    assert forms.positive == len(R.positive_roots)
+    assert forms.weyl_order == weyl_group(R).order
+    assert forms.minus_one == contains_minus_one(R)
+    assert forms.miyamoto == miyamoto_group(A).order
+    assert forms.order3 == transposition_profile(A)[3]
+
+
+# Subcommand outputs pinned byte for byte; the goldens under tests/golden
+# were written by the CLI before its expected values moved onto the Weyl
+# degrees, and bench/golden holds the report that CI also compares.
+GOLDEN = [
+    (["roots", "E", "8"], "tests/golden/roots_E8.json"),
+    (["lattice", "A", "3"], "tests/golden/lattice_A3.json"),
+    (["griess", "A", "4"], "tests/golden/griess_A4.json"),
+    (["group", "D", "4"], "tests/golden/group_D4.json"),
+    (["triality", "4"], "tests/golden/triality_4.json"),
+    (["report", "--max-n", "6"], "bench/golden/report_max_n6.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_output_matches_golden(argv, golden, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["-o", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / golden).read_bytes()
