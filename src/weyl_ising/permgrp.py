@@ -285,20 +285,30 @@ class ClosureCapExceeded(ValueError):
 def closure(identity, generators: Sequence, compose: Callable,
             cap: int = 10_000) -> set:
     """All products ``compose(g, x)`` reachable from ``identity`` by left
-    multiplication with the generators; raises ``ClosureCapExceeded``
-    instead of growing the set past ``cap`` elements.  Brute force:
-    every element is composed with every generator once."""
+    multiplication with the generators.  Brute force, level by level:
+    level k + 1 is every product of a level-k element with every
+    generator, less the elements already seen, so level k holds the
+    elements of word length k.  The cap is checked before each level
+    joins the result, which therefore never holds more than ``cap``
+    elements: ``ClosureCapExceeded`` is raised exactly when the closure
+    has more.  On packed permutations (``bytes``) with ``compose`` equal
+    to ``_compose``, each product is the ``x.translate`` that
+    ``_compose`` computes, on generator tables padded once per call."""
+    if compose is _compose and type(identity) is bytes:
+        tables = [g + _ID256[len(g):] for g in generators]
+
+        def level(xs: set) -> set:
+            return {x.translate(t) for x in xs for t in tables}
+    else:
+        def level(xs: set) -> set:
+            return {compose(g, x) for x in xs for g in generators}
     seen = {identity}
-    stack = [identity]
-    while stack:
-        current = stack.pop()
-        for g in generators:
-            nxt = compose(g, current)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-                seen.add(nxt)
-                stack.append(nxt)
+    frontier = {identity}
+    while frontier:
+        frontier = level(frontier) - seen
+        if len(seen) + len(frontier) > cap:
+            raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+        seen |= frontier
     return seen
 
 

@@ -356,10 +356,27 @@ def _shifted_symmetric(m, shift):
             for i in range(n)]
 
 
+def _dominant(m, delta):
+    """The symmetric matrix with m's upper off-diagonal entries and each
+    diagonal entry the absolute sum of the others in its row plus delta."""
+    n = len(m)
+    off = [[m[min(i, j)][max(i, j)] if i != j else Q(0) for j in range(n)]
+           for i in range(n)]
+    return [[off[i][j] if i != j else sum(map(abs, off[i])) + delta
+             for j in range(n)] for i in range(n)]
+
+
 # symmetric matrices of size <= 6 with denominators <= 4: a random upper
-# triangle plus a diagonal shift (definite or indefinite), or the Gram
-# matrix of n vectors in dimension m (semidefinite, singular when m < n)
+# triangle plus a diagonal shift (definite or indefinite); a diagonally
+# dominant one, strictly (delta > 0), weakly (delta = 0: Laplacian-like,
+# often singular) or just not (delta < 0); or the Gram matrix of n
+# vectors in dimension m (semidefinite, singular when m < n)
 SYMMETRIC = st.one_of(
+    st.integers(1, 6).flatmap(lambda n: st.builds(
+        _dominant,
+        st.lists(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.sampled_from([Q(-1, 4), Q(0), Q(1, 4), Q(1)]))),
     st.integers(1, 6).flatmap(lambda n: st.builds(
         _shifted_symmetric,
         st.lists(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n),
@@ -377,6 +394,9 @@ SYMMETRIC = st.one_of(
 @example([[Q(1, 2), Q(1, 4)], [Q(1, 4), Q(1, 8)]])             # singular
 @example([[Q(1, 3), Q(1), Q(0)], [Q(1), Q(1, 4), Q(0)],
           [Q(0), Q(0), Q(2)]])                                  # indefinite
+@example([[1, -1], [-1, 1]])                                    # weakly dominant
+@example([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])               # 3-cycle Laplacian
+@example([[Q(9, 4), -1, -1], [-1, 2, -1], [-1, -1, 2]])         # definite, not dominant
 def test_ldl_matches_fraction_reference(a):
     """The fraction-free positivity test agrees with the ``Fraction``
     loop, and neither reads below the diagonal."""
@@ -387,6 +407,18 @@ def test_ldl_matches_fraction_reference(a):
             for i in range(n)]
     assert ldl_is_positive_definite(junk) == positive
     assert (reference_ldl(junk) is not None) == positive
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 4), ("D", 4),
+                                       ("E", 6), ("E", 8)])
+def test_ldl_certificate_settles_axis_grams(kind, rank, monkeypatch):
+    """Scaled by 256 an axis Gram has 64 on the diagonal and 2(h - 2)
+    ones per row, so h < 34 is strictly dominant: no elimination runs."""
+    def fail(a):
+        raise AssertionError("elimination ran")
+    monkeypatch.setattr(linalg, "_bareiss_ldl", fail)
+    assert ldl_is_positive_definite(
+        from_root_system(build_root_system(kind, rank)).gram())
 
 
 def test_ldl_e6_axis_gram_matches_fraction_reference():

@@ -4,7 +4,7 @@ import time
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weyl_ising.axes import from_root_system
@@ -232,10 +232,13 @@ def test_symmetric_group_model_for_a3():
 
 
 def test_enumerate_elements_cap():
+    """The cap is exact: a closure of ``cap`` elements is returned whole,
+    one more element raises."""
     gens = [(1, 2, 3, 4, 0)]
     assert len(enumerate_elements(gens)) == 5
+    assert len(enumerate_elements(gens, cap=5)) == 5
     with pytest.raises(ClosureCapExceeded):
-        enumerate_elements(gens, cap=3)
+        enumerate_elements(gens, cap=4)
 
 
 def _cycle(n: int) -> tuple:
@@ -273,6 +276,7 @@ def _pad(g: tuple, extra: int) -> tuple:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.permutations(range(n)), min_size=1, max_size=3)))
+@example([(1, 0, 2), (1, 2, 0)])                                 # S_3
 def test_bytes_and_tuple_paths_agree(gens):
     """Generators on n <= 6 points run packed as bytes; padded with 260
     fixed points they run as tuples.  The BSGS must be the same."""
@@ -290,8 +294,9 @@ def test_bytes_and_tuple_paths_agree(gens):
     elements = enumerate_elements(gens)
     assert all(type(x) is tuple and all(type(v) is int for v in x)
                for x in elements)
-    assert elements == {x[:n] for x in enumerate_elements(
-        [_pad(g, 260) for g in gens])}
+    padded = enumerate_elements([_pad(g, 260) for g in gens])
+    assert len(padded) == len(elements)
+    assert elements == {x[:n] for x in padded}
 
 
 

@@ -248,6 +248,10 @@ def test_abstract_closure_matches_counted_order(n):
 def test_abstract_closure_cap():
     with pytest.raises(ClosureCapExceeded):
         abstract_twisted_group(6).closure(cap=100)
+    g = abstract_twisted_group(3)
+    assert len(g.closure(cap=g.order)) == g.order == 18
+    with pytest.raises(ClosureCapExceeded):
+        g.closure(cap=g.order - 1)
 
 
 def test_element_composition_law():
