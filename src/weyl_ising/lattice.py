@@ -1,10 +1,17 @@
 """Exact integral-lattice arithmetic in a shared coordinate ambient.
 
 A lattice is a free Z-module given by an independent basis of rational
-coordinate vectors in R^d with the standard dot product.  Tensor products
-are realized coordinatewise (the Kronecker pattern a_i*b_j), so every
-lattice in this package, including R (x) E8 and its script realizations
-inside blocks of E8^n, lives in some R^d without irrational entries.
+coordinate vectors in R^d with the standard dot product.  Its working
+state is an integer core: the basis as int rows over one positive
+denominator that shares no factor with all the entries.  Every
+operation here builds its lattices from such rows and reads their int
+Gram data; a ``Fraction`` basis is a view made on first access, and
+``Fraction`` values appear only where a public function returns them.
+
+Tensor products are realized coordinatewise (the Kronecker pattern
+a_i*b_j), so every lattice in this package, including R (x) E8 and its
+script realizations inside blocks of E8^n, lives in some R^d without
+irrational entries.
 
 Contents: duals and discriminant groups (Smith form), sublattice sums /
 intersections / annihilators / indices (Hermite form), the SSD and RSSD
@@ -16,10 +23,11 @@ script lattices with R (x) E8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .linalg import (
@@ -65,7 +73,9 @@ class UnsupportedName(ValueError):
 
 
 def _scaled_rows(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Clear denominators: returns (integer rows, common denominator)."""
+    """Clear denominators: returns (integer rows, common denominator).
+    The denominator is the lcm of the entries' denominators, so it shares
+    no prime with all the entries."""
     vecs = [[c if isinstance(c, (int, Q)) else Q(c) for c in v]
             for v in vectors]
     den = 1
@@ -91,33 +101,72 @@ def _combine(w: Sequence[int], rows: Sequence[Sequence[int]],
 def _span(rows: Sequence[Sequence[int]], den: int, ambient_dim: int) -> Lattice:
     """Lattice spanned by integer rows over den (dependent or zero rows
     allowed), based by their Hermite form."""
-    basis = tuple(tuple(Q(c, den) for c in row) for row in hnf(rows))
-    return Lattice(ambient_dim, basis)
+    return Lattice._from_ints(ambient_dim, hnf(rows), den)
 
 
-@dataclass(frozen=True)
 class Lattice:
     """A positive definite lattice with exact rational coordinates.
 
-    Its arithmetic runs on an integer-scaled core, computed lazily once
-    per instance: the basis as int ``rows`` over a common denominator
-    ``den`` (``_scaled``), the int Gram ``g = rows rows^T``, so that
-    ``gram == g / den^2`` (``_int_gram``), ``g^-1 == adj / D`` with an
-    int matrix ``adj`` (``_inverse``), and the fraction-free LDL^T of g
-    (``_ldl``), which backs both ``det`` and ``shell``.  Values become
-    ``Fraction`` only where a public method returns them.
+    ``Lattice(ambient_dim, basis)`` takes the basis as rational vectors.
+    The working state is the int core ``_scaled``: the basis as int
+    ``rows`` over a common denominator ``den > 0`` with ``gcd(den, every
+    entry) == 1``, the form ``_scaled_rows(basis)`` returns.  The lattice
+    operations of this module build the core directly (``_from_ints``),
+    and then ``basis`` is a ``Fraction`` view made on first access.  The
+    core is unique for a given basis, so equality and hashing read it.
+
+    From the core, lazily and once per instance: the int Gram
+    ``g = rows rows^T``, so that ``gram == g / den^2`` (``_int_gram``),
+    ``g^-1 == adj / D`` with an int matrix ``adj`` (``_inverse``), and the
+    fraction-free LDL^T of g (``_ldl``), which backs both ``det`` and
+    ``shell``.  Membership, coordinates and projections run on int
+    vectors over a denominator; values become ``Fraction`` only where a
+    public method returns them.  Instances are immutable.
     """
 
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+    def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
+        self.__dict__.update(ambient_dim=ambient_dim, basis=tuple(basis))
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+    @classmethod
+    def _from_ints(cls, ambient_dim: int, rows: Sequence[Sequence[int]],
+                   den: int) -> Lattice:
+        """The lattice based by ``rows / den`` (independent int rows,
+        ``den > 0``); the core divides out gcd(den, every entry)."""
+        g = gcd(den, *chain.from_iterable(rows))
+        lat = cls.__new__(cls)
+        lat.__dict__.update(
+            ambient_dim=ambient_dim,
+            _scaled=([[c // g for c in row] for row in rows], den // g))
+        return lat
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Lattice is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim == other.ambient_dim
+                and self._scaled == other._scaled)
+
+    def __hash__(self) -> int:
+        rows, den = self._scaled
+        return hash((self.ambient_dim, den, tuple(map(tuple, rows))))
+
+    def __repr__(self) -> str:
+        return f"Lattice(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        rows, den = self._scaled
+        return tuple(tuple(Q(c, den) for c in row) for row in rows)
 
     @cached_property
     def _scaled(self) -> tuple[list[list[int]], int]:
         return _scaled_rows(self.basis)
+
+    @property
+    def rank(self) -> int:
+        return len(self._scaled[0])
 
     @cached_property
     def _int_gram(self) -> list[list[int]]:
@@ -149,14 +198,11 @@ class Lattice:
     @cached_property
     def _canonical(self) -> tuple:
         """Scaled HNF basis, a canonical form for lattice equality."""
-        if not self.basis:
-            return (self.ambient_dim, 1, ())
         rows, den = self._scaled
+        if not rows:
+            return (self.ambient_dim, 1, ())
         h = hnf(rows)
-        g = den
-        for row in h:
-            for c in row:
-                g = gcd(g, c)
+        g = gcd(den, *chain.from_iterable(h))
         return (self.ambient_dim, den // g,
                 tuple(tuple(c // g for c in row) for row in h))
 
@@ -189,27 +235,49 @@ class Lattice:
             tuple(Q(den * c, D) for c in _combine(a, rows, self.ambient_dim))
             for a in adj)
 
-    def _weights(self, v: Sequence) -> tuple[list[int], list[int], list[int], int]:
-        """``(w, p, v_int, v_den)`` for ``v == v_int / v_den``, with
-        ``w = adj (rows v_int)`` and ``p = sum_k w[k] rows[k]``: v's
-        coordinates over the basis of its projection onto the span are
+    def _weights(self, v_int: Sequence[int]) -> tuple[list[int], list[int]]:
+        """``(w, p)`` for an int vector: ``w = adj (rows v_int)`` and
+        ``p = sum_k w[k] rows[k]``.  For ``v = v_int / v_den`` the
+        coordinates of v's projection onto the span over the basis are
         ``den w / (D v_den)``, and the projection is ``p / (D v_den)``."""
-        (v_int,), v_den = _scaled_rows([v])
         rows, _ = self._scaled
         adj, _ = self._inverse
         rhs = [dot(row, v_int) for row in rows]
         w = [dot(a, rhs) for a in adj]
-        return w, _combine(w, rows, self.ambient_dim), v_int, v_den
+        return w, _combine(w, rows, self.ambient_dim)
+
+    def _int_coordinates(self, v_int: Sequence[int],
+                         v_den: int) -> list[int] | None:
+        """The int coordinates over the basis of ``v = v_int / v_den``,
+        or None when v is not in the lattice: its projection must have
+        integral coordinates and equal v."""
+        w, p = self._weights(v_int)
+        D = self._inverse[1]
+        scale, den = D * v_den, self._scaled[1]
+        coords = []
+        for wk in w:
+            q, rest = divmod(den * wk, scale)
+            if rest:
+                return None
+            coords.append(q)
+        if any(pj != D * c for pj, c in zip(p, v_int)):
+            return None
+        return coords
+
+    def _scaled_vector(self, v: Sequence) -> tuple[list[int], int]:
+        """``(v_int, v_den)`` with ``v == v_int / v_den``, for a v of the
+        ambient's length."""
+        if len(v) != self.ambient_dim:
+            raise IncompatibleAmbient(
+                f"vector of length {len(v)} in ambient {self.ambient_dim}")
+        (v_int,), v_den = _scaled_rows([v])
+        return v_int, v_den
 
     def coordinates(self, v: Sequence) -> list[Q] | None:
         """Rational coordinates of v over the basis, or None if v is
         outside the rational span."""
-        if len(v) != self.ambient_dim:
-            raise IncompatibleAmbient(
-                f"vector of length {len(v)} in ambient {self.ambient_dim}")
-        if not self.basis:
-            return None if any(Q(c) != 0 for c in v) else []
-        w, p, v_int, v_den = self._weights(v)
+        v_int, v_den = self._scaled_vector(v)
+        w, p = self._weights(v_int)
         D = self._inverse[1]
         # v lies in the span iff it equals its projection
         if any(pj != D * c for pj, c in zip(p, v_int)):
@@ -218,26 +286,27 @@ class Lattice:
         return [Q(den * wk, D * v_den) for wk in w]
 
     def contains(self, v: Sequence) -> bool:
-        coords = self.coordinates(v)
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        return self._int_coordinates(*self._scaled_vector(v)) is not None
 
     def project(self, v: Sequence) -> Vector:
         """Orthogonal projection of v onto the rational span of L."""
-        if not self.basis:
-            return tuple(Q(0) for _ in range(self.ambient_dim))
-        _, p, _, v_den = self._weights(v)
+        (v_int,), v_den = _scaled_rows([v])
+        _, p = self._weights(v_int)
         scale = self._inverse[1] * v_den
         return tuple(Q(c, scale) for c in p)
+
+
+def _independent(lat: Lattice) -> Lattice:
+    if lat.rank and lat.det() == 0:
+        raise ValueError("basis vectors are linearly dependent")
+    return lat
 
 
 def from_basis(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Lattice:
     vecs = tuple(tuple(Q(c) for c in v) for v in vectors)
     if ambient_dim is None:
         ambient_dim = len(vecs[0])
-    lat = Lattice(ambient_dim, vecs)
-    if vecs and lat.det() == 0:
-        raise ValueError("basis vectors are linearly dependent")
-    return lat
+    return _independent(Lattice(ambient_dim, vecs))
 
 
 def from_generators(vectors: Sequence[Sequence], ambient_dim: int) -> Lattice:
@@ -255,6 +324,13 @@ def same_lattice(M: Lattice, N: Lattice) -> bool:
     return M._canonical == N._canonical
 
 
+def _rows_over(L: Lattice, den: int) -> list[list[int]]:
+    """L's basis as int rows over ``den``, a multiple of L's denominator."""
+    rows, own = L._scaled
+    f = den // own
+    return rows if f == 1 else [[f * c for c in row] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # Tensor products and discriminant groups.
 # ---------------------------------------------------------------------------
@@ -267,11 +343,10 @@ def tensor(A: Lattice, B: Lattice) -> Lattice:
     """
     if not (A.is_integral() and B.is_integral()):
         raise NotIntegral("tensor operands must be integral lattices")
-    basis = []
-    for a in A.basis:
-        for b in B.basis:
-            basis.append(tuple(x * y for x in a for y in b))
-    return Lattice(A.ambient_dim * B.ambient_dim, tuple(basis))
+    (a_rows, a_den), (b_rows, b_den) = A._scaled, B._scaled
+    rows = [[x * y for x in a for y in b] for a in a_rows for b in b_rows]
+    return Lattice._from_ints(A.ambient_dim * B.ambient_dim, rows,
+                              a_den * b_den)
 
 
 def discriminant_group(L: Lattice) -> tuple[int, ...]:
@@ -295,25 +370,27 @@ def _check_ambient(M: Lattice, N: Lattice) -> None:
 
 def sum_lattice(M: Lattice, N: Lattice) -> Lattice:
     _check_ambient(M, N)
-    return from_generators(M.basis + N.basis, M.ambient_dim)
+    den = lcm(M._scaled[1], N._scaled[1])
+    return _span(_rows_over(M, den) + _rows_over(N, den), den, M.ambient_dim)
 
 
 def intersect(M: Lattice, N: Lattice) -> Lattice:
     """M cap N via the left kernel of the stacked basis matrix."""
     _check_ambient(M, N)
-    if not M.basis or not N.basis:
+    if not M.rank or not N.rank:
         return Lattice(M.ambient_dim, ())
-    rows, den = _scaled_rows(list(M.basis) + [tuple(-c for c in v)
-                                              for v in N.basis])
+    den = lcm(M._scaled[1], N._scaled[1])
+    m_rows = _rows_over(M, den)
+    rows = m_rows + [[-c for c in row] for row in _rows_over(N, den)]
     k = M.rank
-    gens = [_combine(w[:k], rows[:k], M.ambient_dim) for w in int_kernel(rows)]
+    gens = [_combine(w[:k], m_rows, M.ambient_dim) for w in int_kernel(rows)]
     return _span(gens, den, M.ambient_dim)
 
 
 def annihilator(M: Lattice, L: Lattice) -> Lattice:
     """ann_L(M) = the sublattice of L orthogonal to all of M."""
     _check_ambient(M, L)
-    if not M.basis or not L.basis:
+    if not M.rank or not L.rank:
         return L
     # the pairings scaled by den_L * den_M > 0, which keeps the kernel
     rows, den = L._scaled
@@ -325,7 +402,8 @@ def annihilator(M: Lattice, L: Lattice) -> Lattice:
 
 def is_sublattice(M: Lattice, L: Lattice) -> bool:
     _check_ambient(M, L)
-    return all(L.contains(v) for v in M.basis)
+    rows, den = M._scaled
+    return all(L._int_coordinates(v, den) is not None for v in rows)
 
 
 def index_in(M: Lattice, L: Lattice) -> int | None:
@@ -347,10 +425,15 @@ def index_in(M: Lattice, L: Lattice) -> int | None:
 # ---------------------------------------------------------------------------
 
 def is_SSD(M: Lattice) -> bool:
-    """Semiselfdual: 2M* <= M."""
+    """Semiselfdual: 2M* <= M.
+
+    The dual basis has coordinates gram^-1 = den^2 adj / D over the
+    basis, so 2M* <= M iff D divides every entry of 2 den^2 adj."""
     if not M.is_integral():
         raise NotIntegral("SSD is defined for integral lattices")
-    return all(M.contains(tuple(2 * c for c in d)) for d in M.dual_basis())
+    adj, D = M._inverse
+    f = 2 * M._scaled[1] ** 2
+    return all(f * a % D == 0 for row in adj for a in row)
 
 
 def is_RSSD(M: Lattice, L: Lattice) -> bool:
@@ -358,7 +441,9 @@ def is_RSSD(M: Lattice, L: Lattice) -> bool:
     if not is_sublattice(M, L):
         raise NotASublattice("RSSD requires M <= L")
     big = sum_lattice(M, annihilator(M, L))
-    return all(big.contains(tuple(2 * c for c in v)) for v in L.basis)
+    rows, den = L._scaled
+    return all(big._int_coordinates([2 * c for c in v], den) is not None
+               for v in rows)
 
 
 def t_involution(M: Lattice, L: Lattice) -> list[list[int]]:
@@ -367,15 +452,18 @@ def t_involution(M: Lattice, L: Lattice) -> list[list[int]]:
     """
     if not is_RSSD(M, L):
         raise NotRSSD("t involution preserves L only for RSSD sublattices")
+    rows, den = L._scaled
+    D = M._inverse[1]
     cols = []
-    for v in L.basis:
-        p = M.project(v)
-        image = tuple(Q(c) - 2 * pc for c, pc in zip(v, p))
-        coords = L.coordinates(image)
-        if coords is None or any(c.denominator != 1 for c in coords):
+    for v in rows:
+        # v / den projects onto p / (D den), so v - 2 p is the image over D den
+        _, p = M._weights(v)
+        coords = L._int_coordinates(
+            [D * c - 2 * pc for c, pc in zip(v, p)], D * den)
+        if coords is None:
             raise NotRSSD("t image left the lattice")
-        cols.append([int(c) for c in coords])
-    return [[cols[j][i] for j in range(L.rank)] for i in range(L.rank)]
+        cols.append(coords)
+    return [list(row) for row in zip(*cols)]
 
 
 def matrix_order(T: list[list[int]], cap: int = 12) -> int:
@@ -395,113 +483,166 @@ def matrix_order(T: list[list[int]], cap: int = 12) -> int:
 # Shell enumeration (integer Fincke-Pohst).
 # ---------------------------------------------------------------------------
 
-def _shell_ints(L: Lattice, norm,
-                cap: int = SHELL_RANK_CAP) -> tuple[list[tuple[int, ...]], int]:
-    """``shell(L, norm, cap)`` as ``(vectors, den)``: the sorted int
-    tuples v with v / den the lattice vectors, ``den`` the common
-    denominator of L's basis.
+def _shell_keys(L: Lattice, norm, cap: int = SHELL_RANK_CAP
+                ) -> tuple[list[int], Callable[[int], tuple[int, ...]], int]:
+    """``shell(L, norm, cap)`` as ``(keys, decode, den)``: one sorted int
+    key per lattice vector, with ``decode(key)`` the int tuple v such that
+    v / den is the vector, ``den`` the common denominator of L's basis.
 
     Integer Fincke-Pohst (Fincke & Pohst, Math. Comp. 44, 1985) on the
     int Gram g, where the coefficient vector x of a vector of norm ``norm``
-    has ``x^T g x == norm den^2``.  ``L._ldl`` holds the pivots p_k and
-    multiplier numerators a_kj of g, so with
+    has ``x^T g x == T`` for the int ``T = norm den^2``.  ``L._ldl`` holds
+    the pivots p_k and multiplier numerators a_kj of g, so with
     ``t_k = p_k x_k + sum_(j>k) a_kj x_j`` the norm splits into the terms
     ``t_k^2 / (p_k p_(k-1))``.  Scaled by ``M = lcm(p_k p_(k-1))`` every
     term is the int ``w_k t_k^2`` with ``w_k = M / (p_k p_(k-1))``, so the
     budget of each level is an int, the interval of x_k comes from
-    ``isqrt`` and floor division, and the last level solves
-    ``w_0 t_0^2 == budget`` exactly.
+    ``isqrt`` and floor division, and the last level, inlined in the loop
+    of level 1, solves ``w_0 t_0^2 == budget`` exactly.
+
+    Keys are packed vectors.  Every coordinate of a shell vector has
+    ``|v_j| <= isqrt(T) < bias``, so ``v_j + bias`` is a digit in
+    ``[1, 2 bias)`` and fits ``width`` bytes; coordinate 0 is the most
+    significant digit.  The key ``sum_j (v_j + bias) 256^(width (d-1-j))``
+    is then linear in x, ``offset + sum_k x_k P_k`` with ``P_k`` the row
+    ``rows[k]`` packed the same way, so the descent adds one ``x_k P_k``
+    per level, and int order is the lexicographic order of the vectors.
     """
     if L.rank > cap:
         raise RankTooLarge(f"rank {L.rank} exceeds enumeration cap {cap}")
     rows, den = L._scaled
-    target = Q(norm)
-    if target < 0:
-        return [], den
-    if L.rank == 0:
-        return ([(0,) * L.ambient_dim] if target == 0 else []), den
+    d, r = L.ambient_dim, L.rank
+    target = Q(norm) * den * den
+    T = target.numerator
+    bias = isqrt(max(T, 0)) + 1
+    width = ((2 * bias - 1).bit_length() + 7) // 8
+    shift, size = 8 * width, width * d
+
+    def pack(vector: Sequence[int]) -> int:
+        key = 0
+        for c in vector:
+            key = (key << shift) + c
+        return key
+
+    offset = pack([bias] * d)
+    if width == 1:
+        digits = range(-bias, 256 - bias)
+
+        def decode(key: int) -> tuple[int, ...]:
+            return tuple(map(digits.__getitem__, key.to_bytes(d, "big")))
+    else:
+        def decode(key: int) -> tuple[int, ...]:
+            raw = key.to_bytes(size, "big")
+            return tuple(int.from_bytes(raw[i:i + width], "big") - bias
+                         for i in range(0, size, width))
+
+    if T < 0:
+        return [], decode, den
+    if r == 0:
+        return ([offset] if target == 0 else []), decode, den
     factors = L._ldl
     if factors is None:
         raise ValueError("Gram matrix is not positive definite")
-    target *= den * den
     if target.denominator != 1:  # x^T g x is an int
-        return [], den
+        return [], decode, den
     pivots, mult = factors
     below = [1] + pivots[:-1]
     scale = lcm(*(p * q for p, q in zip(pivots, below)))
     weights = [scale // (p * q) for p, q in zip(pivots, below)]
-    r = L.rank
-    sols: list[tuple[int, ...]] = []
-    x = [0] * r
+    packed = [pack(row) for row in rows]
+    p0, w0, a0, key0 = pivots[0], weights[0], mult[0], packed[0]
+    keys: list[int] = []
+    x = [0] * r  # x[j] for j > k is fixed by the levels above k
 
-    def descend(k: int, budget: int) -> None:
-        c = sum(a * xj for a, xj in zip(mult[k], x[k + 1:]) if xj)
-        p, w = pivots[k], weights[k]
+    def emit(s: int, c: int, key: int) -> None:
+        """Level 0 with ``w_0 s^2 == budget``: t_0 = p_0 x_0 + c = +-s."""
+        for t in ((s, -s) if s else (0,)):
+            x0, rest = divmod(t - c, p0)
+            if not rest:
+                keys.append(key + x0 * key0)
+
+    def descend(k: int, budget: int, key: int) -> None:
+        c = sum(map(mul, mult[k], x[k + 1:]))
+        p, w, pk = pivots[k], weights[k], packed[k]
         s = isqrt(budget // w)
-        if k == 0:
-            if w * s * s == budget:
-                for t in ((s, -s) if s else (0,)):
-                    x0, rest = divmod(t - c, p)
-                    if not rest:
-                        x[0] = x0
-                        sols.append(tuple(x))
-                x[0] = 0
+        xs = range(-((s + c) // p), (s - c) // p + 1)
+        if k > 1:
+            for xk in xs:
+                t = p * xk + c
+                x[k] = xk
+                descend(k - 1, budget - w * t * t, key + xk * pk)
             return
-        for xk in range(-((s + c) // p), (s - c) // p + 1):
-            t = p * xk + c
-            x[k] = xk
-            descend(k - 1, budget - w * t * t)
-        x[k] = 0
+        a01 = a0[0]
+        c0 = sum(map(mul, a0[1:], x[2:]))
+        for x1 in xs:
+            t = p * x1 + c
+            rest = budget - w * t * t
+            s0 = isqrt(rest // w0)
+            if w0 * s0 * s0 == rest:
+                emit(s0, c0 + a01 * x1, key + x1 * pk)
 
-    descend(r - 1, scale * target.numerator)
-    # one positive denominator: int order is the rational order
-    vectors = sorted(tuple(_combine(xs, rows, L.ambient_dim)) for xs in sols)
-    return vectors, den
+    budget = scale * T
+    if r == 1:
+        s0 = isqrt(budget // w0)
+        if w0 * s0 * s0 == budget:
+            emit(s0, 0, offset)
+    else:
+        descend(r - 1, budget, offset)
+    keys.sort()
+    return keys, decode, den
+
+
+def _shell_ints(L: Lattice, norm,
+                cap: int = SHELL_RANK_CAP) -> tuple[list[tuple[int, ...]], int]:
+    """``shell(L, norm, cap)`` as ``(vectors, den)``: the sorted int
+    tuples v with v / den the lattice vectors, decoded from
+    ``_shell_keys``."""
+    keys, decode, den = _shell_keys(L, norm, cap)
+    return list(map(decode, keys)), den
 
 
 def shell(L: Lattice, norm, cap: int = SHELL_RANK_CAP) -> list[Vector]:
     """All lattice vectors of the given squared norm, sorted.
 
-    Enumerated in ints by ``_shell_ints`` (fraction-free LDL^T and
-    integer Fincke-Pohst bounds); each int vector is divided by the common
-    denominator once per coordinate.  Refuses ranks beyond the cap
-    (desk-scale enumeration only) with ``RankTooLarge``, and raises
-    ``ValueError`` on a Gram matrix that is not positive definite.
+    Enumerated in ints by ``_shell_keys`` (fraction-free LDL^T, integer
+    Fincke-Pohst bounds and packed keys in one sort); each key is decoded
+    once, and each distinct coordinate becomes one shared ``Fraction``.
+    Refuses ranks beyond the cap (desk-scale enumeration only) with
+    ``RankTooLarge``, and raises ``ValueError`` on a Gram matrix that is
+    not positive definite.
     """
-    vectors, den = _shell_ints(L, norm, cap)
-    for i, v in enumerate(vectors):  # in place, to keep the peak low
-        vectors[i] = tuple(Q(c, den) for c in v)
-    return vectors
+    keys, decode, den = _shell_keys(L, norm, cap)
+    frac = cache(partial(Q, denominator=den))
+    for i, key in enumerate(keys):  # in place, to keep the peak low
+        keys[i] = tuple(map(frac, decode(key)))
+    return keys
 
 
 # ---------------------------------------------------------------------------
 # Block embeddings of E8 into X = E8^n and the script realizations.
 # ---------------------------------------------------------------------------
 
-def block_sum(n: int, coeffs: Sequence, v: Sequence) -> Vector:
-    """sum_i coeffs[i] * iota_i(v) in the 8n-dim ambient."""
-    out = [Q(0)] * (8 * n)
+def block_sum(n: int, coeffs: Sequence, v: Sequence) -> tuple:
+    """sum_i coeffs[i] * iota_i(v) in the 8n-dim ambient: the Kronecker
+    product of coeffs and v, in ints for int inputs."""
+    out = [0] * (8 * n)
     for i, a in enumerate(coeffs):
-        qa = Q(a)
-        if qa:
+        if a:
             for k, c in enumerate(v):
-                out[8 * i + k] = qa * Q(c)
+                out[8 * i + k] = a * c
     return tuple(out)
 
 
-def tensor_embedding(R: RootSystem) -> Callable[[Sequence, Sequence], Vector]:
+def tensor_embedding(R: RootSystem) -> Callable[[Sequence, Sequence], tuple]:
     """The coordinatewise map alpha (x) gamma -> sum_i alpha_i iota_i(gamma).
 
     R's coordinate model supplies the block coefficients; gamma ranges
     over E8 model vectors.  Restricted to the root lattice of R this is
     the isometric identification of R (x) E8 with its script realization.
+    It is linear in each argument, so it maps int numerators to int
+    numerators over the product of their denominators.
     """
-    n = R.ambient_dim
-
-    def embed(alpha: Sequence, gamma: Sequence) -> Vector:
-        return block_sum(n, [Q(c) for c in alpha], gamma)
-
-    return embed
+    return partial(block_sum, R.ambient_dim)
 
 
 _E8_MODEL: RootSystem | None = None
@@ -518,12 +659,21 @@ def e8_lattice() -> Lattice:
     return root_lattice(e8_model())
 
 
+def _image_rows(R: RootSystem, alphas: Sequence[Sequence]
+                ) -> tuple[list[tuple[int, ...]], int]:
+    """The images alpha (x) gamma of the alphas against the E8 model's
+    simple roots gamma, as int rows over one denominator."""
+    a_rows, a_den = _scaled_rows(alphas)
+    g_rows, g_den = _scaled_rows(e8_model().simple_roots())
+    embed = tensor_embedding(R)
+    return [embed(a, g) for a in a_rows for g in g_rows], a_den * g_den
+
+
 def malpha_lattice(R: RootSystem, alpha) -> Lattice:
     """M_alpha = Z alpha (x) E8 realized inside R^(8n); a copy of
     sqrt2 E8 (Gram doubled)."""
-    embed = tensor_embedding(R)
-    basis = [embed(alpha, g) for g in e8_model().simple_roots()]
-    return from_basis(basis, 8 * R.ambient_dim)
+    rows, den = _image_rows(R, [alpha])
+    return _independent(Lattice._from_ints(8 * R.ambient_dim, rows, den))
 
 
 def ade_realization(R: RootSystem) -> Lattice:
@@ -534,12 +684,23 @@ def ade_realization(R: RootSystem) -> Lattice:
     whole root lattice under the same coordinatewise map (which brings
     in half-integer block coefficients through the E8 model's roots).
     """
-    embed = tensor_embedding(R)
-    gens = []
-    for b in R.simple_roots():
-        for g in e8_model().simple_roots():
-            gens.append(embed(b, g))
-    return from_generators(gens, 8 * R.ambient_dim)
+    rows, den = _image_rows(R, R.simple_roots())
+    return _span(rows, den, 8 * R.ambient_dim)
+
+
+@cache
+def _e8_realization() -> Lattice:
+    """The script lattice of E8 (rank 64), shared by the E-type
+    identifications."""
+    return ade_realization(e8_model())
+
+
+def _same_gram(M: Lattice, N: Lattice) -> bool:
+    """``M.gram == N.gram``, compared on the int Grams."""
+    m2, n2 = M._scaled[1] ** 2, N._scaled[1] ** 2
+    return M.rank == N.rank and all(
+        x * n2 == y * m2 for mg, ng in zip(M._int_gram, N._int_gram)
+        for x, y in zip(mg, ng))
 
 
 def verify_identification(kind: str, rank: int) -> bool:
@@ -554,25 +715,24 @@ def verify_identification(kind: str, rank: int) -> bool:
     E8 = e8_lattice()
     if kind in ("A", "D") or (kind, rank) == ("E", 8):
         target = tensor(root_lattice(R), E8)
-        embed = tensor_embedding(R)
-        mapped = [embed(b, g) for b in R.simple_roots()
-                  for g in e8_model().simple_roots()]
-        image = from_basis(mapped, 8 * R.ambient_dim)
-        if image.gram != target.gram:
+        rows, den = _image_rows(R, R.simple_roots())
+        image = Lattice._from_ints(8 * R.ambient_dim, rows, den)
+        if not _same_gram(image, target):
             return False
-        return same_lattice(image, ade_realization(R))
+        script = _e8_realization() if kind == "E" else ade_realization(R)
+        return same_lattice(image, script)
     if (kind, rank) in (("E", 7), ("E", 6)):
-        big = ade_realization(e8_model())
+        big = _e8_realization()
         n = 8
-        half_d = from_basis(
-            [block_sum(n, [Q(1, 2)] * n, g) for g in e8_model().simple_roots()],
-            8 * n)
+        g_rows, g_den = E8._scaled
+        half_d = Lattice._from_ints(
+            8 * n, [block_sum(n, [1] * n, g) for g in g_rows], 2 * g_den)
         if rank == 7:
             ortho_to = half_d
         else:
-            mu_18 = from_basis(
-                [block_sum(n, [1, 0, 0, 0, 0, 0, 0, 1], g)
-                 for g in e8_model().simple_roots()], 8 * n)
+            mu_18 = Lattice._from_ints(
+                8 * n, [block_sum(n, [1, 0, 0, 0, 0, 0, 0, 1], g)
+                        for g in g_rows], g_den)
             ortho_to = sum_lattice(half_d, mu_18)
         comp = annihilator(ortho_to, big)
         target = tensor(root_lattice(R), E8)

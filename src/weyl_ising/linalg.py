@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything in this package that looks like numerics is exact: vectors are
-tuples of ``fractions.Fraction``, integer matrices are lists of lists of
-``int``, and the routines below never touch floating point.  The integer
-routines (Hermite and Smith forms, kernels, the fraction-free inverse and
-LDL^T) use arbitrary-precision ints, so intermediate growth is a
-speed question, not a correctness one.
+Everything in this package that looks like numerics is exact, and the
+routines below never touch floating point.  The kernels work on int rows
+over one common denominator (matrices are lists of lists of ``int``);
+``fractions.Fraction`` values appear where a public function hands out a
+rational vector or matrix, and ``Vector`` names that form.  ``dot``
+takes either.  The integer routines (Hermite and Smith forms, kernels,
+the fraction-free inverse and LDL^T) use arbitrary-precision ints, so
+intermediate growth is a speed question, not a correctness one.
 """
 
 from __future__ import annotations

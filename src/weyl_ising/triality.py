@@ -23,15 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .axes import SAME, TWO_B, AxisAlgebra, ThreeC
 from .lattice import (
     Lattice,
+    _scaled_rows,
     _shell_ints,
+    _shell_keys,
+    _span,
     e8_lattice,
-    from_generators,
     index_in,
     shell,
 )
@@ -174,6 +176,16 @@ def twisted_group(n: int) -> TwistedGroupReport:
                               shape=f"3^{power}:S_{n}")
 
 
+def _normal_twist(twist: tuple[int, ...]) -> tuple[int, ...]:
+    """The least of the twists ``twist + c*(1, .., 1)`` with ``n*c = 0
+    mod 3``, for entries already reduced mod 3: the representative
+    modulo the constant vectors."""
+    if len(twist) % 3:
+        return twist
+    return min(twist, tuple([(x + 1) % 3 for x in twist]),
+               tuple([(x + 2) % 3 for x in twist]))
+
+
 @dataclass(frozen=True)
 class TwistedGroupElement:
     """Pair (sigma, a): a block permutation with a mod-3 twist vector,
@@ -186,21 +198,31 @@ class TwistedGroupElement:
         n = len(self.sigma)
         if sorted(self.sigma) != list(range(n)) or len(self.twist) != n:
             raise ValueError("need a block permutation and a twist per block")
-        shifts = [c for c in range(3) if (n * c) % 3 == 0]
-        best = min(tuple((x + c) % 3 for x in self.twist) for c in shifts)
-        object.__setattr__(self, "twist", best)
+        object.__setattr__(self, "twist",
+                           _normal_twist(tuple(x % 3 for x in self.twist)))
+
+    @classmethod
+    def _trusted(cls, sigma: tuple[int, ...],
+                 twist: tuple[int, ...]) -> "TwistedGroupElement":
+        """An element from a sigma known to be a permutation and a twist
+        of the same length with entries mod 3: no validation, only the
+        twist normalisation."""
+        element = object.__new__(cls)
+        element.__dict__.update(sigma=sigma, twist=_normal_twist(twist))
+        return element
 
     @staticmethod
     def identity(n: int) -> "TwistedGroupElement":
         return TwistedGroupElement(tuple(range(n)), (0,) * n)
 
     def compose(self, other: "TwistedGroupElement") -> "TwistedGroupElement":
-        """(sigma, a)(sigma', a') = (sigma sigma', a o sigma' + a')."""
+        """(sigma, a)(sigma', a') = (sigma sigma', a o sigma' + a').  The
+        product of two permutations is one, so it skips validation."""
         s, a = self.sigma, self.twist
         sp, ap = other.sigma, other.twist
-        return TwistedGroupElement(
-            tuple(s[sp[k]] for k in range(len(s))),
-            tuple((a[sp[k]] + ap[k]) % 3 for k in range(len(s))),
+        return TwistedGroupElement._trusted(
+            tuple([s[k] for k in sp]),
+            tuple([(a[k] + b) % 3 for k, b in zip(sp, ap)]),
         )
 
     def inverse(self) -> "TwistedGroupElement":
@@ -246,9 +268,41 @@ class AbstractTwistedGroup:
 
     def closure(self, cap: int = 10_000) -> set[TwistedGroupElement]:
         """Brute-force closure of the generators; raises
-        ``ClosureCapExceeded`` past the cap."""
-        return closure(TwistedGroupElement.identity(self.n), self.generators,
-                       TwistedGroupElement.compose, cap)
+        ``ClosureCapExceeded`` past the cap.
+
+        Up to 85 blocks the search runs on byte codes.  A pair
+        (sigma, a) permutes the 3n points (block k, exponent t), numbered
+        3k + t, by (k, t) -> (sigma(k), t + a(k)); products compose these
+        permutations, so an element is kept as the images
+        ``3 sigma(k) + a(k)`` of the points (k, 0), and left
+        multiplication by a generator is one ``bytes.translate`` through
+        its table.  With 3 | n each code is shifted to a(0) = 0, the
+        ``_normal_twist`` representative modulo the constant twists.
+        Each code found is one element, so levels, cap and result are
+        those of the search with ``TwistedGroupElement.compose``, which
+        runs past 85 blocks."""
+        n = self.n
+        if 3 * n > 256:
+            return closure(TwistedGroupElement.identity(n), self.generators,
+                           TwistedGroupElement.compose, cap)
+        pad = bytes(range(3 * n, 256))
+        tables = [bytes(3 * g.sigma[k] + (g.twist[k] + t) % 3
+                        for k in range(n) for t in range(3)) + pad
+                  for g in self.generators]
+        if n % 3:
+            def compose(table: bytes, code: bytes) -> bytes:
+                return code.translate(table)
+        else:
+            shifts = [bytes(b - b % 3 + (b + c) % 3 for b in range(3 * n)) + pad
+                      for c in range(3)]
+
+            def compose(table: bytes, code: bytes) -> bytes:
+                code = code.translate(table)
+                return code.translate(shifts[-code[0] % 3])
+        codes = closure(bytes(range(0, 3 * n, 3)), tables, compose, cap)
+        return {TwistedGroupElement._trusted(tuple(b // 3 for b in code),
+                                             tuple(b % 3 for b in code))
+                for code in codes}
 
 
 def abstract_twisted_group(n: int) -> AbstractTwistedGroup:
@@ -257,20 +311,24 @@ def abstract_twisted_group(n: int) -> AbstractTwistedGroup:
 
 def kernel_mod3(delta) -> Lattice:
     """{beta : <beta, delta> = 0 mod 3} as a sublattice of the norm-2
-    shell's lattice (index 1 or 3)."""
+    shell's lattice (index 1 or 3), built on E8's int core: with the
+    basis as ``rows / den`` and ``delta = d_int / d_den``, the pairing
+    of basis vector k with delta is ``<rows_k, d_int> / (den d_den)``."""
     L = e8_lattice()
-    residues = [int(dot(b, tuple(Q(c) for c in delta))) % 3 for b in L.basis]
+    rows, den = L._scaled
+    (d_int,), d_den = _scaled_rows([delta])
+    residues = [int(Q(dot(row, d_int), den * d_den)) % 3 for row in rows]
     pivot = next((k for k, m in enumerate(residues) if m), None)
     if pivot is None:
         return L
     inv = 1 if residues[pivot] == 1 else 2
-    gens = [tuple(3 * c for c in L.basis[pivot])]
-    for k, b in enumerate(L.basis):
-        if k == pivot:
-            continue
-        f = (residues[k] * inv) % 3
-        gens.append(tuple(c - f * p for c, p in zip(b, L.basis[pivot])))
-    return from_generators(gens, L.ambient_dim)
+    base = rows[pivot]
+    gens = [[3 * c for c in base]]
+    for k, row in enumerate(rows):
+        if k != pivot:
+            f = (residues[k] * inv) % 3
+            gens.append([c - f * p for c, p in zip(row, base)])
+    return _span(gens, den, L.ambient_dim)
 
 
 def _classifies_as_A8(K: Lattice) -> bool:
@@ -324,15 +382,12 @@ def _class_root_counts(L: Lattice) -> list[int]:
     with kappa_i = 0 by adding kappa_i c_i one basis vector at a time.
     """
     roots, den = _shell_ints(L, 2)
-    # c_i = <omega_i, r> for the dual basis omega
-    omega = L.dual_basis()
-    wden = lcm(*(c.denominator for w in omega for c in w))
+    coeffs = [L._int_coordinates(v, den) for v in roots]
     ones, twos = [], []
-    for w in omega:
-        w_int = [c.numerator * (wden // c.denominator) for c in w]
+    for i in range(L.rank):
         one = two = 0
-        for b, v in enumerate(roots):
-            c = (sum(map(mul, w_int, v)) // (wden * den)) % 3
+        for b, x in enumerate(coeffs):
+            c = x[i] % 3
             if c == 1:
                 one |= 1 << b
             elif c == 2:
@@ -362,24 +417,27 @@ def find_delta() -> tuple[tuple, Lattice]:
     sublattice with determinant 9 and a single 8-node chain of simple
     roots (72 roots in all).
 
-    The shells of norm 2, 4, 6 and 8 are read in ints, and a candidate
-    reaches the lattice checks only when its class in E8/3E8 has 72
-    kernel roots in the ``_class_root_counts`` table."""
+    The shells of norm 2, 4, 6 and 8 are read as sorted packed keys and
+    decoded one vector at a time, and a candidate reaches the lattice
+    checks only when its class in E8/3E8 has 72 kernel roots in the
+    ``_class_root_counts`` table."""
     global _DELTA_CACHE
     if _DELTA_CACHE is not None:
         return _DELTA_CACHE
     L = e8_lattice()
     counts = _class_root_counts(L)
+    rows, den = L._scaled
+    # <alpha_i, v / den> = <rows_i, v> / den^2, i from the top
+    simple = rows[::-1]
+    den2 = den * den
     for norm in (2, 4, 6, 8):
-        vectors, den = _shell_ints(L, norm)
-        # <alpha_i, v / den> = <den alpha_i, v> / den^2, i from the top
-        simple = [[int(den * c) for c in a] for a in reversed(L.basis)]
-        den2 = den * den
-        for v in vectors:
-            key = 0
+        keys, decode, _ = _shell_keys(L, norm)
+        for key in keys:  # in lexicographic order, decoded one at a time
+            v = decode(key)
+            kappa = 0
             for a in simple:
-                key = 3 * key + (sum(map(mul, a, v)) // den2) % 3
-            if counts[key] != 72:
+                kappa = 3 * kappa + (sum(map(mul, a, v)) // den2) % 3
+            if counts[kappa] != 72:
                 continue
             delta = tuple(Q(c, den) for c in v)
             K = kernel_mod3(delta)

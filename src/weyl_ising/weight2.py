@@ -197,7 +197,7 @@ def virasoro_quadratic(M: Lattice) -> Weight2Element:
     over ``den``, the int Gram ``g = rows rows^T`` and ``g^-1 = adj / D``,
     ``P = rows^T adj rows / D`` (the den factors cancel)."""
     d = M.ambient_dim
-    if not M.basis:
+    if not M.rank:
         return Weight2Element.zero(d)
     rows, _ = M._scaled
     adj, D = M._inverse

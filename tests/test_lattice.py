@@ -2,10 +2,13 @@
 products, shells, SSD/RSSD sublattices and their involutions, and the
 identification of the block realizations with tensor lattices."""
 
+import copy
+import pickle
 from fractions import Fraction as Q
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import (
@@ -25,6 +28,7 @@ from weyl_ising.lattice import (
     OrderCapExceeded,
     RankTooLarge,
     UnsupportedName,
+    _shell_keys,
     ade_realization,
     annihilator,
     block_sum,
@@ -194,6 +198,43 @@ def test_integer_core_matches_fraction_reference(case):
             for j in range(lat.ambient_dim))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_basis_and_vectors(), st.integers(1, 6))
+def test_int_core_equals_fraction_basis(case, k):
+    """A lattice built from int rows over a denominator that shares the
+    factor k with every entry reduces to the core of ``from_basis`` on
+    the same ``Fraction`` basis, and agrees with it on everything read
+    from the core, on equality and on hashing."""
+    basis, _ = case
+    d = len(basis[0])
+    den = lcm(*(Q(c).denominator for v in basis for c in v))
+    rows = [[k * int(c * den) for c in v] for v in basis]
+    lat = Lattice._from_ints(d, rows, k * den)
+    ref = from_basis(basis, d)
+    assert lat._scaled == ref._scaled
+    assert lat.basis == ref.basis == tuple(tuple(Q(c) for c in v) for v in basis)
+    assert lat.rank == ref.rank == len(basis)
+    assert lat.gram == ref.gram
+    assert lat.det() == ref.det()
+    assert lat.dual_basis() == ref.dual_basis()
+    assert lat._canonical == ref._canonical
+    assert lat == ref and hash(lat) == hash(ref)
+    assert lat == Lattice(d, basis) and hash(lat) == hash(Lattice(d, basis))
+    assert lat != Lattice(d, [tuple(2 * c for c in v) for v in basis])
+
+
+def test_lattices_are_immutable_and_pickle():
+    lat = from_basis([(1, 0), (0, 1)])
+    with pytest.raises(AttributeError):
+        lat.basis = ()
+    with pytest.raises(AttributeError):
+        lat.ambient_dim = 3
+    built = e8_lattice()
+    script = ade_realization(build_root_system("A", 2))
+    for x in (lat, built, script):
+        assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
+
+
 def test_project():
     lat = from_basis([(1, 0, 0), (0, 1, 0)])
     assert lat.project((3, 4, 5)) == (3, 4, 0)
@@ -301,6 +342,86 @@ def test_shell_matches_fraction_reference(case):
     assert fresh.det() == det_rational(lat.gram)
     assert shell(fresh, norm) == want
     assert shell(lat, norm) == want
+
+
+def _assert_reference_shell(lat, norm):
+    got = shell(lat, norm)
+    assert got == reference_shell(lat, norm)
+    assert all(a < b for a, b in zip(got, got[1:]))  # strictly increasing
+    return got
+
+
+@st.composite
+def _multibyte_case(draw):
+    """A basis of rank <= 2 in (1/4)Z with denominator 4, and the norm of
+    a long lattice vector (at least 1024, so every shell coordinate
+    bound isqrt(16 norm) + 1 is past 128 and digits take two bytes), or
+    that norm moved by 1/32 or 1/16."""
+    r = draw(st.integers(1, 2))
+    d = draw(st.integers(r, r + 1))
+    entries = st.integers(-6, 6).map(lambda n: Q(n, 4))
+    basis = [tuple(draw(st.lists(entries, min_size=d, max_size=d)))
+             for _ in range(r)]
+    assume(any(c.denominator == 4 for v in basis for c in v))
+    assume(det_rational(gram_matrix(basis)) != 0)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    v = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d)]
+    assume(any(v))
+    k = 1  # the least multiple k v of norm 1024 or more
+    while k * k * dot(v, v) < 1024:
+        k += 1
+    norm = k * k * dot(v, v)
+    return from_basis(basis, d), norm + Q(draw(st.sampled_from((0, 0, 1, 2))), 32)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_multibyte_case())
+def test_shell_with_multibyte_digits_matches_reference(case):
+    """Packed keys with two-byte digits: one per vector, decoded back
+    to the reference shell in lexicographic order."""
+    lat, norm = case
+    vectors = _assert_reference_shell(lat, norm)
+    keys, decode, den = _shell_keys(lat, norm)
+    assert [tuple(Q(c, den) for c in decode(k)) for k in keys] == vectors
+    if vectors:  # two-byte digits: some key is longer than d bytes
+        assert max(k.bit_length() for k in keys) > 8 * lat.ambient_dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda d: st.lists(_QUARTER, min_size=d, max_size=d)),
+       st.integers(0, 12), st.sampled_from((0, 0, 1, -1, 3)))
+@example([Q(1, 4)], 0, 0)
+@example([Q(3, 2), Q(-1, 4)], 5, 0)
+def test_rank_one_shell_matches_reference(b, k, off):
+    """Rank 1: the shell of norm k^2 |b|^2 is +-k b (just 0 at k = 0);
+    norms moved by a multiple of 1/7 are empty."""
+    assume(any(b))
+    lat = from_basis([b], len(b))
+    norm = k * k * dot(b, b) + Q(off, 7)
+    got = _assert_reference_shell(lat, norm)
+    if not off:
+        assert len(got) == (2 if k else 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_and_norm(), st.sampled_from(("zero", "negative", "minus",
+                                             "third", "off")))
+def test_shell_at_edge_norms_matches_reference(case, kind):
+    """Norm 0 gives the zero vector, negative norms nothing, and so do
+    norms whose norm * den^2 is not an int (a third, or a norm moved by
+    1/128 with den dividing 4)."""
+    lat, norm = case
+    norm = {"zero": Q(0), "negative": -abs(norm) - 1, "minus": -Q(1, 16),
+            "third": Q(1, 3), "off": norm + Q(1, 128)}[kind]
+    got = _assert_reference_shell(lat, norm)
+    assert got == ([(0,) * lat.ambient_dim] if kind == "zero" else [])
+
+
+def test_rank_zero_shell():
+    empty = Lattice(3, ())
+    assert shell(empty, 0) == [(0, 0, 0)] == reference_shell(empty, 0)
+    assert shell(empty, 2) == [] == reference_shell(empty, 2)
 
 
 def test_shell_rank_cap():

@@ -8,12 +8,15 @@ from fractions import Fraction as Q
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraction_reference import axis_product
+from weyl_ising import triality
 from weyl_ising.axes import SAME, TWO_B, ThreeC, virasoro
 from weyl_ising.lattice import e8_lattice, index_in, same_lattice, shell
 from weyl_ising.linalg import dot
-from weyl_ising.permgrp import ClosureCapExceeded, PermGroup
+from weyl_ising.permgrp import ClosureCapExceeded, PermGroup, closure
 from weyl_ising.triality import (
     AbstractTwistedGroup,
     NotFound,
@@ -245,6 +248,61 @@ def test_abstract_closure_matches_counted_order(n):
     assert len(g.closure()) == g.order
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_abstract_closure_matches_compose_search(n):
+    """The byte-code search finds the elements, level for level, that
+    the search with ``TwistedGroupElement.compose`` finds."""
+    g = abstract_twisted_group(n)
+    by_compose = closure(TwistedGroupElement.identity(n), g.generators,
+                         TwistedGroupElement.compose, g.order)
+    assert g.closure(cap=g.order) == by_compose
+    with pytest.raises(ClosureCapExceeded):
+        closure(TwistedGroupElement.identity(n), g.generators,
+                TwistedGroupElement.compose, g.order - 1)
+
+
+def test_abstract_closure_past_byte_codes_uses_compose():
+    """Past 85 blocks codes do not fit a byte; the compose search runs
+    and meets the cap with the first level (3 * 86 * 85 / 2 generators)."""
+    with pytest.raises(ClosureCapExceeded):
+        abstract_twisted_group(86).closure(cap=100)
+
+
+@st.composite
+def _elements(draw):
+    n = draw(st.integers(1, 7))
+    return [TwistedGroupElement(tuple(draw(st.permutations(range(n)))),
+                                tuple(draw(st.lists(st.integers(-4, 4),
+                                                    min_size=n, max_size=n))))
+            for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elements())
+def test_compose_matches_validating_constructor(pair):
+    """The product skips validation but equals the element the public
+    constructor builds from the composition law, normalised modulo the
+    constant twists when 3 | n."""
+    g, h = pair
+    s, a = g.sigma, g.twist
+    sp, ap = h.sigma, h.twist
+    n = len(s)
+    want = TwistedGroupElement(tuple(s[sp[k]] for k in range(n)),
+                               tuple(a[sp[k]] + ap[k] for k in range(n)))
+    got = g.compose(h)
+    assert got == want and hash(got) == hash(want)
+    if n % 3 == 0:
+        assert got.twist[0] == 0
+
+
+def test_constructor_still_validates():
+    with pytest.raises(ValueError):
+        TwistedGroupElement((0, 0, 1), (0, 0, 0))
+    with pytest.raises(ValueError):
+        TwistedGroupElement((1, 0), (0, 0, 0))
+    assert TwistedGroupElement((1, 0), (4, -1)).twist == (1, 2)
+
+
 def test_abstract_closure_cap():
     with pytest.raises(ClosureCapExceeded):
         abstract_twisted_group(6).closure(cap=100)
@@ -309,6 +367,30 @@ def test_find_delta():
     roots = shell(K, 2)
     assert len(roots) == 72
     assert same_lattice(kernel_mod3(delta), K)
+
+
+def test_cold_find_delta(monkeypatch):
+    """With the cache empty, ``find_delta`` walks the packed shells
+    again and returns the lexicographically first delta of norm 8."""
+    monkeypatch.setattr(triality, "_DELTA_CACHE", None)
+    delta, K = find_delta()
+    assert delta == (Q(-5, 2),) + (Q(-1, 2),) * 7
+    assert len(shell(K, 2)) == 72
+    assert triality._DELTA_CACHE == (delta, K)
+
+
+def test_kernel_mod3_on_the_int_core():
+    """kernel_mod3 agrees with the Fraction definition on delta, -delta
+    and every root of E8 (none of which lies in 3E8): each basis vector
+    of the kernel pairs with the vector to 0 mod 3, and the kernel has
+    index 3."""
+    delta, K = find_delta()
+    assert same_lattice(kernel_mod3(tuple(-c for c in delta)), K)
+    e8 = e8_lattice()
+    for d in [delta] + shell(e8, 2):
+        kernel = kernel_mod3(d)
+        assert all(dot(b, d) % 3 == 0 for b in kernel.basis)
+        assert index_in(kernel, e8) == 3
 
 
 def test_class_root_counts_match_brute_force():
