@@ -5,7 +5,7 @@ identification of the block realizations with tensor lattices."""
 import copy
 import pickle
 from fractions import Fraction as Q
-from math import isqrt, lcm
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
