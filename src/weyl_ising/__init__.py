@@ -58,7 +58,6 @@ from .permgrp import (
 from .rootsys import RootSystem, build_root_system
 from .triality import (
     TwistedAxis,
-    TwistedGroupElement,
     abstract_twisted_group,
     find_delta,
     kernel_mod3,
@@ -94,7 +93,6 @@ __all__ = [
     "ThreeC",
     "TWO_B",
     "TwistedAxis",
-    "TwistedGroupElement",
     "VirasoroReport",
     "Weight2Element",
     "__version__",

@@ -9,8 +9,9 @@ inputs produce byte-identical output: check order is fixed and timing
 goes to stderr, never into the JSON.
 
 Exit status: 0 when every check passes, 1 when any check fails,
-2 on usage errors and on refused computations (a shell beyond the rank
-cap, a Smith reduction past its round cap).
+2 on usage errors and on refused computations (a system with more than
+``MAX_AXES`` axes, a shell beyond the rank cap, a Smith reduction past
+its round cap).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .axes import (
 from .cocycle import CocycleTable, check_sign_lemma
 from .lattice import (
     RankTooLarge,
-    UnsupportedName,
     ade_realization,
     discriminant_group,
     e8_lattice,
@@ -62,7 +62,7 @@ from .permgrp import (
     transposition_profile,
     weyl_group,
 )
-from .rootsys import RootSystem, UnsupportedRank, build_root_system
+from .rootsys import RootSystem, build_root_system
 from .triality import (
     abstract_twisted_group,
     find_delta,
@@ -143,41 +143,44 @@ def _vec(v) -> str:
     return "(" + ", ".join(str(Q(c)) for c in v) + ")"
 
 
-def _build(kind: str, rank: int) -> RootSystem:
-    try:
-        return build_root_system(kind, rank)
-    except (UnsupportedName, UnsupportedRank, ValueError) as err:
-        raise UsageError(str(err))
-
-
 # ---------------------------------------------------------------------------
 # Closed forms: every expected value derives from the degrees of the Weyl
-# group (Humphreys, Reflection Groups and Coxeter Groups, CUP 1990, ch. 3).
-# The Coxeter number h is the largest degree, |Phi+| = sum(d - 1) = hn/2,
-# |W| is the product of the degrees, and -1 lies in W exactly when every
-# degree is even.
+# group (Humphreys, Reflection Groups and Coxeter Groups, CUP 1990, ch. 3)
+# or, for the twisted kind T on n blocks, of G(3,3,n), whose quotient by
+# its centre is 3^k:S_n (Shephard-Todd, Canad. J. Math. 6, 1954;
+# Lehrer-Taylor, Unitary Reflection Groups, CUP 2009, ch. 2 and 4).  h is
+# the largest degree, the axis count is sum(d - 1), the order is the
+# product of the degrees, and the centre has order gcd(degrees): for W,
+# 2 exactly when -1 lies in W.
 # ---------------------------------------------------------------------------
 
+MAX_AXES = 400  # admits D20 (380 axes), A27 (378) and T16 (360)
+
+
 def _degrees(kind: str, rank: int) -> tuple[int, ...]:
-    if kind == "A":
+    if kind == "A" and rank >= 1:
         return tuple(range(2, rank + 2))
-    if kind == "D":
+    if kind == "D" and rank >= 4:
         return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
-    return {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
-            8: (2, 8, 12, 14, 18, 20, 24, 30)}[rank]
+    if kind == "E" and rank in (6, 7, 8):
+        return {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                8: (2, 8, 12, 14, 18, 20, 24, 30)}[rank]
+    if kind == "T" and rank >= 2:
+        return tuple(range(3, 3 * rank - 2, 3)) + (rank,)
+    raise UsageError(f"unsupported system {kind}{rank}")
 
 
 class _Forms(NamedTuple):
-    """The closed forms of one root system of rank n."""
+    """The closed forms of one reflection group of rank n."""
     h: int
-    positive: int       # |Phi+|, also the number of axes
-    m_alpha: int        # 3C partners of each root
+    positive: int       # sum(d - 1): |Phi+|, also the number of axes
+    m_alpha: int        # 3C partners of each axis
     charge: Q           # central charge 8hn/(h+30)
     norm: Q             # conformal norm, half the charge
     order3: int         # axis pairs whose involutions multiply to order 3
-    weyl_order: int
-    minus_one: bool     # whether -1 lies in W
-    miyamoto: int       # |W| / |W meet {1, -1}|
+    order: int          # product of the degrees
+    center: int         # gcd of the degrees, the order of the centre
+    miyamoto: int       # order / center, the Miyamoto group's order
 
 
 def _forms(kind: str, rank: int) -> _Forms:
@@ -187,27 +190,21 @@ def _forms(kind: str, rank: int) -> _Forms:
     m_alpha = 2 * (h - 2)
     charge = Q(8 * h * rank, h + 30)
     order = math.prod(degrees)
-    minus_one = all(d % 2 == 0 for d in degrees)
+    center = math.gcd(*degrees)
     return _Forms(h, positive, m_alpha, charge, charge / 2,
-                  positive * m_alpha // 2, order, minus_one,
-                  order // (2 if minus_one else 1))
+                  positive * m_alpha // 2, order, center, order // center)
 
 
-class _Twisted(NamedTuple):
-    """The closed forms of the twisted system on n blocks."""
-    k: int
-    kernel: int         # the normal subgroup 3^k
-    pair_action: int    # S_n
-    order: int          # 3^k:S_n
-    axes: int
-    charge: Q
-
-
-def _twisted(n: int) -> _Twisted:
-    k = n - 2 if n % 3 == 0 else n - 1
-    kernel, pair_action = 3 ** k, math.factorial(n)
-    return _Twisted(k, kernel, pair_action, kernel * pair_action,
-                    3 * n * (n - 1) // 2, Q(8 * n * (n - 1), n + 9))
+def _admit(kind: str, rank: int) -> None:
+    """Refuse with ``UsageError``, before anything is built, a system
+    that ``_degrees`` does not list or that has more than ``MAX_AXES``
+    axes.  Every degree is at least 2, so the axis count is at least
+    the rank, and a rank past the cap is refused before its degrees are
+    listed."""
+    if rank > MAX_AXES or _forms(kind, rank).positive > MAX_AXES:
+        name = (f"the twisted system on {rank} blocks" if kind == "T"
+                else f"{kind}{rank}")
+        raise UsageError(f"{name} is past the size cap of {MAX_AXES} axes")
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +385,22 @@ def _delta_kernel_checks() -> tuple[tuple, list[dict]]:
 def triality_checks(n: int) -> tuple[list[dict], dict]:
     if n < 3:
         raise UsageError("triality needs at least 3 blocks")
+    _admit("T", n)
+    forms = _forms("T", n)
+    # the degrees multiply to 3^(n-1) n!, and a centre of order 3 takes
+    # one factor 3 off the kernel
+    k = n - 1 if forms.center == 1 else n - 2
     report = twisted_group(n)
-    forms = _twisted(n)
     rep = virasoro(twisted_axis_algebra(n))
     delta, kernel = _delta_kernel_checks()
     checks = [
-        check("axis_count", forms.axes, len(twisted_axes(n))),
-        check("group_order", forms.order, report.group.order),
-        check("kernel_order", forms.kernel, report.kernel_order),
-        check("pair_action_order", forms.pair_action,
+        check("axis_count", forms.positive, len(twisted_axes(n))),
+        check("group_order", forms.miyamoto, report.group.order),
+        check("kernel_order", forms.miyamoto // math.factorial(n),
+              report.kernel_order),
+        check("pair_action_order", math.factorial(n),
               report.pair_action_order),
-        check("shape", f"3^{forms.k}:S_{n}", report.shape),
+        check("shape", f"3^{k}:S_{n}", report.shape),
         check("abstract_order_agrees", report.group.order,
               abstract_twisted_group(n).order),
         check("central_charge", forms.charge, rep.central_charge),
@@ -597,17 +599,16 @@ def _criterion_9(max_n: int = 6) -> list[dict]:
     abstract agreement, twisted central charges."""
     _, out = _delta_kernel_checks()
     for n in range(3, max_n + 1):
-        forms = _twisted(n)
+        order = _forms("T", n).miyamoto
         report = twisted_group(n)
-        out.append(check(f"twisted_order n={n}", forms.order,
-                         report.group.order))
-        out.append(check(f"twisted_kernel n={n}", forms.kernel,
+        out.append(check(f"twisted_order n={n}", order, report.group.order))
+        out.append(check(f"twisted_kernel n={n}", order // math.factorial(n),
                          report.kernel_order))
         out.append(check(f"abstract_agrees n={n}", report.group.order,
                          abstract_twisted_group(n).order))
     for n in range(2, max(7, max_n) + 1):
         rep = virasoro(twisted_axis_algebra(n))
-        out.append(check(f"twisted_charge n={n}", _twisted(n).charge,
+        out.append(check(f"twisted_charge n={n}", _forms("T", n).charge,
                          rep.central_charge))
     return out
 
@@ -677,6 +678,7 @@ ACCEPTANCE = [
 def report_checks(max_n: int) -> list[dict]:
     if max_n < 6:
         raise UsageError("--max-n below 6 would drop required checks")
+    _admit("T", max_n)
     out = []
     for index, (title, fn) in enumerate(ACCEPTANCE, start=1):
         checks = _criterion_9(max_n) if fn is _criterion_9 else fn()
@@ -749,7 +751,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.command in ("roots", "lattice", "griess", "group"):
-            R = _build(args.kind, args.rank)
+            _admit(args.kind, args.rank)
+            R = build_root_system(args.kind, args.rank)
             system = {"kind": args.kind, "rank": args.rank}
         if args.command == "roots":
             report = make_report("roots", system, roots_checks(R))

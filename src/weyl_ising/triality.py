@@ -14,9 +14,11 @@ pushing rho factors through tau and re-canonicalizing.  The tests check
 this closed-form action against a literal rewriting of the symbol word
 by the same rules.
 
-A separate abstract model composes pairs (permutation, twist vector)
-directly; comparing its order with the permutation group built from
-the axis action validates the exponent bookkeeping end to end.
+A separate abstract model works with pairs (permutation, twist vector)
+directly: it counts them by a recurrence on twist sums, and closes its
+generators as permutations of the 3n points (block, exponent).
+Comparing its order with the permutation group built from the axis
+action validates the exponent bookkeeping end to end.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .lattice import (
     shell,
 )
 from .linalg import dot
-from .permgrp import PermGroup, Permutation, closure
+from .permgrp import PermGroup, Permutation, _compose, _pack, closure
 from .rootsys import sign_normalized, simple_system
 
 
@@ -176,73 +178,11 @@ def twisted_group(n: int) -> TwistedGroupReport:
                               shape=f"3^{power}:S_{n}")
 
 
-def _normal_twist(twist: tuple[int, ...]) -> tuple[int, ...]:
-    """The least of the twists ``twist + c*(1, .., 1)`` with ``n*c = 0
-    mod 3``, for entries already reduced mod 3: the representative
-    modulo the constant vectors."""
-    if len(twist) % 3:
-        return twist
-    return min(twist, tuple([(x + 1) % 3 for x in twist]),
-               tuple([(x + 2) % 3 for x in twist]))
-
-
-@dataclass(frozen=True)
-class TwistedGroupElement:
-    """Pair (sigma, a): a block permutation with a mod-3 twist vector,
-    stored modulo the constant vectors c*(1,..,1) with n*c = 0 mod 3."""
-
-    sigma: tuple[int, ...]
-    twist: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(n)) or len(self.twist) != n:
-            raise ValueError("need a block permutation and a twist per block")
-        object.__setattr__(self, "twist",
-                           _normal_twist(tuple(x % 3 for x in self.twist)))
-
-    @classmethod
-    def _trusted(cls, sigma: tuple[int, ...],
-                 twist: tuple[int, ...]) -> "TwistedGroupElement":
-        """An element from a sigma known to be a permutation and a twist
-        of the same length with entries mod 3: no validation, only the
-        twist normalisation."""
-        element = object.__new__(cls)
-        element.__dict__.update(sigma=sigma, twist=_normal_twist(twist))
-        return element
-
-    @staticmethod
-    def identity(n: int) -> "TwistedGroupElement":
-        return TwistedGroupElement(tuple(range(n)), (0,) * n)
-
-    def compose(self, other: "TwistedGroupElement") -> "TwistedGroupElement":
-        """(sigma, a)(sigma', a') = (sigma sigma', a o sigma' + a').  The
-        product of two permutations is one, so it skips validation."""
-        s, a = self.sigma, self.twist
-        sp, ap = other.sigma, other.twist
-        return TwistedGroupElement._trusted(
-            tuple([s[k] for k in sp]),
-            tuple([(a[k] + b) % 3 for k, b in zip(sp, ap)]),
-        )
-
-    def inverse(self) -> "TwistedGroupElement":
-        inv = [0] * len(self.sigma)
-        for k, v in enumerate(self.sigma):
-            inv[v] = k
-        return TwistedGroupElement(
-            tuple(inv),
-            tuple((-self.twist[inv[k]]) % 3 for k in range(len(inv))),
-        )
-
-    def is_identity(self) -> bool:
-        return self == TwistedGroupElement.identity(len(self.sigma))
-
-
 class AbstractTwistedGroup:
     """The group of pairs (sigma, a) with sum(a) = 0 mod 3, modulo the
     constant-vector kernel; order counted over the twist space by a
-    recurrence on coordinate sums mod 3, generators taken from the
-    involution relations."""
+    recurrence on coordinate sums mod 3; ``generators`` holds the pair
+    (sigma, twist) of int tuples of each axis involution."""
 
     def __init__(self, n: int):
         if n < 3:
@@ -261,48 +201,41 @@ class AbstractTwistedGroup:
             sigma = list(range(n))
             sigma[t.i], sigma[t.j] = t.j, t.i
             twist = [0] * n
-            twist[t.i] = t.ell % 3
-            twist[t.j] = (-t.ell) % 3
-            gens.append(TwistedGroupElement(tuple(sigma), tuple(twist)))
+            twist[t.i] = t.ell
+            twist[t.j] = -t.ell % 3
+            gens.append((tuple(sigma), tuple(twist)))
         self.generators = tuple(gens)
 
-    def closure(self, cap: int = 10_000) -> set[TwistedGroupElement]:
-        """Brute-force closure of the generators; raises
-        ``ClosureCapExceeded`` past the cap.
+    def closure(self, cap: int = 10_000) -> set[tuple[tuple[int, ...],
+                                                      tuple[int, ...]]]:
+        """Brute-force closure of the generators, as (sigma, twist)
+        pairs; raises ``ClosureCapExceeded`` past the cap.
 
-        Up to 85 blocks the search runs on byte codes.  A pair
-        (sigma, a) permutes the 3n points (block k, exponent t), numbered
-        3k + t, by (k, t) -> (sigma(k), t + a(k)); products compose these
-        permutations, so an element is kept as the images
-        ``3 sigma(k) + a(k)`` of the points (k, 0), and left
-        multiplication by a generator is one ``bytes.translate`` through
-        its table.  With 3 | n each code is shifted to a(0) = 0, the
-        ``_normal_twist`` representative modulo the constant twists.
-        Each code found is one element, so levels, cap and result are
-        those of the search with ``TwistedGroupElement.compose``, which
-        runs past 85 blocks."""
+        A pair (sigma, a) permutes the 3n points (block k, exponent t),
+        numbered 3k + t, by (k, t) -> (sigma(k), t + a(k)); products
+        compose these permutations, so an element is kept as the images
+        ``3 sigma(k) + a(k)`` of the points (k, 0), packed by ``_pack``
+        (bytes up to 85 blocks, int tuples beyond), and left
+        multiplication by a generator is ``_compose`` with its table.
+        With 3 | n each code is shifted to a(0) = 0, the representative
+        modulo the constant twists, so each code found is one element."""
         n = self.n
-        if 3 * n > 256:
-            return closure(TwistedGroupElement.identity(n), self.generators,
-                           TwistedGroupElement.compose, cap)
-        pad = bytes(range(3 * n, 256))
-        tables = [bytes(3 * g.sigma[k] + (g.twist[k] + t) % 3
-                        for k in range(n) for t in range(3)) + pad
-                  for g in self.generators]
+        points = 3 * n
+        tables = [_pack([3 * s + (a + t) % 3 for s, a in zip(sigma, twist)
+                         for t in (0, 1, 2)], points)
+                  for sigma, twist in self.generators]
+        identity = _pack(range(0, points, 3), points)
         if n % 3:
-            def compose(table: bytes, code: bytes) -> bytes:
-                return code.translate(table)
+            compose = _compose
         else:
-            shifts = [bytes(b - b % 3 + (b + c) % 3 for b in range(3 * n)) + pad
-                      for c in range(3)]
+            shifts = [_pack([b - b % 3 + (b + c) % 3 for b in range(points)],
+                            points) for c in range(3)]
 
-            def compose(table: bytes, code: bytes) -> bytes:
-                code = code.translate(table)
-                return code.translate(shifts[-code[0] % 3])
-        codes = closure(bytes(range(0, 3 * n, 3)), tables, compose, cap)
-        return {TwistedGroupElement._trusted(tuple(b // 3 for b in code),
-                                             tuple(b % 3 for b in code))
-                for code in codes}
+            def compose(table, code):
+                code = _compose(table, code)
+                return _compose(shifts[-code[0] % 3], code)
+        return {(tuple([b // 3 for b in code]), tuple([b % 3 for b in code]))
+                for code in closure(identity, tables, compose, cap)}
 
 
 def abstract_twisted_group(n: int) -> AbstractTwistedGroup:

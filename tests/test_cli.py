@@ -1,12 +1,14 @@
 """Command-line surface: subcommands, JSON shape, exit codes."""
 
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
 
 from weyl_ising import cli
-from weyl_ising.axes import from_root_system
+from weyl_ising.axes import ThreeC, from_root_system, virasoro
 from weyl_ising.permgrp import (
     contains_minus_one,
     miyamoto_group,
@@ -14,6 +16,11 @@ from weyl_ising.permgrp import (
     weyl_group,
 )
 from weyl_ising.rootsys import build_root_system
+from weyl_ising.triality import (
+    twisted_axes,
+    twisted_axis_algebra,
+    twisted_group,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -292,23 +299,58 @@ def test_render_values():
 
 
 SYSTEMS = ([("A", n) for n in range(1, 11)] + [("D", n) for n in range(4, 11)]
-           + [("E", n) for n in (6, 7, 8)])
+           + [("E", n) for n in (6, 7, 8)] + [("T", n) for n in range(2, 13)])
 
 
 @pytest.mark.parametrize("kind,rank", SYSTEMS,
                          ids=[f"{k}{r}" for k, r in SYSTEMS])
 def test_degree_forms_match_computed(kind, rank):
-    """Every closed form the CLI checks against, derived from the Weyl
-    degrees, equals the value computed from the root system itself."""
-    R = build_root_system(kind, rank)
-    A = from_root_system(R)
+    """Every closed form the CLI checks against, derived from the degrees
+    of the Weyl group or of G(3,3,n) (kind T), equals the value computed
+    from the root system or from the twisted axes themselves."""
     forms = cli._forms(kind, rank)
-    assert forms.h == R.coxeter_number()
-    assert forms.positive == len(R.positive_roots)
-    assert forms.weyl_order == weyl_group(R).order
-    assert forms.minus_one == contains_minus_one(R)
+    assert forms.center == math.gcd(*cli._degrees(kind, rank))
+    if kind == "T":
+        A = twisted_axis_algebra(rank)
+        assert forms.positive == len(twisted_axes(rank))
+        assert forms.charge == virasoro(A).central_charge
+        assert {sum(isinstance(A.relation(a, b), ThreeC) for b in A.axes)
+                for a in A.axes} == {forms.m_alpha}
+        if rank >= 3:
+            assert forms.miyamoto == twisted_group(rank).group.order
+    else:
+        R = build_root_system(kind, rank)
+        A = from_root_system(R)
+        assert forms.h == R.coxeter_number()
+        assert forms.positive == len(R.positive_roots)
+        assert forms.order == weyl_group(R).order
+        assert (forms.center == 2) == contains_minus_one(R)
     assert forms.miyamoto == miyamoto_group(A).order
     assert forms.order3 == transposition_profile(A)[3]
+
+
+def test_size_cap_admits_the_largest_systems_run():
+    """D20 (380 axes) is the largest system measured, D18 and A16 run in
+    CI; one rank more than the largest admitted of each family is
+    refused."""
+    for kind, rank in [("A", 27), ("D", 20), ("E", 8), ("T", 16)]:
+        cli._admit(kind, rank)
+    for kind, rank in [("A", 28), ("D", 21), ("T", 17)]:
+        with pytest.raises(cli.UsageError):
+            cli._admit(kind, rank)
+
+
+@pytest.mark.parametrize("argv", [["roots", "A", "100000000"],
+                                  ["triality", "100000"],
+                                  ["report", "--max-n", "100000"]],
+                         ids=" ".join)
+def test_oversize_request_exits_2_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "size cap of 400 axes" in captured.err
 
 
 # Subcommand outputs pinned byte for byte; the goldens under tests/golden
