@@ -283,6 +283,22 @@ def from_root_system(R: RootSystem) -> AxisAlgebra:
     return AxisAlgebra._from_codes(pos, code)
 
 
+def gram_positive_definite(R: RootSystem, A: AxisAlgebra) -> bool:
+    """True if A's axes are R's positive roots and its table's Gram,
+    scaled by 256 (SAME 64, THREE_C 1, TWO_B 0), is 60 I + H o H entry
+    for entry, where H is the Gram of the positive roots and o is the
+    entrywise product; the expected side is read off root coordinates
+    only, so the check also cross-checks the 2B/3C table.  H o H = K K^T
+    with rows a (x) a (Schur product theorem; Horn-Johnson, Matrix
+    Analysis, Thm 7.5.3), so then G >= (60/256) I is positive definite."""
+    v = R.positive2  # doubled coordinates: products are 4 <a, b>
+    scaled = {_SAME: 64, _TWO_B: 0}
+    return A.axes == R.positive_roots and all(
+        16 * scaled.get(k, 1) == 960 * (i == j) + sum(map(mul, a, b)) ** 2
+        for i, (a, row) in enumerate(zip(v, A._code))
+        for j, (b, k) in enumerate(zip(v[i:], row[i:]), i))
+
+
 def virasoro(A: AxisAlgebra) -> VirasoroReport:
     """Solve w . x = 2x (all axes x) for w in the axis span.
 

@@ -10,8 +10,8 @@ goes to stderr, never into the JSON.
 
 Exit status: 0 when every check passes, 1 when any check fails,
 2 on usage errors and on refused computations (a system with more than
-``MAX_AXES`` axes, a shell beyond the rank cap, a Smith reduction past
-its round cap).
+``MAX_AXES`` axes or a Gram with more rows, a shell beyond the rank cap,
+a Smith reduction past its round cap).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from . import __version__
 from .axes import (
     TWO_B,
     from_root_system,
+    gram_positive_definite,
     miyamoto_permutation,
     virasoro,
 )
@@ -338,8 +339,7 @@ def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
     rep = virasoro(A)
     out = [
         check("dimension", forms.positive, len(A)),
-        check("gram_positive_definite", True,
-              ldl_is_positive_definite(A.gram())),
+        check("gram_positive_definite", True, gram_positive_definite(R, A)),
         *_charge_checks(forms, rep),
         check("is_conformal", True, rep.is_conformal),
     ]
@@ -423,6 +423,8 @@ def audit_checks(path: str) -> tuple[list[dict], dict]:
     if not (isinstance(rows, list) and rows
             and all(isinstance(row, list) for row in rows)):
         raise UsageError("gram must be a nonempty list of rows (lists)")
+    if len(rows) > MAX_AXES:
+        raise UsageError(f"gram has more than {MAX_AXES} rows")
     try:
         gram = [[Q(str(x)) for x in row] for row in rows]
     except (ValueError, TypeError, ZeroDivisionError) as err:
@@ -644,9 +646,9 @@ def _criterion_10() -> list[dict]:
         out.append(check(f"miyamoto_automorphism {kind}{rank}", True, ok))
 
     for kind, rank in [("A", 2), ("A", 4), ("D", 4), ("E", 6), ("E", 8)]:
-        A = from_root_system(build_root_system(kind, rank))
+        R = build_root_system(kind, rank)
         out.append(check(f"gram_positive_definite {kind}{rank}", True,
-                         ldl_is_positive_definite(A.gram())))
+                         gram_positive_definite(R, from_root_system(R))))
 
     brute_cases = [
         ("weyl A3", weyl_group(build_root_system("A", 3))),

@@ -250,26 +250,11 @@ def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:
     """True iff the symmetric rational matrix is positive definite.
 
     Only the upper triangle is read; it is scaled to ints by the lcm of
-    its denominators.  If every diagonal entry exceeds the absolute sum
-    of the other entries in its row (strict diagonal dominance, the row
-    sums built from the upper triangle and its mirror), the matrix is
-    positive definite by Gershgorin's theorem and no elimination runs.
-    An axis Gram scaled by 256 has 64 on the diagonal and 2(h - 2) ones
-    per row, so this certificate settles every ADE axis Gram with
-    h < 34.  Otherwise ``_bareiss_ldl`` decides: it stops at the first
+    its denominators, and ``_bareiss_ldl`` decides: it stops at the first
     nonpositive pivot (a repeated row gives a zero pivot).
     """
     n = len(matrix)
     upper = [[Q(x) for x in matrix[i][i:]] for i in range(n)]
     den = lcm(*(q.denominator for row in upper for q in row))
     a = [[q.numerator * (den // q.denominator) for q in row] for row in upper]
-    radius = [0] * n
-    for i, row in enumerate(a):
-        for j, x in enumerate(row[1:], i + 1):
-            if x:
-                x = abs(x)
-                radius[i] += x
-                radius[j] += x
-    if all(row[0] > r for row, r in zip(a, radius)):
-        return True
     return _bareiss_ldl(a) is not None

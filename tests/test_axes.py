@@ -19,6 +19,7 @@ from weyl_ising.axes import (
     NotATriple,
     ThreeC,
     from_root_system,
+    gram_positive_definite,
     miyamoto_permutation,
     sub_virasoro_3C,
     virasoro,
@@ -209,10 +210,39 @@ def test_form_associates_sampled_e8(E8):
         assert E8.pairing(E8.product(u, v), w) == E8.pairing(u, E8.product(v, w))
 
 
-def test_gram_positive_definite(A2):
-    assert ldl_is_positive_definite(A2.gram())
-    E6 = from_root_system(build_root_system("E", 6))
-    assert ldl_is_positive_definite(E6.gram())
+def test_gram_positive_definite():
+    """The root-coordinate certificate agrees with Bareiss LDL^T."""
+    for kind, ranks in [("A", range(1, 9)), ("D", range(4, 9)),
+                        ("E", range(6, 9))]:
+        for rank in ranks:
+            R = build_root_system(kind, rank)
+            A = from_root_system(R)
+            assert gram_positive_definite(R, A)
+            assert ldl_is_positive_definite(A.gram())
+
+
+def test_gram_certificate_rejects_a_recoded_pair():
+    """One 2B pair of E6 marked 3C changes one Gram entry from 0 to
+    1/256: the Gram stays positive definite, but the table no longer
+    matches the root coordinates."""
+    R = build_root_system("E", 6)
+    A = from_root_system(R)
+    a, b = next((a, b) for a in A.axes for b in A.axes
+                if A.relation(a, b) == TWO_B)
+    i, j = A.axes.index(a), A.axes.index(b)
+    A._code[i][j] = A._code[j][i] = 0  # third axis A.axes[0]
+    assert ldl_is_positive_definite(A.gram())
+    assert not gram_positive_definite(R, A)
+
+
+def test_gram_certificate_needs_the_positive_roots():
+    R = build_root_system("A", 3)
+    A = from_root_system(R)
+    smaller = from_root_system(build_root_system("A", 2))
+    assert not gram_positive_definite(R, smaller)
+    reordered = AxisAlgebra(R.positive_roots[::-1], A.relation)
+    assert ldl_is_positive_definite(reordered.gram())
+    assert not gram_positive_definite(R, reordered)
 
 
 def test_duplicate_axis_degenerates():

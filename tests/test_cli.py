@@ -256,6 +256,20 @@ def test_audit_rejects_malformed_gram(tmp_path, capsys, payload):
     assert report is None
 
 
+def test_audit_refuses_a_gram_past_the_size_cap(tmp_path, capsys):
+    """A Gram with more than MAX_AXES rows is exit 2 before any entry is
+    converted or eliminated."""
+    n = cli.MAX_AXES + 1
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[int(i == j) for j in range(n)]
+                                         for i in range(n)]}))
+    start = time.perf_counter()
+    code, report = run(capsys, "audit", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report is None
+
+
 def test_output_file_deterministic(tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -25,8 +25,8 @@ from fraction_reference import (
     vec_sub,
 )
 from fraction_reference import ldl as reference_ldl
-from weyl_ising import linalg
-from weyl_ising.axes import from_root_system
+from weyl_ising import cli, linalg
+from weyl_ising.axes import from_root_system, gram_positive_definite
 from weyl_ising.linalg import (
     SmithDidNotConverge,
     dot,
@@ -410,15 +410,19 @@ def test_ldl_matches_fraction_reference(a):
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 4), ("D", 4),
-                                       ("E", 6), ("E", 8)])
+                                       ("E", 6), ("E", 8), ("D", 18)])
 def test_ldl_certificate_settles_axis_grams(kind, rank, monkeypatch):
-    """Scaled by 256 an axis Gram has 64 on the diagonal and 2(h - 2)
-    ones per row, so h < 34 is strictly dominant: no elimination runs."""
+    """The axis Gram checks of ``griess`` and criterion 10 are settled by
+    the structural certificate 256 G = 60 I + H o H, so no axis Gram
+    reaches elimination, not even D18's (h = 34), the first that is not
+    strictly diagonally dominant."""
     def fail(a):
         raise AssertionError("elimination ran")
     monkeypatch.setattr(linalg, "_bareiss_ldl", fail)
-    assert ldl_is_positive_definite(
-        from_root_system(build_root_system(kind, rank)).gram())
+    R = build_root_system(kind, rank)
+    checks = {c["name"]: c for c in cli.griess_checks(R, oracle=False)}
+    assert checks["gram_positive_definite"]["status"] == "pass"
+    assert gram_positive_definite(R, from_root_system(R))
 
 
 def test_ldl_e6_axis_gram_matches_fraction_reference():
