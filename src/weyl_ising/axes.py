@@ -241,11 +241,6 @@ class AxisAlgebra:
                     total += ca * cb
         return Q(total, 256 * du * dv)
 
-    def gram(self) -> list[list[Q]]:
-        value = {_SAME: Q(1, 4), _TWO_B: Q(0)}
-        three_c = Q(1, 256)
-        return [[value.get(k, three_c) for k in row] for row in self._code]
-
 
 def from_root_system(R: RootSystem) -> AxisAlgebra:
     """One axis per positive root; pairs are THREE_C when the roots have

@@ -23,6 +23,7 @@ import random
 import sys
 import time
 from fractions import Fraction as Q
+from operator import mul
 from typing import NamedTuple
 
 from . import __version__
@@ -582,16 +583,19 @@ def _criterion_8() -> list[dict]:
                          sorted(values)))
     table = CocycleTable(1)
     rng = random.Random(17)
-    simple = build_root_system("E", 8).simple_roots()
+    # doubled coordinates in ints: 4 <a, b> is the int dot of 2a and 2b
+    simple2 = [tuple(int(2 * c) for c in s)
+               for s in build_root_system("E", 8).simple_roots()]
+    columns = list(zip(*simple2))
 
     def lattice_vector():
-        coeffs = [rng.randrange(-2, 3) for _ in simple]
-        return tuple(sum(c * s[j] for c, s in zip(coeffs, simple))
-                     for j in range(8))
+        coeffs = [rng.randrange(-2, 3) for _ in simple2]
+        v2 = tuple(sum(map(mul, coeffs, col)) for col in columns)
+        return tuple(Q(c, 2) for c in v2), v2
 
     pairs = ((lattice_vector(), lattice_vector()) for _ in range(100))
-    holds = all((table.eps0(a, b) - table.eps0(b, a)) % 8 == (4 * dot(a, b)) % 8
-                for a, b in pairs)
+    holds = all((table.eps0(a, b) - table.eps0(b, a)) % 8 == dot(a2, b2) % 8
+                for (a, a2), (b, b2) in pairs)
     out.append(check("commutator_identity", True, holds))
     return out
 

@@ -24,11 +24,17 @@ and converts with ``scaled``, which rejects a coordinate outside
 ``adj / D`` (``int_inverse``), so the coordinates of 4v are
 ``adj (4v) / D``, and a coordinate that ``D`` does not divide exactly
 raises ``NotInHalfLattice``; its message prints the vector as rationals
-(``_vec``).
+(``_vec``).  The residue table's columns are kept as int tuples, so the
+row form c^T T of a block is eight int dots of its coordinates.  No
+``Fraction`` enters a residue: the scalars are int numerators over the
+one denominator ``D``, and the result is an int mod 8.  The 240 E8
+self-residues behind ``check_sign_lemma`` do not depend on the root
+system checked and are computed once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
@@ -40,7 +46,6 @@ from .rootsys import RootSystem
 IntVector = tuple[int, ...]
 
 SCALE = 4
-
 
 class NotInHalfLattice(ValueError):
     """Vector has no integer coordinates over the halved basis (as when
@@ -81,11 +86,14 @@ class CocycleTable:
         basis = [scaled(x) for x in self.x_basis]
         self._adj, self._den = int_inverse([list(col) for col in zip(*basis)])
         # 4<x_k, x_l> = <4 x_k, 4 x_l> / 4
-        self._table = [[0] * 8 for _ in range(8)]
+        table = [[0] * 8 for _ in range(8)]
         for k in range(8):
-            self._table[k][k] = 1
+            table[k][k] = 1
             for l in range(k):
-                self._table[k][l] = (dot(basis[k], basis[l]) // 4) % 8
+                table[k][l] = (dot(basis[k], basis[l]) // 4) % 8
+        # the residue table T by columns: column l of a block's c^T T is
+        # one int dot of its coordinates c
+        self._columns = tuple(zip(*table))
         # scaled vector -> (x-basis coordinates, coordinates times the
         # residue table), both flattened over the blocks
         self._memo: dict[IntVector, tuple[IntVector, IntVector]] = {}
@@ -100,18 +108,19 @@ class CocycleTable:
             raise NotInHalfLattice(
                 f"vector of length {len(w)} on {self.n} blocks")
         coords: list[int] = []
+        row_form: list[int] = []
         for t in range(self.n):
             block = w[8 * t: 8 * t + 8]
+            c = []
             for row in self._adj:
                 q, r = divmod(sum(map(mul, row, block)), self._den)
                 if r:
                     raise NotInHalfLattice(
                         f"block {t} of {_vec(w)} is not an integer "
                         "combination of the x-basis")
-                coords.append(q)
-        table = self._table
-        row_form = [sum(coords[8 * t + k] * table[k][l] for k in range(8))
-                    for t in range(self.n) for l in range(8)]
+                c.append(q)
+            coords += c
+            row_form += [sum(map(mul, c, col)) for col in self._columns]
         forms = (tuple(coords), tuple(row_form))
         self._memo[w] = forms
         return forms
@@ -136,11 +145,16 @@ def check_sign_lemma(R: RootSystem) -> bool:
     reduces to the 240 single-block residues (all must be 4 mod 8,
     and -4 = 4 mod 8 covers both signs) plus the pair qualification.
     """
-    table = CocycleTable(1)
-    gammas = e8_model().roots
-    residues = {table.eps0(g, g) for g in gammas}
     qualifying = any(
         dot(a, b) in (1, -1) for a in R.roots for b in R.roots)
     if not qualifying:
         return True
-    return residues == {4}
+    return _e8_self_residues() == {4}
+
+
+@functools.cache
+def _e8_self_residues() -> frozenset[int]:
+    """The residues eps0(gamma, gamma) over the 240 roots of the E8
+    model; they do not depend on the root system being checked."""
+    table = CocycleTable(1)
+    return frozenset(table.eps0(g, g) for g in e8_model().roots)

@@ -29,12 +29,23 @@ with half-integer coordinates, M_alpha = alpha (x) E8 has coordinates in
 ``Weight2Element.exps`` are these scaled labels.  A norm-4 label then
 has integer norm 64, a pair is classified by the integer 16<x,y> (+-32
 a shift, +-64 a square, +-48 a created root, anything else zero), and
-x +- y is formed and sign-normalized in ints.  ``Fraction`` remains in
-the scalars: the exponential coefficients (where the factor 1/16 of a
-scaled quadratic term x_i x_j enters) and the quadratic part.  The
-public constructor takes labels in true coordinates, rejects any
-coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice``, converts
-every coefficient with ``Fraction`` (a non-rational one raises
+x +- y is formed and sign-normalized in ints.
+
+Scalars: ``Weight2Element`` stores ``Fraction`` coefficients, and
+``oracle_product`` computes in ints over known denominators.  It reads
+each of the four parts as int numerators over that part's least common
+denominator (d_u, d_v for the quadratic parts of u and v, e_u, e_v for
+the exponential parts), and accumulates every output term as an int
+numerator over one denominator ``den`` that each term group divides:
+d_u d_v for quad x quad, d_u e_v 16 and d_v e_u 16 for quad x exp (the
+factor 1/16 of a scaled quadratic term x_i x_j enters here), e_u e_v for
+the shifts and e_u e_v 16 for the squares.  Each output term becomes one
+``Fraction`` at the end.  In quad x exp the upper triangle of S is
+grouped by int weight (an entry on the diagonal, twice an entry off it),
+so each label x gives one int x^T S x from C-level sums over the groups'
+index pairs.  The public constructor takes labels in true coordinates,
+rejects any coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice``,
+converts every coefficient with ``Fraction`` (a non-rational one raises
 ``TypeError``) and validates every term; sums, scalings and oracle
 products are built from terms that are already canonical and are not
 validated again.
@@ -54,6 +65,7 @@ created-root branches, in the order of the plain double loop.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
@@ -240,19 +252,43 @@ def ising_vector(M: Lattice) -> Weight2Element:
     return w + Weight2Element._trusted(M.ambient_dim, {}, exps)
 
 
-def _quad_rows(u: Weight2Element) -> dict[int, dict[int, Q]]:
-    rows: dict[int, dict[int, Q]] = {}
-    for (i, j), v in u.quad.items():
+def _quad_rows(quad: dict[tuple[int, int], object]) -> dict[int, dict]:
+    rows: dict[int, dict] = {}
+    for (i, j), v in quad.items():
         rows.setdefault(i, {})[j] = v
     return rows
 
 
-def _by_value(terms: dict) -> dict[Q, list]:
+def _by_value(terms: dict) -> dict:
     """The keys of a term dict grouped by their coefficient."""
-    groups: dict[Q, list] = {}
+    groups: dict = {}
     for key, value in terms.items():
         groups.setdefault(value, []).append(key)
     return groups
+
+
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """The rational values of a term dict as int numerators over their
+    least common denominator, and that denominator (1 for no terms)."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return ({k: c.numerator * (den // c.denominator)
+             for k, c in terms.items()}, den)
+
+
+def _weight_groups(quad: dict[tuple[int, int], int]
+                   ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The entries i <= j of a symmetric int matrix S as (w, I, J): the
+    index pairs (I[k], J[k]) whose weight is w, an entry on the diagonal
+    and twice an entry off it, so that x^T S x is the sum over the
+    groups of w sum_k x[I[k]] x[J[k]]."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for (i, j), a in quad.items():
+        if i <= j:
+            rows, cols = groups.setdefault(a if i == j else 2 * a, ([], []))
+            rows.append(i)
+            cols.append(j)
+    return [(w, tuple(rows), tuple(cols))
+            for w, (rows, cols) in groups.items()]
 
 
 # Byte j of a packed row is 128 + s_j; |s_j| >= 32 outside 97..159.
@@ -296,48 +332,51 @@ def _close_pairs(xs: list[Label], ys: list[Label], columns: list[int]):
 
 
 def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
-    """Bilinear degree-1 product of two weight-2 elements."""
+    """Bilinear degree-1 product of two weight-2 elements.
+
+    Each part of u and v is read as int numerators over its own least
+    common denominator; every term of the product is accumulated as an
+    int numerator over one denominator ``den`` that all four parts
+    divide, and becomes a ``Fraction`` once, at the end."""
     if u.dim != v.dim:
         raise ValueError("ambient dimensions differ")
     dim = u.dim
     table = _table_for(dim)
-    quad: dict[tuple[int, int], Q] = {}
-    exps: dict[Label, Q] = {}
-
-    def add_quad(i: int, j: int, val: Q) -> None:
-        if val:
-            quad[(i, j)] = quad.get((i, j), 0) + val
-
-    def add_exp(x: Label, val: Q) -> None:
-        if val:
-            exps[x] = exps.get(x, 0) + val
+    (uq, du), (vq, dv) = _numerators(u.quad), _numerators(v.quad)
+    (ue, eu), (ve, ev) = _numerators(u.exps), _numerators(v.exps)
+    den = math.lcm(du * dv, eu * ev * _S2, du * ev * _S2, dv * eu * _S2)
+    quad: dict[tuple[int, int], int] = {}
+    exps: dict[Label, int] = {}
 
     # quadratic x quadratic: 2(ST + TS)
-    if u.quad and v.quad:
-        su, sv = _quad_rows(u), _quad_rows(v)
-        for i, row in su.items():
+    if uq and vq:
+        m = 2 * (den // (du * dv))
+        sv = _quad_rows(vq)
+        for i, row in _quad_rows(uq).items():
             for k, a in row.items():
                 match = sv.get(k)
                 if not match:
                     continue
+                a *= m
                 for j, b in match.items():
-                    ab = 2 * (a * b)
-                    add_quad(i, j, ab)
-                    add_quad(j, i, ab)
+                    ab = a * b
+                    quad[(i, j)] = quad.get((i, j), 0) + ab
+                    quad[(j, i)] = quad.get((j, i), 0) + ab
 
-    # quadratic x exponential, both orders: (4x)^T S (4x) / 16, summed in
-    # ints over the entries of S that share a value
-    for s_part, e_part in ((u, v), (v, u)):
-        if not (s_part.quad and e_part.exps):
+    # quadratic x exponential, both orders: (4x)^T S (4x) / 16, one int
+    # per label from the index pairs of S grouped by int weight
+    for s_quad, ds, e_exps, de in ((uq, du, ve, ev), (vq, dv, ue, eu)):
+        if not (s_quad and e_exps):
             continue
-        by_value = _by_value(s_part.quad)
-        for x, c in e_part.exps.items():
-            acc = 0
-            for a, entries in by_value.items():
-                n = sum(x[i] * x[j] for i, j in entries)
-                if n:
-                    acc += a * n
-            add_exp(x, acc * c / _S2)
+        m = den // (ds * de * _S2)
+        groups = _weight_groups(s_quad)
+        for x, c in e_exps.items():
+            get = x.__getitem__
+            n = 0
+            for w, rows, cols in groups:
+                n += w * sum(map(mul, map(get, rows), map(get, cols)))
+            if n:
+                exps[x] = exps.get(x, 0) + m * c * n
 
     # exponential x exponential, all ordered pairs, by s = 16<x, y>.  The
     # labels are grouped by coefficient, so the signed shifts x -+ y and
@@ -347,9 +386,11 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     # once per v group, one byte per dot, which the norm-64 invariant of
     # every label (module docstring) keeps within 64..192.
     shift, root, square = 2 * _S2, 3 * _S2, 4 * _S2
+    m_shift = den // (eu * ev)
+    m_square = m_shift // _S2
     v_groups = [(cy, ys, _packed_columns(ys))
-                for cy, ys in _by_value(v.exps).items()]
-    for cx, xs in _by_value(u.exps).items():
+                for cy, ys in _by_value(ve).items()]
+    for cx, xs in _by_value(ue).items():
         for cy, ys, columns in v_groups:
             shifts: dict[Label, int] = {}
             squares: dict[tuple[int, int], int] = {}
@@ -374,11 +415,15 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
                         f"product {s // _S2} create a norm-2 vector")
             c = cx * cy
             for z, n in shifts.items():
-                add_exp(z, c * n)
-            for (i, j), n in squares.items():
-                add_quad(i, j, c * n / _S2)
+                if n:
+                    exps[z] = exps.get(z, 0) + c * m_shift * n
+            for ij, n in squares.items():
+                if n:
+                    quad[ij] = quad.get(ij, 0) + c * m_square * n
 
-    return Weight2Element._trusted(dim, quad, exps)
+    return Weight2Element._trusted(
+        dim, {k: Q(n, den) for k, n in quad.items()},
+        {x: Q(n, den) for x, n in exps.items()})
 
 
 def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Q:
@@ -387,7 +432,7 @@ def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Q:
     if u.dim != v.dim:
         raise ValueError("ambient dimensions differ")
     total = Q(0)
-    sv = _quad_rows(v)
+    sv = _quad_rows(v.quad)
     for (i, j), a in u.quad.items():
         row = sv.get(j)
         if row:

@@ -12,9 +12,12 @@ determinants ``det_bareiss`` (full-matrix Bareiss with row swaps) and
 ``det_rational``, the Fincke-Pohst ``shell`` descent and the
 ``Fraction`` loops ``axis_product`` and ``axis_pairing`` below are the
 direct computations they replaced, kept here so the property tests
-compare the two.  The vector and matrix helpers ``vec_add``, ``vec_sub``,
-``vec_scale``, ``gram_matrix``, ``mat_vec`` and ``transpose`` build test
-data; the library has no use for them.
+compare the two.  ``axis_gram`` writes out the ``Fraction`` Gram of an
+axis algebra, which the library certifies from root coordinates
+(``axes.gram_positive_definite``) without building it; the tests feed it
+to the Bareiss test as a cross-check.  The vector and matrix helpers
+``vec_add``, ``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec``
+and ``transpose`` build test data; the library has no use for them.
 """
 
 from fractions import Fraction as Q
@@ -244,3 +247,12 @@ def axis_pairing(A, u, v) -> Q:
                 elif r != TWO_B:
                     total += ca * cb / 256
     return total
+
+
+def axis_gram(A) -> list[list[Q]]:
+    """The Gram matrix of A's axes by the closed-form rules (SAME 1/4,
+    TWO_B 0, THREE_C 1/256), with the relation read through
+    ``A.relation``."""
+    value = {SAME: Q(1, 4), TWO_B: Q(0)}
+    return [[value.get(A.relation(a, b), Q(1, 256)) for b in A.axes]
+            for a in A.axes]

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import (
+    axis_gram,
     det_bareiss,
     det_rational,
     gram_matrix,
@@ -426,6 +427,6 @@ def test_ldl_certificate_settles_axis_grams(kind, rank, monkeypatch):
 
 
 def test_ldl_e6_axis_gram_matches_fraction_reference():
-    g = from_root_system(build_root_system("E", 6)).gram()
+    g = axis_gram(from_root_system(build_root_system("E", 6)))
     assert ldl_is_positive_definite(g)
     assert reference_ldl(g) is not None

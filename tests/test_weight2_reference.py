@@ -138,7 +138,10 @@ def ising_parts(kind, rank, roots=None):
     return 8 * R.ambient_dim, parts
 
 
-coefficients = st.sampled_from([Q(1, 32), Q(-1, 32), Q(1), Q(-3, 4), Q(5, 2)])
+# Q(1, 3) and Q(-2, 7) make the parts' common denominators more than
+# powers of two, so the oracle's lcm of them is exercised too
+coefficients = st.sampled_from([Q(1, 32), Q(-1, 32), Q(1), Q(-3, 4), Q(5, 2),
+                                Q(1, 3), Q(-2, 7)])
 
 
 @st.composite
@@ -175,11 +178,16 @@ def pairs(draw, families):
 @PROPERTY
 @given(data=st.data())
 def test_product_matches_fraction_reference(families, data):
+    """Also: every output term is one ``Fraction``, and no zero term is
+    kept."""
     u, v = data.draw(pairs(families))
     want_quad, want_exps = ref_product(u.dim, as_reference(u), as_reference(v))
-    got_quad, got_exps = as_reference(oracle_product(u, v))
+    w = oracle_product(u, v)
+    got_quad, got_exps = as_reference(w)
     assert got_quad == want_quad
     assert got_exps == want_exps
+    for c in [*w.quad.values(), *w.exps.values()]:
+        assert type(c) is Q and c != 0
 
 
 @PROPERTY
@@ -205,12 +213,13 @@ small = st.integers(-3, 3)
 
 
 @PROPERTY
-@given(st.integers(1, 2).flatmap(
+@given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(*[st.lists(small, min_size=8 * n, max_size=8 * n)
                           for _ in range(2)])))
 def test_eps0_matches_mat_vec_definition(coeffs):
-    """Random integer combinations of the halved basis, one or two blocks."""
-    x_basis = ref_basis()[0]
+    """Random integer combinations of the halved basis, one to four
+    blocks, the four of criterion 1's A3 products (dimension 32)."""
+    x_basis, _, ref_table = ref_basis()
 
     def vector(cs):
         return tuple(sum(cs[8 * t + k] * x_basis[k][j] for k in range(8))
@@ -219,7 +228,12 @@ def test_eps0_matches_mat_vec_definition(coeffs):
     a, b = vector(coeffs[0]), vector(coeffs[1])
     table = CocycleTable(len(a) // 8)
     assert table.eps0(a, b) == ref_eps0(a, b)
-    assert table._forms(scaled(a))[0] == tuple(coeffs[0])
+    coords, row_form = table._forms(scaled(a))
+    assert coords == tuple(coeffs[0])
+    c = coeffs[0]
+    assert row_form == tuple(
+        sum(c[8 * t + k] * ref_table[k][l] for k in range(8))
+        for t in range(len(c) // 8) for l in range(8))
 
 
 @PROPERTY
