@@ -280,23 +280,6 @@ def lattice_checks(R: RootSystem) -> list[dict]:
     return out + _t_order_checks(R, script, "t_product_order")
 
 
-def _is_three_c_form(prod, ea, eb, eg) -> bool:
-    """Whether prod = (ea + eb - eg)/32, the closed-form 3C product: the
-    right side is summed in one pass over the three elements' terms and
-    divided by 32 once per term."""
-    def form(a: dict, b: dict, g: dict) -> dict:
-        acc = dict(a)
-        for key, c in b.items():
-            acc[key] = acc.get(key, 0) + c
-        for key, c in g.items():
-            acc[key] = acc.get(key, 0) - c
-        return {key: c / 32 for key, c in acc.items() if c}
-
-    return (prod.dim == ea.dim
-            and prod.quad == form(ea.quad, eb.quad, eg.quad)
-            and prod.exps == form(ea.exps, eb.exps, eg.exps))
-
-
 def _oracle_verdicts(R: RootSystem, pairs=None):
     """Compare oracle products and pairings with the closed forms over
     ``pairs`` of distinct positive roots (by default all unordered pairs,
@@ -330,8 +313,8 @@ def _oracle_verdicts(R: RootSystem, pairs=None):
         if rel == TWO_B:
             yield a, b, kind, not prod and pair == 0
         else:
-            yield a, b, kind, (_is_three_c_form(prod, ea, eb, vector(rel.third))
-                               and pair == Q(1, 256))
+            closed = (ea + eb - vector(rel.third)).scale(Q(1, 32))
+            yield a, b, kind, prod == closed and pair == Q(1, 256)
 
 
 def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:

@@ -290,7 +290,7 @@ class Lattice:
 
     def project(self, v: Sequence) -> Vector:
         """Orthogonal projection of v onto the rational span of L."""
-        (v_int,), v_den = _scaled_rows([v])
+        v_int, v_den = self._scaled_vector(v)
         _, p = self._weights(v_int)
         scale = self._inverse[1] * v_den
         return tuple(Q(c, scale) for c in p)

@@ -15,12 +15,12 @@ evaluated from first principles:
     <quad, quad>  ->  2 tr(ST)
     <exp, exp>    ->  2 on equal labels, else 0
 
-with all scalars rational (``Fraction``).  The sign of a surviving
-exponential term is z**k for the cocycle residue k of its pair;
-``_real_sign`` admits only k = 0 (+1) and k = 4 (-1) and raises
-``NonRealCocycle`` for any other residue, so a sign convention mistake
-surfaces as an error instead of a silent flip.  The ambient dimension
-must be a multiple of 8 so the block residue table applies.
+with all scalars rational.  The sign of a surviving exponential term is
+z**k for the cocycle residue k of its pair; ``_real_sign`` admits only
+k = 0 (+1) and k = 4 (-1) and raises ``NonRealCocycle`` for any other
+residue, so a sign convention mistake surfaces as an error instead of a
+silent flip.  The ambient dimension must be a multiple of 8 so the
+block residue table applies.
 
 Scale convention: a label coordinate lies in (1/4)Z (for a root alpha
 with half-integer coordinates, M_alpha = alpha (x) E8 has coordinates in
@@ -31,21 +31,21 @@ has integer norm 64, a pair is classified by the integer 16<x,y> (+-32
 a shift, +-64 a square, +-48 a created root, anything else zero), and
 x +- y is formed and sign-normalized in ints.
 
-Scalars: ``Weight2Element`` stores ``Fraction`` coefficients, and
-``oracle_product`` computes in ints over known denominators.  It reads
-each of the four parts as int numerators over that part's least common
-denominator (d_u, d_v for the quadratic parts of u and v, e_u, e_v for
-the exponential parts), and accumulates every output term as an int
-numerator over one denominator ``den`` that each term group divides:
-d_u d_v for quad x quad, d_u e_v 16 and d_v e_u 16 for quad x exp (the
-factor 1/16 of a scaled quadratic term x_i x_j enters here), e_u e_v for
-the shifts and e_u e_v 16 for the squares.  Each output term becomes one
-``Fraction`` at the end.  In quad x exp the upper triangle of S is
-grouped by int weight (an entry on the diagonal, twice an entry off it),
-so each label x gives one int x^T S x from C-level sums over the groups'
-index pairs.  The public constructor takes labels in true coordinates,
-rejects any coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice``,
-converts every coefficient with ``Fraction`` (a non-rational one raises
+Scalars: a ``Weight2Element`` keeps one int core, the numerators of its
+quadratic part and of its scaled labels over one denominator ``den``,
+with no zero numerator and no factor common to den and all numerators,
+so equal elements have equal cores; ``quad`` and ``exps`` are
+``Fraction`` views of it.  ``oracle_product`` reads the cores of u and
+v and accumulates every output term as an int numerator over
+16 d_u d_v: a quad x quad entry ab counts 32 times (2ST + 2TS), a quad
+x exp term once (the 1/16 of a scaled quadratic term x_i x_j enters
+here), a shift 16 times and a square once.  In quad x exp the upper
+triangle of S is grouped by int weight (an entry on the diagonal, twice
+an entry off it), so each label x gives one int x^T S x from C-level
+sums over the groups' index pairs.  The public constructor takes index
+pairs in range(dim) and labels in true coordinates, rejects any
+coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice``, converts
+every coefficient with ``Fraction`` (a non-rational one raises
 ``TypeError``) and validates every term; sums, scalings and oracle
 products are built from terms that are already canonical and are not
 validated again.
@@ -67,7 +67,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from itertools import chain
 from operator import add, mul, sub
@@ -114,64 +113,83 @@ def _real_sign(residue: int, x: Label, y: Label | None) -> int:
         f"z^{residue}")
 
 
-@dataclass
 class Weight2Element:
     """Sparse weight-2 element over a fixed ambient basis.
 
-    The constructor takes ``exps`` keyed by labels in true (rational)
-    coordinates and stores them scaled (see the module docstring), so
-    ``exps`` maps scaled labels SCALE * x to coefficients after
-    construction.
+    The constructor takes ``quad`` keyed by index pairs in range(dim)
+    and ``exps`` keyed by labels in true (rational) coordinates.  The
+    element keeps one int core: ``den`` and the int numerators over it
+    of the quadratic part and of the scaled labels (see the module
+    docstring).  ``quad`` and ``exps`` are ``Fraction`` views of the
+    core, so ``exps`` maps scaled labels SCALE * x to coefficients.
     """
 
-    dim: int
-    quad: dict[tuple[int, int], Q] = field(default_factory=dict)
-    exps: dict[Label, Q] = field(default_factory=dict)
-
-    def __post_init__(self):
-        quad = {k: Q(v) for k, v in self.quad.items()}
-        self.quad = {k: v for k, v in quad.items() if v}
-        for (i, j), v in list(self.quad.items()):
-            if (j, i) not in self.quad or self.quad[(j, i)] != v:
+    def __init__(self, dim: int, quad: dict | None = None,
+                 exps: dict | None = None):
+        quad = {k: Q(v) for k, v in (quad or {}).items()}
+        for (i, j), v in quad.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(
+                    f"quadratic index {(i, j)} outside range({dim})")
+            if quad.get((j, i), 0) != v:
                 raise ValueError("quadratic part must be symmetric")
-        clean: dict[Label, Q] = {}
-        for x, c in self.exps.items():
+        labelled: dict[Label, Q] = {}
+        for x, c in (exps or {}).items():
             c = Q(c)
-            if not c:
-                continue
             label = sign_normalized(scaled(x))
             if sum(map(mul, label, label)) != 4 * _S2:
                 raise ValueError(f"exponential label {x} does not have norm 4")
-            if len(label) != self.dim:
+            if len(label) != dim:
                 raise ValueError("label length does not match ambient dimension")
-            clean[label] = clean.get(label, 0) + c
-        self.exps = {x: c for x, c in clean.items() if c}
+            labelled[label] = labelled.get(label, 0) + c
+        den = math.lcm(*(c.denominator
+                         for c in chain(quad.values(), labelled.values())))
+
+        def ints(terms: dict) -> dict:
+            return {k: c.numerator * (den // c.denominator)
+                    for k, c in terms.items()}
+
+        # adopt the canonical core that ``_trusted`` builds
+        self.__dict__ = Weight2Element._trusted(
+            dim, den, ints(quad), ints(labelled)).__dict__
 
     @classmethod
-    def _trusted(cls, dim: int, quad: dict[tuple[int, int], Q],
-                 exps: dict[Label, Q]) -> "Weight2Element":
-        """An element from a symmetric quadratic part and canonical scaled
-        labels, without validation; zero coefficients are dropped."""
+    def _trusted(cls, dim: int, den: int, quad: dict[tuple[int, int], int],
+                 exps: dict[Label, int]) -> "Weight2Element":
+        """An element from int numerators over ``den > 0`` of a symmetric
+        quadratic part and of canonical scaled labels, without
+        validation: zero numerators are dropped and the gcd of ``den``
+        and the numerators is divided out."""
+        quad = {k: n for k, n in quad.items() if n}
+        exps = {x: n for x, n in exps.items() if n}
+        g = math.gcd(den, *quad.values(), *exps.values())
+        if g > 1:
+            quad = {k: n // g for k, n in quad.items()}
+            exps = {x: n // g for x, n in exps.items()}
         self = object.__new__(cls)
-        self.dim = dim
-        self.quad = {k: v for k, v in quad.items() if v}
-        self.exps = {x: c for x, c in exps.items() if c}
+        self.dim, self.den, self._quad, self._exps = dim, den // g, quad, exps
         return self
+
+    @functools.cached_property
+    def quad(self) -> dict[tuple[int, int], Q]:
+        return {k: Q(n, self.den) for k, n in self._quad.items()}
+
+    @functools.cached_property
+    def exps(self) -> dict[Label, Q]:
+        return {x: Q(n, self.den) for x, n in self._exps.items()}
 
     @staticmethod
     def zero(dim: int) -> "Weight2Element":
-        return Weight2Element(dim, {}, {})
+        return Weight2Element(dim)
 
     def __add__(self, other: "Weight2Element") -> "Weight2Element":
         if self.dim != other.dim:
             raise ValueError("ambient dimensions differ")
-        quad = dict(self.quad)
-        for k, v in other.quad.items():
-            quad[k] = quad.get(k, 0) + v
-        exps = dict(self.exps)
-        for x, c in other.exps.items():
-            exps[x] = exps.get(x, 0) + c
-        return Weight2Element._trusted(self.dim, quad, exps)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Weight2Element._trusted(
+            self.dim, den, _combine(self._quad, a, other._quad, b),
+            _combine(self._exps, a, other._exps, b))
 
     def __neg__(self) -> "Weight2Element":
         return self.scale(-1)
@@ -181,23 +199,35 @@ class Weight2Element:
 
     def scale(self, c) -> "Weight2Element":
         c = Q(c)
+        p = c.numerator
         return Weight2Element._trusted(
-            self.dim,
-            {k: c * v for k, v in self.quad.items()},
-            {x: c * v for x, v in self.exps.items()},
-        )
+            self.dim, self.den * c.denominator,
+            {k: p * n for k, n in self._quad.items()},
+            {x: p * n for x, n in self._exps.items()})
 
     def __rmul__(self, c) -> "Weight2Element":
         return self.scale(c)
 
     def __bool__(self) -> bool:
-        return bool(self.quad) or bool(self.exps)
+        return bool(self._quad or self._exps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Weight2Element):
             return NotImplemented
-        return (self.dim == other.dim and self.quad == other.quad
-                and self.exps == other.exps)
+        return (self.dim == other.dim and self.den == other.den
+                and self._quad == other._quad and self._exps == other._exps)
+
+    def __repr__(self) -> str:
+        return (f"Weight2Element(dim={self.dim}, quad={self.quad!r}, "
+                f"exps={self.exps!r})")
+
+
+def _combine(p: dict, a: int, q: dict, b: int) -> dict:
+    """The int term dict a p + b q."""
+    out = {k: a * n for k, n in p.items()}
+    for k, n in q.items():
+        out[k] = out.get(k, 0) + b * n
+    return out
 
 
 def virasoro_quadratic(M: Lattice) -> Weight2Element:
@@ -219,24 +249,25 @@ def virasoro_quadratic(M: Lattice) -> Weight2Element:
     for i, col in enumerate(cols):  # row i of P is col^T w
         support = [(k, c) for k, c in enumerate(col) if c]
         for j in range(d):
-            n = sum(c * w[k][j] for k, c in support)
-            if n:
-                quad[(i, j)] = Q(n, 2 * D)
-    return Weight2Element._trusted(d, quad, {})
+            quad[(i, j)] = sum(c * w[k][j] for k, c in support)
+    return Weight2Element._trusted(d, 2 * D, quad, {})
 
 
 def _labels(vectors: list[tuple[int, ...]], den: int) -> list[Label]:
-    """The scaled labels SCALE * v / den of int vectors over den; a
-    coordinate outside (1/4)Z raises ``NotInHalfLattice``."""
-    labels = []
-    for v in vectors:
-        parts = [divmod(SCALE * c, den) for c in v]
-        if any(rest for _, rest in parts):
-            raise NotInHalfLattice(
-                f"{tuple(Q(c, den) for c in v)} has a coordinate outside "
-                "(1/4)Z")
-        labels.append(tuple(c4 for c4, _ in parts))
-    return labels
+    """The scaled labels SCALE * v / den of int vectors over den.  With
+    g = gcd(SCALE, den) a label is (SCALE/g) v / (den/g), so only den/g
+    has to divide the coordinates (it is 1 for every M_alpha, where den
+    is 2 or 4); a coordinate outside (1/4)Z raises ``NotInHalfLattice``."""
+    g = math.gcd(SCALE, den)
+    up, down = SCALE // g, den // g
+    if down > 1:
+        for v in vectors:
+            if any(c % down for c in v):
+                raise NotInHalfLattice(
+                    f"{tuple(Q(c, den) for c in v)} has a coordinate "
+                    "outside (1/4)Z")
+        vectors = [[c // down for c in v] for v in vectors]
+    return [tuple(map(up.__mul__, v)) for v in vectors]
 
 
 def ising_vector(M: Lattice) -> Weight2Element:
@@ -248,8 +279,8 @@ def ising_vector(M: Lattice) -> Weight2Element:
         raise WrongShellSize(
             f"norm-4 shell has {len(vectors)} vectors, expected 240")
     w = virasoro_quadratic(M).scale(Q(1, 16))
-    exps = {sign_normalized(x): Q(1, 32) for x in _labels(vectors, den)}
-    return w + Weight2Element._trusted(M.ambient_dim, {}, exps)
+    exps = {sign_normalized(x): 1 for x in _labels(vectors, den)}
+    return w + Weight2Element._trusted(M.ambient_dim, 32, {}, exps)
 
 
 def _quad_rows(quad: dict[tuple[int, int], object]) -> dict[int, dict]:
@@ -265,14 +296,6 @@ def _by_value(terms: dict) -> dict:
     for key, value in terms.items():
         groups.setdefault(value, []).append(key)
     return groups
-
-
-def _numerators(terms: dict) -> tuple[dict, int]:
-    """The rational values of a term dict as int numerators over their
-    least common denominator, and that denominator (1 for no terms)."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return ({k: c.numerator * (den // c.denominator)
-             for k, c in terms.items()}, den)
 
 
 def _weight_groups(quad: dict[tuple[int, int], int]
@@ -334,30 +357,26 @@ def _close_pairs(xs: list[Label], ys: list[Label], columns: list[int]):
 def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     """Bilinear degree-1 product of two weight-2 elements.
 
-    Each part of u and v is read as int numerators over its own least
-    common denominator; every term of the product is accumulated as an
-    int numerator over one denominator ``den`` that all four parts
-    divide, and becomes a ``Fraction`` once, at the end."""
+    Reads the int cores of u and v; every term of the product is an
+    int numerator over the one denominator 16 d_u d_v (module
+    docstring)."""
     if u.dim != v.dim:
         raise ValueError("ambient dimensions differ")
     dim = u.dim
     table = _table_for(dim)
-    (uq, du), (vq, dv) = _numerators(u.quad), _numerators(v.quad)
-    (ue, eu), (ve, ev) = _numerators(u.exps), _numerators(v.exps)
-    den = math.lcm(du * dv, eu * ev * _S2, du * ev * _S2, dv * eu * _S2)
+    uq, ue, vq, ve = u._quad, u._exps, v._quad, v._exps
     quad: dict[tuple[int, int], int] = {}
     exps: dict[Label, int] = {}
 
     # quadratic x quadratic: 2(ST + TS)
     if uq and vq:
-        m = 2 * (den // (du * dv))
         sv = _quad_rows(vq)
         for i, row in _quad_rows(uq).items():
             for k, a in row.items():
                 match = sv.get(k)
                 if not match:
                     continue
-                a *= m
+                a *= 32
                 for j, b in match.items():
                     ab = a * b
                     quad[(i, j)] = quad.get((i, j), 0) + ab
@@ -365,18 +384,16 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
 
     # quadratic x exponential, both orders: (4x)^T S (4x) / 16, one int
     # per label from the index pairs of S grouped by int weight
-    for s_quad, ds, e_exps, de in ((uq, du, ve, ev), (vq, dv, ue, eu)):
+    for s_quad, e_exps in ((uq, ve), (vq, ue)):
         if not (s_quad and e_exps):
             continue
-        m = den // (ds * de * _S2)
         groups = _weight_groups(s_quad)
         for x, c in e_exps.items():
             get = x.__getitem__
             n = 0
             for w, rows, cols in groups:
                 n += w * sum(map(mul, map(get, rows), map(get, cols)))
-            if n:
-                exps[x] = exps.get(x, 0) + m * c * n
+            exps[x] = exps.get(x, 0) + c * n
 
     # exponential x exponential, all ordered pairs, by s = 16<x, y>.  The
     # labels are grouped by coefficient, so the signed shifts x -+ y and
@@ -386,8 +403,6 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     # once per v group, one byte per dot, which the norm-64 invariant of
     # every label (module docstring) keeps within 64..192.
     shift, root, square = 2 * _S2, 3 * _S2, 4 * _S2
-    m_shift = den // (eu * ev)
-    m_square = m_shift // _S2
     v_groups = [(cy, ys, _packed_columns(ys))
                 for cy, ys in _by_value(ve).items()]
     for cx, xs in _by_value(ue).items():
@@ -415,32 +430,19 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
                         f"product {s // _S2} create a norm-2 vector")
             c = cx * cy
             for z, n in shifts.items():
-                if n:
-                    exps[z] = exps.get(z, 0) + c * m_shift * n
+                exps[z] = exps.get(z, 0) + 16 * c * n
             for ij, n in squares.items():
-                if n:
-                    quad[ij] = quad.get(ij, 0) + c * m_square * n
+                quad[ij] = quad.get(ij, 0) + c * n
 
-    return Weight2Element._trusted(
-        dim, {k: Q(n, den) for k, n in quad.items()},
-        {x: Q(n, den) for x, n in exps.items()})
+    return Weight2Element._trusted(dim, 16 * u.den * v.den, quad, exps)
 
 
 def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Q:
     """Invariant pairing: 2 tr(ST) on quadratics, 2 per shared
-    exponential label, no cross terms."""
+    exponential label, no cross terms; summed in ints over d_u d_v."""
     if u.dim != v.dim:
         raise ValueError("ambient dimensions differ")
-    total = Q(0)
-    sv = _quad_rows(v.quad)
-    for (i, j), a in u.quad.items():
-        row = sv.get(j)
-        if row:
-            b = row.get(i)
-            if b:
-                total += 2 * (a * b)
-    for x, c in u.exps.items():
-        d = v.exps.get(x)
-        if d:
-            total += 2 * (c * d)
-    return total
+    vq, ve = v._quad, v._exps
+    total = sum(a * vq.get((j, i), 0) for (i, j), a in u._quad.items())
+    total += sum(c * ve.get(x, 0) for x, c in u._exps.items())
+    return Q(2 * total, u.den * v.den)

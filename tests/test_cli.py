@@ -156,6 +156,20 @@ def test_griess_oracle_counts_typed_errors_as_disagreement(capsys, monkeypatch):
     assert all(c["actual"] == "oracle differs" for c in failed)
 
 
+def test_griess_oracle_catches_a_wrong_product(capsys, monkeypatch):
+    """A product that returns a wrong value without raising disagrees:
+    doubling every product keeps the three zero 2B products and breaks
+    the twelve 3C ones."""
+    product = cli.oracle_product
+    monkeypatch.setattr(cli, "oracle_product",
+                        lambda u, v: product(u, v) + product(u, v))
+    code, report = run(capsys, "griess", "A", "3", "--oracle")
+    assert code == 1
+    check = by_name(report)["oracle_agreement"]
+    assert check["status"] == "fail"
+    assert check["actual"] == "3/15 pairs"
+
+
 def test_group_a3(capsys):
     code, report = run(capsys, "group", "A", "3")
     assert code == 0

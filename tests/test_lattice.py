@@ -129,6 +129,8 @@ def test_coordinates_and_contains():
     assert lat.coordinates((1, 0, 0)) is None
     with pytest.raises(IncompatibleAmbient):
         lat.coordinates((1, 0))
+    with pytest.raises(IncompatibleAmbient):
+        lat.project((1, 0))
 
 
 def _reference_coordinates(basis, v):

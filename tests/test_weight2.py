@@ -24,6 +24,7 @@ from weyl_ising.weight2 import (
     Weight2Element,
     WrongShellSize,
     _close_pairs,
+    _labels,
     _packed_columns,
     ising_vector,
     oracle_pairing,
@@ -233,6 +234,9 @@ def test_labels_are_stored_scaled():
     minus_x = tuple(Q(c, 2) for c in (-3, -1, -1, -1, -1, -1, -1, 1))
     u = Weight2Element(8, {}, {minus_x: Q(1, 2)})
     assert u.exps == {tuple(int(-SCALE * c) for c in minus_x): Q(1, 2)}
+    # int vectors over den: den 2 scales up, den 8 divides down
+    assert _labels([(1, -3)], 2) == [(2, -6)]
+    assert _labels([(2, -6, 0)], 8) == [(1, -3, 0)]
 
 
 def test_canonical_label_normalizes_sign():
@@ -255,6 +259,11 @@ def test_element_algebra():
         Weight2Element(8, {(0, 1): 1}, {})
     with pytest.raises(ValueError):
         Weight2Element(8, {}, {(1, 0, 0, 0, 0, 0, 0, 0): 1})
+    # an index outside range(dim) would later be read as a missing (9)
+    # or a wrapped-around (-1) label coordinate
+    for quad in ({(9, 9): 1}, {(-1, -1): 2}):
+        with pytest.raises(ValueError, match="outside range"):
+            Weight2Element(8, quad, {})
 
 
 @pytest.mark.parametrize("rank", [6, 7, 8])

@@ -10,6 +10,7 @@ quadratics, and on random E8 half-lattice vectors.
 """
 
 import functools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -175,11 +176,20 @@ def pairs(draw, families):
     return draw(sub_elements(dim, parts)), draw(sub_elements(dim, parts))
 
 
+def assert_canonical(w: Weight2Element):
+    """The int core is canonical: den > 0, no zero numerator, and no
+    common factor of den and the numerators."""
+    numerators = [*w._quad.values(), *w._exps.values()]
+    assert w.den > 0
+    assert all(numerators)
+    assert math.gcd(w.den, *numerators) == 1
+
+
 @PROPERTY
 @given(data=st.data())
 def test_product_matches_fraction_reference(families, data):
-    """Also: every output term is one ``Fraction``, and no zero term is
-    kept."""
+    """Also: every output term is one ``Fraction``, no zero term is
+    kept, every core is canonical, and sums and scalings invert."""
     u, v = data.draw(pairs(families))
     want_quad, want_exps = ref_product(u.dim, as_reference(u), as_reference(v))
     w = oracle_product(u, v)
@@ -188,6 +198,11 @@ def test_product_matches_fraction_reference(families, data):
     assert got_exps == want_exps
     for c in [*w.quad.values(), *w.exps.values()]:
         assert type(c) is Q and c != 0
+    c = data.draw(coefficients)
+    assert (u + v) - v == u
+    assert u.scale(c).scale(1 / c) == u
+    for x in (u, v, w, u + v, u - u, u.scale(c)):
+        assert_canonical(x)
 
 
 @PROPERTY
