@@ -15,7 +15,6 @@ from .axes import (
     TWO_B,
     AxisAlgebra,
     NoConformalVector,
-    NonUniqueConformalVector,
     NotATriple,
     ThreeC,
     VirasoroReport,
@@ -81,7 +80,6 @@ __all__ = [
     "Cyc8",
     "Lattice",
     "NoConformalVector",
-    "NonUniqueConformalVector",
     "NotATriple",
     "NotInHalfLattice",
     "PermGroup",

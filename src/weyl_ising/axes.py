@@ -18,8 +18,7 @@ c_a c_b (THREE_C) in ints and makes one ``Fraction`` per output term over
 32 d_u d_v, ``pairing`` accumulates 64 c_a c_b and c_a c_b over
 256 d_u d_v, and the action check of ``virasoro`` runs the same int
 product.  ``Fraction`` remains at the public boundaries (every
-coefficient is converted with it on the way in) and in the small dense
-elimination of ``virasoro``.
+coefficient is converted with it on the way in).
 """
 
 from __future__ import annotations
@@ -48,15 +47,6 @@ class ThreeC:
 
 class NoConformalVector(ValueError):
     """The system w.x = 2x over the axis span has no solution."""
-
-
-class NonUniqueConformalVector(ValueError):
-    """The system w.x = 2x has an affine solution space of positive dimension."""
-
-    def __init__(self, dimension: int):
-        super().__init__(f"conformal vector not unique: solution space has "
-                         f"dimension {dimension}")
-        self.dimension = dimension
 
 
 class NotATriple(ValueError):
@@ -92,8 +82,8 @@ class AxisAlgebra:
     relation(a, c) = ThreeC(b) and relation(b, c) = ThreeC(a).
 
     The relation is stored as an axis-index table of int codes, so the
-    products and the solves look each label up once per term rather than
-    hashing a pair of labels per pair of terms.
+    products look each label up once per term rather than hashing a pair
+    of labels per pair of terms.
     """
 
     def __init__(self, axes: Sequence[Label],
@@ -295,104 +285,39 @@ def gram_positive_definite(R: RootSystem, A: AxisAlgebra) -> bool:
 
 
 def virasoro(A: AxisAlgebra) -> VirasoroReport:
-    """Solve w . x = 2x (all axes x) for w in the axis span.
+    """Solve w . e_b = 2 e_b (all axes b) for w = sum_a c_a e_a.
 
-    The equations split into many two-term differences and a few dense
-    rows; the differences are contracted by union-find before the exact
-    dense elimination, which keeps the solve small even with 120 axes.
+    Scaled by 32, the equation for b is read off b's row of the table.
+    For a 3C partner a of b with third axis k, its e_a component reads
+    c_a - c_k = 0, so c is constant on each connected component of the
+    3C graph.  Its e_b component then reads (64 + deg b) c_b = 64, where
+    deg b counts b's 3C partners.  So a solution exists exactly when deg
+    is constant on each component, checked on every 3C pair, and no two
+    distinct labels are SAME (for such a pair the components of the two
+    equations force c_a = c_b = 0 and then 0 = 64).  Every component has
+    an equation with the nonzero coefficient 64 + deg, so the solution
+    c_b = 64/(64 + deg b) is unique.  The int product then checks the
+    action on every axis.
     """
     axes = A.axes
-    n = len(axes)
     code = A._code
-
-    # rows: (dict var-index -> int, rhs), every equation scaled by 32 so
-    # that its coefficients are the ints 32 (SAME) and +-1 (THREE_C)
-    rows: list[tuple[dict[int, int], int]] = []
-    for b in range(n):
-        # coefficient of axis g in sum_a c_a (e_a . e_b), for each g
-        cols: dict[int, dict[int, int]] = {}
-
-        def put(g: int, a: int, val: int) -> None:
-            col = cols.setdefault(g, {})
-            col[a] = col.get(a, 0) + val
-
-        for a in range(n):
-            k = code[a][b]
+    deg = [sum(k >= 0 for k in row) for row in code]
+    for i, row in enumerate(code):
+        for j in range(i):
+            k = row[j]
             if k == _SAME:
-                put(a, a, 32)
-                put(b, a, 32)
-            elif k >= 0:
-                put(a, a, 1)
-                put(b, a, 1)
-                put(k, a, -1)
-        for g, row in cols.items():
-            row = {j: v for j, v in row.items() if v}
-            rhs = 64 if g == b else 0
-            if row or rhs:
-                rows.append((row, rhs))
-
-    # union-find over rows of the form q(c_x - c_y) = 0
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rest: list[tuple[dict[int, int], int]] = []
-    for row, rhs in rows:
-        if rhs == 0 and len(row) == 2:
-            (x, qx), (y, qy) = row.items()
-            if qx == -qy:
-                parent[find(x)] = find(y)
-                continue
-        rest.append((row, rhs))
-
-    classes = sorted({find(j) for j in range(n)})
-    pos = {c: k for k, c in enumerate(classes)}
-    m = len(classes)
-
-    reduced: dict[tuple, tuple[tuple[int, ...], int]] = {}
-    for row, rhs in rest:
-        acc = [0] * m
-        for j, v in row.items():
-            acc[pos[find(j)]] += v
-        key = (tuple(acc), rhs)
-        reduced[key] = (tuple(acc), rhs)
-
-    # exact Gaussian elimination on the reduced system
-    mat = [[Q(x) for x in r] + [Q(rhs)] for r, rhs in reduced.values()]
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    for r in range(rank, len(mat)):
-        if mat[r][m]:
-            raise NoConformalVector("the defining linear system is inconsistent")
-    if rank < m:
-        raise NonUniqueConformalVector(m - rank)
-
-    values = [Q(0)] * m
-    for r in range(rank):
-        col = next(c for c in range(m) if mat[r][c])
-        values[col] = mat[r][m]
-
-    w = A.element({a: values[pos[find(j)]] for j, a in enumerate(axes)})
+                raise NoConformalVector(f"axes {axes[i]!r} and {axes[j]!r} "
+                                        "are one axis")
+            if k >= 0 and deg[i] != deg[j]:
+                raise NoConformalVector(
+                    f"3C partners {axes[i]!r} and {axes[j]!r} have "
+                    f"{deg[i]} and {deg[j]} 3C partners")
+    w = A.element({a: Q(64, 64 + d) for a, d in zip(axes, deg)})
     # w . e_b = 2 e_b for every b, checked by the int product: with w's
     # terms over d, 32 d (w . e_b) must be {b: 64 d}
     wt, d = A._terms(w)
     ok = all({i: c for i, c in A._product_ints(wt, [(b, 1)]).items() if c}
-             == {b: 64 * d} for b in range(n))
+             == {b: 64 * d} for b in range(len(axes)))
     if not ok:
         raise NoConformalVector("solved vector fails the action check")
     norm = A.pairing(w, w)

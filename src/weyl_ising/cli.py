@@ -396,7 +396,9 @@ def audit_checks(path: str) -> tuple[list[dict], dict]:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError covers malformed JSON, a file that is not UTF-8 and
+        # an int literal past Python's int-string conversion limit
         raise UsageError(f"cannot read gram file: {err}")
     if not isinstance(payload, dict) or "gram" not in payload:
         raise UsageError('gram file must be a JSON object {"gram": [[...]]}')

@@ -31,7 +31,6 @@ from operator import mul
 from .axes import SAME, TWO_B, AxisAlgebra, ThreeC
 from .lattice import (
     Lattice,
-    _scaled_rows,
     _shell_ints,
     _shell_keys,
     _span,
@@ -246,11 +245,20 @@ def kernel_mod3(delta) -> Lattice:
     """{beta : <beta, delta> = 0 mod 3} as a sublattice of the norm-2
     shell's lattice (index 1 or 3), built on E8's int core: with the
     basis as ``rows / den`` and ``delta = d_int / d_den``, the pairing
-    of basis vector k with delta is ``<rows_k, d_int> / (den d_den)``."""
+    of basis vector k with delta is ``<rows_k, d_int> / (den d_den)``.
+    Raises ``IncompatibleAmbient`` for a delta that is not of length 8
+    and ``ValueError`` for one that pairs with E8 to a non-integer."""
     L = e8_lattice()
     rows, den = L._scaled
-    (d_int,), d_den = _scaled_rows([delta])
-    residues = [int(Q(dot(row, d_int), den * d_den)) % 3 for row in rows]
+    d_int, d_den = L._scaled_vector(delta)
+    residues = []
+    for row in rows:
+        pairing, rest = divmod(dot(row, d_int), den * d_den)
+        if rest:
+            raise ValueError("delta pairs with an E8 basis vector to "
+                             f"{Q(dot(row, d_int), den * d_den)}, not an "
+                             "integer")
+        residues.append(pairing % 3)
     pivot = next((k for k, m in enumerate(residues) if m), None)
     if pivot is None:
         return L

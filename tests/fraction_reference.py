@@ -15,7 +15,11 @@ direct computations they replaced, kept here so the property tests
 compare the two.  ``axis_gram`` writes out the ``Fraction`` Gram of an
 axis algebra, which the library certifies from root coordinates
 (``axes.gram_positive_definite``) without building it; the tests feed it
-to the Bareiss test as a cross-check.  The vector and matrix helpers
+to the Bareiss test as a cross-check.  ``conformal_vector`` is the
+general solver of w . e = 2e that ``axes.virasoro`` replaced by reading
+the answer off the 3C graph: it writes out every equation, contracts the
+two-term differences by union-find and eliminates the rest over
+``Fraction``.  The vector and matrix helpers
 ``vec_add``, ``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec``
 and ``transpose`` build test data; the library has no use for them.
 """
@@ -24,7 +28,7 @@ from fractions import Fraction as Q
 from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
-from weyl_ising.axes import SAME, TWO_B
+from weyl_ising.axes import SAME, TWO_B, NoConformalVector
 from weyl_ising.linalg import Vector, dot
 
 
@@ -256,3 +260,96 @@ def axis_gram(A) -> list[list[Q]]:
     value = {SAME: Q(1, 4), TWO_B: Q(0)}
     return [[value.get(A.relation(a, b), Q(1, 256)) for b in A.axes]
             for a in A.axes]
+
+
+def conformal_vector(A) -> dict:
+    """The w in the axis span of A with w . e = 2e for every axis e, as
+    {label: Fraction} in axis order, with the relation read through
+    ``A.relation``.  Raises ``NoConformalVector`` when the system is
+    inconsistent and a plain ``ValueError`` when its solution is not
+    unique."""
+    axes = A.axes
+    n = len(axes)
+    index = {a: i for i, a in enumerate(axes)}
+
+    # rows: (dict var-index -> int, rhs), every equation scaled by 32 so
+    # that its coefficients are the ints 32 (SAME) and +-1 (THREE_C)
+    rows: list[tuple[dict[int, int], int]] = []
+    for b in range(n):
+        # coefficient of axis g in sum_a c_a (e_a . e_b), for each g
+        cols: dict[int, dict[int, int]] = {}
+
+        def put(g: int, a: int, val: int) -> None:
+            col = cols.setdefault(g, {})
+            col[a] = col.get(a, 0) + val
+
+        for a in range(n):
+            r = A.relation(axes[a], axes[b])
+            if r == SAME:
+                put(a, a, 32)
+                put(b, a, 32)
+            elif r != TWO_B:
+                put(a, a, 1)
+                put(b, a, 1)
+                put(index[r.third], a, -1)
+        for g, row in cols.items():
+            row = {j: v for j, v in row.items() if v}
+            rhs = 64 if g == b else 0
+            if row or rhs:
+                rows.append((row, rhs))
+
+    # union-find over rows of the form q(c_x - c_y) = 0
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rest: list[tuple[dict[int, int], int]] = []
+    for row, rhs in rows:
+        if rhs == 0 and len(row) == 2:
+            (x, qx), (y, qy) = row.items()
+            if qx == -qy:
+                parent[find(x)] = find(y)
+                continue
+        rest.append((row, rhs))
+
+    classes = sorted({find(j) for j in range(n)})
+    pos = {c: k for k, c in enumerate(classes)}
+    m = len(classes)
+
+    reduced = set()
+    for row, rhs in rest:
+        acc = [0] * m
+        for j, v in row.items():
+            acc[pos[find(j)]] += v
+        reduced.add((tuple(acc), rhs))
+
+    # exact Gauss-Jordan elimination on the reduced system
+    mat = [[Q(x) for x in r] + [Q(rhs)] for r, rhs in sorted(reduced)]
+    rank = 0
+    for col in range(m):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    if any(mat[r][m] for r in range(rank, len(mat))):
+        raise NoConformalVector("the defining linear system is inconsistent")
+    if rank < m:
+        raise ValueError(f"solution space has dimension {m - rank}")
+
+    values = [Q(0)] * m
+    for r in range(rank):
+        col = next(c for c in range(m) if mat[r][c])
+        values[col] = mat[r][m]
+    w = {a: values[pos[find(j)]] for j, a in enumerate(axes)}
+    return {a: c for a, c in w.items() if c}

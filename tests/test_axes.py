@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import axis_gram, axis_pairing, axis_product
+from fraction_reference import (
+    axis_gram,
+    axis_pairing,
+    axis_product,
+    conformal_vector,
+)
 
 from weyl_ising.axes import (
     SAME,
     TWO_B,
     AxisAlgebra,
     NoConformalVector,
-    NonUniqueConformalVector,
     NotATriple,
     ThreeC,
     from_root_system,
@@ -251,7 +255,7 @@ def test_duplicate_axis_degenerates():
 
     A = AxisAlgebra(("p", "q"), rel)
     assert not ldl_is_positive_definite(axis_gram(A))
-    with pytest.raises(NoConformalVector):
+    with pytest.raises(NoConformalVector, match="are one axis"):
         virasoro(A)
 
 
@@ -317,13 +321,6 @@ def test_root_system_table_matches_relation_callable(kind, rank):
     assert axis_gram(A) == axis_gram(reference)
 
 
-def test_nonunique_error_reports_dimension():
-    err = NonUniqueConformalVector(3)
-    assert isinstance(err, ValueError)
-    assert err.dimension == 3
-    assert "3" in str(err)
-
-
 def test_element_helpers(A2):
     e = A2.axes[0]
     assert A2.element({e: Q(1, 2), A2.axes[1]: 0}) == {e: Q(1, 2)}
@@ -331,10 +328,38 @@ def test_element_helpers(A2):
         A2.element({"nope": 1})
 
 
+def _triples_relation(*triples):
+    """SAME on the diagonal, THREE_C inside each given triple, TWO_B
+    elsewhere."""
+    def relation(a, b):
+        if a == b:
+            return SAME
+        for t in triples:
+            if a in t and b in t:
+                return ThreeC(next(x for x in t if x not in (a, b)))
+        return TWO_B
+
+    return relation
+
+
+SMALL_ALGEBRAS = {
+    "point": lambda: AxisAlgebra(("p",), _triples_relation()),
+    "orthogonal pair": lambda: AxisAlgebra("pq", _triples_relation()),
+    # two 3C triples through p: a closed table whose 3C graph is
+    # connected with degrees 4, 2, 2, 2, 2
+    "bowtie": lambda: AxisAlgebra("pqrst", _triples_relation("pqr", "pst")),
+    "duplicate": lambda: AxisAlgebra("pq", lambda a, b: SAME),
+}
+
+
 @cache
 def algebra(name: str):
-    if name == "twisted 4":
-        return twisted_axis_algebra(4)
+    """A named test algebra: an entry of SMALL_ALGEBRAS, "T<n>" for the
+    twisted algebra on n blocks, or a root system such as "D4"."""
+    if name in SMALL_ALGEBRAS:
+        return SMALL_ALGEBRAS[name]()
+    if name[0] == "T":
+        return twisted_axis_algebra(int(name[1:]))
     return from_root_system(build_root_system(name[0], int(name[1:])))
 
 
@@ -360,7 +385,7 @@ def elements(A):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["A3", "D4", "E6", "twisted 4"]), st.data())
+@given(st.sampled_from(["A3", "D4", "E6", "T4"]), st.data())
 def test_product_and_pairing_match_fraction_reference(name, data):
     A = algebra(name)
     u = data.draw(elements(A), label="u")
@@ -397,3 +422,73 @@ def test_kernel_validation_is_unchanged():
         A.product({e: "one"}, {e: 1})
     with pytest.raises(TypeError):
         A.pairing({e: 1}, {e: [1]})
+
+
+def disjoint_union(names, order=None) -> AxisAlgebra:
+    """The algebras ``algebra(name)`` side by side, axes relabelled
+    (part, label) and listed in ``order`` (a permutation of the axis
+    positions); axes of different parts are TWO_B."""
+    parts = [algebra(name) for name in names]
+    axes = [(k, a) for k, P in enumerate(parts) for a in P.axes]
+    if order is not None:
+        axes = [axes[i] for i in order]
+
+    def relation(x, y):
+        if x[0] != y[0]:
+            return TWO_B
+        r = parts[x[0]].relation(x[1], y[1])
+        return ThreeC((x[0], r.third)) if isinstance(r, ThreeC) else r
+
+    return AxisAlgebra(axes, relation)
+
+
+def assert_virasoro_matches_reference(A):
+    """``virasoro`` and the general ``Fraction`` solver agree: the same
+    exception type, or the same vector with its keys in axis order."""
+    try:
+        expected = conformal_vector(A)
+    except ValueError as err:
+        with pytest.raises(ValueError) as info:
+            virasoro(A)
+        assert type(info.value) is type(err) is NoConformalVector
+        return
+    report = virasoro(A)
+    assert list(report.vector.items()) == list(expected.items())
+    assert report.is_conformal
+    assert report.norm == axis_pairing(A, expected, expected)
+    assert report.central_charge == 2 * report.norm
+
+
+@pytest.mark.parametrize("name", [
+    *(f"A{n}" for n in range(1, 13)),
+    *(f"D{n}" for n in range(4, 15)),
+    "E6", "E7", "E8",
+    *(f"T{n}" for n in range(2, 10)),
+    "A2+A3", *SMALL_ALGEBRAS,
+])
+def test_virasoro_matches_reference_solver(name):
+    parts = name.split("+")
+    A = algebra(name) if len(parts) == 1 else disjoint_union(parts)
+    assert_virasoro_matches_reference(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["A1", "A2", "A3", "A4", "D4", "T2", "T3",
+                                 "T4", *SMALL_ALGEBRAS]),
+                min_size=1, max_size=3),
+       st.data())
+def test_virasoro_matches_reference_on_disjoint_unions(names, data):
+    """Shuffled disjoint unions, with and without an inconsistent part."""
+    size = sum(len(algebra(name)) for name in names)
+    order = data.draw(st.permutations(range(size)), label="order")
+    assert_virasoro_matches_reference(disjoint_union(names, order))
+
+
+def test_bowtie_has_no_conformal_vector():
+    """deg p = 4 but deg q = 2 although p and q are 3C partners, so
+    c_p = c_q cannot hold with (64 + deg) c = 64 on both."""
+    A = algebra("bowtie")
+    with pytest.raises(NoConformalVector, match="have 2 and 4 3C partners"):
+        virasoro(A)
+    with pytest.raises(NoConformalVector):
+        conformal_vector(A)

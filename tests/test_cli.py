@@ -251,6 +251,14 @@ def test_audit_usage_errors(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"matrix": []}))
     assert run(capsys, "audit", str(wrong))[0] == 2
+    for name, content in [
+        ("not-utf8", b'{"gram": [[2]]}\xff'),
+        ("long-int", b'{"gram": [[' + b"1" * 4301 + b"]]}"),
+        ("deep", b"[" * 100_000 + b"]" * 100_000),
+    ]:
+        unreadable = tmp_path / f"{name}.json"
+        unreadable.write_bytes(content)
+        assert run(capsys, "audit", str(unreadable)) == (2, None)
 
 
 @pytest.mark.parametrize("payload", [

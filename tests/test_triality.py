@@ -13,7 +13,13 @@ import pytest
 from fraction_reference import axis_product
 from weyl_ising import triality
 from weyl_ising.axes import SAME, TWO_B, ThreeC, virasoro
-from weyl_ising.lattice import e8_lattice, index_in, same_lattice, shell
+from weyl_ising.lattice import (
+    IncompatibleAmbient,
+    e8_lattice,
+    index_in,
+    same_lattice,
+    shell,
+)
 from weyl_ising.linalg import dot
 from weyl_ising.permgrp import ClosureCapExceeded, PermGroup, closure
 from weyl_ising.triality import (
@@ -450,6 +456,19 @@ def test_trivial_kernel_rejected():
     base = shell(e8_lattice(), 2)[0]
     tripled = tuple(3 * c for c in base)
     assert same_lattice(kernel_mod3(tripled), e8_lattice())
+
+
+def test_kernel_mod3_refuses_a_bad_delta():
+    """A delta of the wrong length, or one whose pairing with E8 is not
+    an integer, is refused rather than truncated into a lattice."""
+    with pytest.raises(IncompatibleAmbient):
+        kernel_mod3((1, 2, 3))
+    with pytest.raises(IncompatibleAmbient):
+        kernel_mod3((1,) * 9)
+    with pytest.raises(ValueError, match="not an integer"):
+        kernel_mod3((Q(1, 2),) + (0,) * 7)
+    with pytest.raises(ValueError, match="not an integer"):
+        kernel_mod3((Q(1, 3),) * 8)
 
 
 def test_not_found_is_value_error():
