@@ -16,20 +16,21 @@ on the basis order; every downstream claim is order independent.
 
 Coordinates over the x-basis are computed in integers at one scale,
 ``SCALE = 4``, the x-basis's own: 4 x_k = 2 a_k is integral, so a vector
-v with coordinates in (1/4)Z is handled as the int vector 4v.  The
-int entry point ``eps0_scaled`` takes such vectors (the weight-2 oracle
-keeps its labels at this scale); ``eps0`` takes rational coordinates
-and converts with ``scaled``, which rejects a coordinate outside
-(1/4)Z.  The int matrix with columns 4 x_k is inverted once as
-``adj / D`` (``int_inverse``), so the coordinates of 4v are
-``adj (4v) / D``, and a coordinate that ``D`` does not divide exactly
-raises ``NotInHalfLattice``; its message prints the vector as rationals
-(``_vec``).  The residue table's columns are kept as int tuples, so the
-row form c^T T of a block is eight int dots of its coordinates.  No
-``Fraction`` enters a residue: the scalars are int numerators over the
-one denominator ``D``, and the result is an int mod 8.  The 240 E8
-self-residues behind ``check_sign_lemma`` do not depend on the root
-system checked and are computed once per process.
+v with coordinates in (1/4)Z is handled as the int vector 4v.  The int
+entry point ``eps0_scaled`` takes such vectors (the weight-2 oracle
+keeps its labels at this scale); ``eps0`` takes rational coordinates and
+converts with ``scaled``, which rejects a coordinate outside (1/4)Z.
+The int matrix B with columns 4 x_k is inverted once, as B^-1 = G^-1 B^T
+from unit solves on the cached LDL^T of its Gram G
+(``Lattice._inverse``), so the coordinates of 4v are ``adj (4v) / D``
+with ``adj = D B^-1`` and ``D = det G``, and a coordinate that ``D``
+does not divide exactly raises ``NotInHalfLattice``; its message prints
+the vector as rationals (``_vec``).  The residue table's columns are
+kept as int tuples, so the row form c^T T of a block is eight int dots
+of its coordinates.  No ``Fraction`` enters a residue: the scalars are
+int numerators over the one denominator ``D``, and the result is an int
+mod 8.  The 240 E8 self-residues behind ``check_sign_lemma`` do not
+depend on the root system checked and are computed once per process.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
 
-from .lattice import e8_model
-from .linalg import dot, int_inverse
+from .lattice import Lattice, _combine, e8_model
+from .linalg import dot
 from .rootsys import RootSystem
 
 IntVector = tuple[int, ...]
@@ -84,7 +85,9 @@ class CocycleTable:
         simple = e8_model().simple_roots()
         self.x_basis = tuple(tuple(Q(c, 2) for c in a) for a in simple)
         basis = [scaled(x) for x in self.x_basis]
-        self._adj, self._den = int_inverse([list(col) for col in zip(*basis)])
+        adj, self._den = Lattice._from_ints(8, basis, 1)._inverse
+        # row i of D B^-1 = adj(G) B^T is sum_k adj_ik (4 x_k)
+        self._adj = [_combine(a, basis, 8) for a in adj]
         # 4<x_k, x_l> = <4 x_k, 4 x_l> / 4
         table = [[0] * 8 for _ in range(8)]
         for k in range(8):

@@ -16,9 +16,10 @@ irrational entries.
 Contents: duals and discriminant groups (Smith form), sublattice sums /
 intersections / annihilators / indices (Hermite form), the SSD and RSSD
 predicates with their t involutions, shell enumeration by integer
-Fincke-Pohst on the fraction-free LDL^T of the int Gram, block
-embeddings of E8 into X = E8^n, and the explicit identifications of the
-script lattices with R (x) E8.
+Fincke-Pohst, block embeddings of E8 into X = E8^n, and the explicit
+identifications of the script lattices with R (x) E8.  One fraction-free
+LDL^T of the int Gram per lattice backs determinants, shells,
+memberships, coordinates, projections and inverses.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .linalg import (
     _bareiss_ldl,
     dot,
     hnf,
-    int_inverse,
     int_kernel,
     smith_invariants,
+    solve,
 )
 from .rootsys import RootSystem, build_root_system
 
@@ -117,11 +118,13 @@ class Lattice:
 
     From the core, lazily and once per instance: the int Gram
     ``g = rows rows^T``, so that ``gram == g / den^2`` (``_int_gram``),
-    ``g^-1 == adj / D`` with an int matrix ``adj`` (``_inverse``), and the
-    fraction-free LDL^T of g (``_ldl``), which backs both ``det`` and
-    ``shell``.  Membership, coordinates and projections run on int
-    vectors over a denominator; values become ``Fraction`` only where a
-    public method returns them.  Instances are immutable.
+    and its fraction-free LDL^T (``_ldl``), the one factorization behind
+    ``det``, ``shell``, membership, coordinates and projections, which
+    solve each vector on it as ``adj(g) b`` over its last pivot
+    ``D = det g`` (``linalg.solve``, ``_D``).  ``is_SSD`` and
+    ``dual_basis`` read the whole ``adj`` (``_inverse``), built from unit
+    solves.  Values become ``Fraction`` only where a public method
+    returns them.  Instances are immutable.
     """
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
@@ -179,16 +182,32 @@ class Lattice:
         return g
 
     @cached_property
-    def _inverse(self) -> tuple[list[list[int]], int]:
-        return int_inverse(self._int_gram)
-
-    @cached_property
     def _ldl(self) -> tuple[list[int], list[list[int]]] | None:
         """``_bareiss_ldl`` of the int Gram's upper triangle: the pivots
         (leading principal minors) and multiplier numerators, or None at
         a pivot that is not positive.  Read only, never handed back to
         ``_bareiss_ldl``, which consumes its input."""
         return _bareiss_ldl([row[i:] for i, row in enumerate(self._int_gram)])
+
+    def _factors(self) -> tuple[list[int], list[list[int]]]:
+        """``_ldl``.  A Gram of real vectors is positive semidefinite, so
+        a pivot that is not positive is 0: the basis is dependent."""
+        if self._ldl is None:
+            raise ValueError("basis vectors are linearly dependent")
+        return self._ldl
+
+    @property
+    def _D(self) -> int:
+        """det g, the last pivot of ``_ldl`` (1 at rank 0)."""
+        return (self._factors()[0] or [1])[-1]
+
+    @cached_property
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        """``(adj, D)`` with ``g^-1 == adj / D``: g is symmetric, so the
+        rows of adj are the unit solves."""
+        n = self.rank
+        return ([solve(self._factors(), [int(i == j) for i in range(n)])
+                 for j in range(n)], self._D)
 
     @cached_property
     def gram(self) -> list[list[Q]]:
@@ -207,16 +226,11 @@ class Lattice:
                 tuple(tuple(c // g for c in row) for row in h))
 
     def det(self) -> Q:
-        """The Gram determinant: the last pivot of ``_ldl`` (1 at rank 0)
-        over den^(2 rank).  A Gram of real vectors is positive
-        semidefinite, so a pivot that is not positive means it is
-        singular, and the determinant is 0."""
-        factors = self._ldl
-        if factors is None:
+        """The Gram determinant: ``_D`` over den^(2 rank), or 0 when
+        ``_ldl`` stops at a pivot that is not positive (``_factors``)."""
+        if self._ldl is None:
             return Q(0)
-        pivots = factors[0]
-        return Q(pivots[-1] if pivots else 1,
-                 self._scaled[1] ** (2 * self.rank))
+        return Q(self._D, self._scaled[1] ** (2 * self.rank))
 
     def is_integral(self) -> bool:
         d2 = self._scaled[1] ** 2
@@ -236,14 +250,12 @@ class Lattice:
             for a in adj)
 
     def _weights(self, v_int: Sequence[int]) -> tuple[list[int], list[int]]:
-        """``(w, p)`` for an int vector: ``w = adj (rows v_int)`` and
-        ``p = sum_k w[k] rows[k]``.  For ``v = v_int / v_den`` the
-        coordinates of v's projection onto the span over the basis are
+        """``(w, p)`` for an int vector: ``w = adj (rows v_int)`` (a solve
+        on ``_ldl``) and ``p = sum_k w[k] rows[k]``.  For ``v = v_int /
+        v_den`` the coordinates of v's projection onto the span are
         ``den w / (D v_den)``, and the projection is ``p / (D v_den)``."""
         rows, _ = self._scaled
-        adj, _ = self._inverse
-        rhs = [dot(row, v_int) for row in rows]
-        w = [dot(a, rhs) for a in adj]
+        w = solve(self._factors(), [dot(row, v_int) for row in rows])
         return w, _combine(w, rows, self.ambient_dim)
 
     def _int_coordinates(self, v_int: Sequence[int],
@@ -252,7 +264,7 @@ class Lattice:
         or None when v is not in the lattice: its projection must have
         integral coordinates and equal v."""
         w, p = self._weights(v_int)
-        D = self._inverse[1]
+        D = self._D
         scale, den = D * v_den, self._scaled[1]
         coords = []
         for wk in w:
@@ -278,7 +290,7 @@ class Lattice:
         outside the rational span."""
         v_int, v_den = self._scaled_vector(v)
         w, p = self._weights(v_int)
-        D = self._inverse[1]
+        D = self._D
         # v lies in the span iff it equals its projection
         if any(pj != D * c for pj, c in zip(p, v_int)):
             return None
@@ -292,13 +304,12 @@ class Lattice:
         """Orthogonal projection of v onto the rational span of L."""
         v_int, v_den = self._scaled_vector(v)
         _, p = self._weights(v_int)
-        scale = self._inverse[1] * v_den
+        scale = self._D * v_den
         return tuple(Q(c, scale) for c in p)
 
 
 def _independent(lat: Lattice) -> Lattice:
-    if lat.rank and lat.det() == 0:
-        raise ValueError("basis vectors are linearly dependent")
+    lat._factors()
     return lat
 
 
@@ -453,7 +464,7 @@ def t_involution(M: Lattice, L: Lattice) -> list[list[int]]:
     if not is_RSSD(M, L):
         raise NotRSSD("t involution preserves L only for RSSD sublattices")
     rows, den = L._scaled
-    D = M._inverse[1]
+    D = M._D
     cols = []
     for v in rows:
         # v / den projects onto p / (D den), so v - 2 p is the image over D den

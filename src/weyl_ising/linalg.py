@@ -6,8 +6,11 @@ over one common denominator (matrices are lists of lists of ``int``);
 ``fractions.Fraction`` values appear where a public function hands out a
 rational vector or matrix, and ``Vector`` names that form.  ``dot``
 takes either.  The integer routines (Hermite and Smith forms, kernels,
-the fraction-free inverse and LDL^T) use arbitrary-precision ints, so
-intermediate growth is a speed question, not a correctness one.
+the fraction-free LDL^T) use arbitrary-precision ints, so intermediate
+growth is a speed question, not a correctness one.  One elimination
+loop serves every symmetric solve: ``_bareiss_ldl`` factors a Gram once,
+and ``solve`` reads adj(g) b off those factors, so inverses,
+coordinates and projections need no second elimination.
 """
 
 from __future__ import annotations
@@ -33,47 +36,6 @@ def dot(u: Sequence, v: Sequence):
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
-
-
-def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Inverse of a nonsingular integer matrix over one common denominator.
-
-    Returns ``(A, D)`` with ``matrix^-1 == A / D``, ``D > 0`` and
-    ``gcd(D, entries of A) == 1``.  Fraction-free Gauss-Jordan (Bareiss):
-    after step k the first k + 1 columns are the current pivot times the
-    identity (settled, so never updated again) and every other entry is a
-    minor of ``[matrix | I]``, so each division by the previous pivot is
-    exact.  The last pivot is the determinant up to sign, and the right
-    block over it is the inverse.
-    """
-    n = len(matrix)
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        row_k = a[k]
-        p = row_k[k]
-        tail = row_k[k + 1:]
-        for i in range(n):
-            if i != k:
-                row_i = a[i]
-                f = row_i[k]
-                row_i[k + 1:] = [(p * x - f * y) // prev
-                                 for x, y in zip(row_i[k + 1:], tail)]
-                row_i[k] = 0
-        prev = p
-    if prev < 0:
-        prev = -prev
-        a = [[-x for x in row] for row in a]
-    g = prev
-    for row in a:
-        for x in row[n:]:
-            g = gcd(g, x)
-    return [[x // g for x in row[n:]] for row in a], prev // g
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +206,31 @@ def _bareiss_ldl(a: list[list[int]]) -> tuple[list[int], list[list[int]]] | None
                 a[i] = [p * x // prev for x in a[i]]
         prev = p
     return pivots, mult
+
+
+def solve(factors: tuple[list[int], list[list[int]]],
+          b: Sequence[int]) -> list[int]:
+    """``x = adj(g) b`` for an int vector b, the int x with ``g x == D b``:
+    ``factors = _bareiss_ldl(g)``, D its last pivot, det g (1 at rank 0).
+
+    The forward pass applies the Bareiss steps to b, ``b_i = (p_k b_i -
+    a_ki b_k) // p_(k-1)``, exact since b_i is then a minor of [g | b].
+    Back substitution solves ``p_k x_k == D b_k - sum_(j>k) a_kj x_j``,
+    exact since adj(g) b is integral.
+    """
+    pivots, mult = factors
+    beta = list(b)
+    prev = 1
+    for k, (p, row) in enumerate(zip(pivots, mult)):
+        bk = beta[k]
+        beta[k + 1:] = [(p * y - f * bk) // prev
+                        for y, f in zip(beta[k + 1:], row)]
+        prev = p
+    x = [0] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        x[k] = ((prev * beta[k] - sum(map(mul, mult[k], x[k + 1:])))
+                // pivots[k])
+    return x
 
 
 def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:

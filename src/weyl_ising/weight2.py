@@ -235,22 +235,18 @@ def virasoro_quadratic(M: Lattice) -> Weight2Element:
     the rational span of M, written on the ambient basis: the matrix P/2
     with P the orthogonal projection onto the span.
 
-    P is built once from M's int core: with the basis as int ``rows``
-    over ``den``, the int Gram ``g = rows rows^T`` and ``g^-1 = adj / D``,
-    ``P = rows^T adj rows / D`` (the den factors cancel)."""
+    P is symmetric, and its row j is the projection of e_j, which
+    ``M._weights(e_j)`` gives as an int vector over ``D = det g``
+    (solved on M's cached LDL^T).  Row j is zero when column j of M's
+    int basis rows is, so only the rows in M's support are built."""
     d = M.ambient_dim
-    if not M.rank:
-        return Weight2Element.zero(d)
     rows, _ = M._scaled
-    adj, D = M._inverse
-    cols = list(zip(*rows))
-    w = [[sum(map(mul, arow, col)) for col in cols] for arow in adj]
     quad = {}
-    for i, col in enumerate(cols):  # row i of P is col^T w
-        support = [(k, c) for k, c in enumerate(col) if c]
-        for j in range(d):
-            quad[(i, j)] = sum(c * w[k][j] for k, c in support)
-    return Weight2Element._trusted(d, 2 * D, quad, {})
+    for j in range(d):
+        if any(row[j] for row in rows):
+            _, p = M._weights([int(i == j) for i in range(d)])
+            quad.update(((j, i), c) for i, c in enumerate(p) if c)
+    return Weight2Element._trusted(d, 2 * M._D, quad, {})
 
 
 def _labels(vectors: list[tuple[int, ...]], den: int) -> list[Label]:

@@ -1,15 +1,17 @@
 """Plain-``Fraction`` reference algorithms and helpers for the tests.
 
-The library computes lattice coordinates on an integer-scaled core
-(``Lattice._inverse``), inverts matrices fraction-free
-(``linalg.int_inverse``), factors them fraction-free
-(``linalg.ldl_is_positive_definite``, and once per lattice for
-``Lattice.det`` and ``lattice.shell``) and enumerates shells in ints
+The library factors each Gram once, fraction-free
+(``linalg._bareiss_ldl``, cached per lattice as ``Lattice._ldl``), and
+reads from that one factorization its determinants, shells, positivity
+test (``linalg.ldl_is_positive_definite``), coordinates, memberships,
+projections and inverses (``linalg.solve``); it enumerates shells in ints
 (``lattice.shell``) and multiplies and pairs axis-algebra elements on
 int numerators (``AxisAlgebra.product`` and ``pairing``); the
-Gauss-Jordan ``solve`` and ``matrix_inverse``, the ``ldl`` loop, the
-determinants ``det_bareiss`` (full-matrix Bareiss with row swaps) and
-``det_rational``, the Fincke-Pohst ``shell`` descent and the
+Gauss-Jordan ``solve`` and ``matrix_inverse``, the fraction-free
+Gauss-Jordan ``int_inverse`` (a second elimination loop) and the
+lattice coordinates ``int_coordinates`` read from its whole inverse, the
+``ldl`` loop, the determinants ``det_bareiss`` (full-matrix Bareiss with
+row swaps) and ``det_rational``, the Fincke-Pohst ``shell`` descent and the
 ``Fraction`` loops ``axis_product`` and ``axis_pairing`` below are the
 direct computations they replaced, kept here so the property tests
 compare the two.  ``axis_gram`` writes out the ``Fraction`` Gram of an
@@ -91,6 +93,68 @@ def det_rational(matrix: Sequence[Sequence[Q]]) -> Q:
             denom = denom * q.denominator // gcd(denom, q.denominator)
     scaled = [[int(Q(x) * denom) for x in row] for row in matrix]
     return Q(det_bareiss(scaled), denom ** n)
+
+
+def int_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Inverse of a nonsingular integer matrix over one common denominator.
+
+    Returns ``(A, D)`` with ``matrix^-1 == A / D``, ``D > 0`` and
+    ``gcd(D, entries of A) == 1``.  Fraction-free Gauss-Jordan (Bareiss):
+    after step k the first k + 1 columns are the current pivot times the
+    identity (settled, so never updated again) and every other entry is a
+    minor of ``[matrix | I]``, so each division by the previous pivot is
+    exact.  The last pivot is the determinant up to sign, and the right
+    block over it is the inverse.
+    """
+    n = len(matrix)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        row_k = a[k]
+        p = row_k[k]
+        tail = row_k[k + 1:]
+        for i in range(n):
+            if i != k:
+                row_i = a[i]
+                f = row_i[k]
+                row_i[k + 1:] = [(p * x - f * y) // prev
+                                 for x, y in zip(row_i[k + 1:], tail)]
+                row_i[k] = 0
+        prev = p
+    if prev < 0:
+        prev = -prev
+        a = [[-x for x in row] for row in a]
+    g = prev
+    for row in a:
+        for x in row[n:]:
+            g = gcd(g, x)
+    return [[x // g for x in row[n:]] for row in a], prev // g
+
+
+def int_coordinates(L, v_int: Sequence[int], v_den: int) -> list[int] | None:
+    """The int coordinates over L's basis of ``v_int / v_den``, or None
+    when that vector is not in L, from the whole inverse: with the basis
+    as int ``rows`` over ``den`` and ``g^-1 == adj / D`` (``int_inverse``
+    of the int Gram), the projection has coordinates
+    ``den adj (rows v_int) / (D v_den)`` and is
+    ``sum_k (adj rows v_int)_k rows[k] / (D v_den)``."""
+    rows, den = L._scaled
+    adj, D = int_inverse(L._int_gram)
+    w = mat_vec(adj, mat_vec(rows, v_int))
+    coords = []
+    for wk in w:
+        q, rest = divmod(den * wk, D * v_den)
+        if rest:
+            return None
+        coords.append(q)
+    p = [sum(wk * row[j] for wk, row in zip(w, rows))
+         for j in range(L.ambient_dim)]
+    return coords if p == [D * c for c in v_int] else None
 
 
 def solve(matrix: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q] | None:

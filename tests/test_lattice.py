@@ -15,6 +15,7 @@ from fraction_reference import (
     det_bareiss,
     det_rational,
     gram_matrix,
+    int_coordinates,
     matrix_inverse,
     solve,
 )
@@ -53,6 +54,7 @@ from weyl_ising.lattice import (
     tensor_embedding,
     verify_identification,
 )
+from weyl_ising import cli
 from weyl_ising.linalg import dot, mat_mul
 from weyl_ising.rootsys import build_root_system
 
@@ -224,6 +226,59 @@ def test_int_core_equals_fraction_basis(case, k):
     assert lat == Lattice(d, basis) and hash(lat) == hash(Lattice(d, basis))
     assert lat != Lattice(d, [tuple(2 * c for c in v) for v in basis])
 
+
+@settings(max_examples=150, deadline=None)
+@given(_basis_and_vectors(), st.lists(st.integers(-3, 3), min_size=4,
+                                      max_size=4), st.integers(1, 3))
+def test_int_coordinates_match_inverse_reference(case, coeffs, k):
+    """Membership solved on the cached LDL^T agrees with the whole-inverse
+    reference for members (int combinations of the basis), vectors with
+    fractional coordinates and vectors off the span, also over a
+    denominator with a spare factor k."""
+    basis, vectors = case
+    d, r = len(basis[0]), len(basis)
+    lat = from_basis(basis, d)
+    member = tuple(sum(c * b[j] for c, b in zip(coeffs, basis))
+                   for j in range(d))
+    for v in [member, *vectors]:
+        v_int, v_den = lat._scaled_vector(v)
+        ref = int_coordinates(lat, v_int, v_den)
+        assert lat._int_coordinates(v_int, v_den) == ref
+        assert lat._int_coordinates([k * c for c in v_int], k * v_den) == ref
+    assert lat._int_coordinates(*lat._scaled_vector(member)) == coeffs[:r]
+
+
+def test_dependent_basis_raises_value_error():
+    """Every solve on a dependent basis stops at the zero pivot of the
+    cached LDL^T with one typed error."""
+    lat = Lattice(2, [(1, 0), (2, 0)])
+    assert lat.det() == 0
+    for call in (lambda: lat.contains((1, 0)),
+                 lambda: lat.coordinates((1, 0)),
+                 lambda: lat.project((1, 0)),
+                 lat.dual_basis,
+                 lambda: is_SSD(lat)):
+        with pytest.raises(ValueError,
+                           match="basis vectors are linearly dependent"):
+            call()
+
+
+def test_lattice_checks_e8_inverts_only_rank_8(monkeypatch):
+    """``lattice E 8`` reads membership, projections and t images off
+    solves on the cached LDL^T: the only whole inverse it builds is the
+    rank-8 one of M_alpha for ``is_SSD``, none of the rank-64
+    realization or of M + ann(M)."""
+    ranks = []
+    build = Lattice.__dict__["_inverse"].func
+
+    def counted(self):
+        ranks.append(self.rank)
+        return build(self)
+
+    monkeypatch.setattr(Lattice, "_inverse", property(counted))
+    checks = cli.lattice_checks(build_root_system("E", 8))
+    assert all(c["status"] != "fail" for c in checks)
+    assert ranks == [8]
 
 def test_lattices_are_immutable_and_pickle():
     lat = from_basis([(1, 0), (0, 1)])

@@ -1,5 +1,6 @@
-"""Exact linear algebra helpers: inverses, determinants, Hermite and
-Smith forms, the LDL^T positivity test, and the reference ``Fraction`` solve.  Random cases
+"""Exact linear algebra helpers: the LDL^T solve against the reference
+inverse, determinants, Hermite and Smith forms, the LDL^T positivity
+test, and the reference ``Fraction`` solve and inverses.  Random cases
 use fixed seeds so failures reproduce; the Hypothesis properties report
 their failing example."""
 
@@ -9,7 +10,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import (
@@ -17,6 +18,7 @@ from fraction_reference import (
     det_bareiss,
     det_rational,
     gram_matrix,
+    int_inverse,
     mat_vec,
     matrix_inverse,
     solve,
@@ -33,7 +35,6 @@ from weyl_ising.linalg import (
     dot,
     hnf,
     hnf_with_transform,
-    int_inverse,
     int_kernel,
     ldl_is_positive_definite,
     mat_mul,
@@ -134,6 +135,37 @@ def test_int_inverse_matches_matrix_inverse():
         assert [[Q(x, den) for x in row] for row in adj] == inv
     assert int_inverse([[2, 1], [1, 2]]) == ([[2, -1], [-1, 2]], 3)
     assert int_inverse([]) == ([], 1)
+
+
+# positive definite int Grams of rank 0..6: rows rows^T of n independent
+# int rows of length n + 1 (a dependent draw is rejected), with an int
+# right-hand side
+@st.composite
+def _gram_and_rhs(draw):
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n + 1,
+                                  max_size=n + 1), min_size=n, max_size=n))
+    g = [[dot(u, v) for v in rows] for u in rows]
+    assume(det_bareiss(g) != 0)
+    return g, draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+
+
+@PROPERTY
+@given(_gram_and_rhs())
+@example(([], []))
+@example(([[2, 1], [1, 2]], [1, 0]))
+def test_solve_matches_int_inverse(case):
+    """``solve`` on the Bareiss factors returns adj(g) b: g x == D b with
+    D the last pivot, det g, and x / D is the reference inverse applied
+    to b."""
+    g, b = case
+    factors = linalg._bareiss_ldl([row[i:] for i, row in enumerate(g)])
+    D = factors[0][-1] if g else 1
+    assert D == det_bareiss(g)
+    x = linalg.solve(factors, b)
+    assert mat_vec(g, x) == [D * c for c in b]
+    adj, den = int_inverse(g)
+    assert [Q(c, D) for c in x] == [Q(c, den) for c in mat_vec(adj, b)]
 
 
 def test_det_known_values():
