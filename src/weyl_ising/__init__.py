@@ -63,7 +63,6 @@ from .triality import (
     twisted_axes,
     twisted_axis_algebra,
     twisted_group,
-    twisted_tau,
 )
 from .weight2 import (
     Weight2Element,
@@ -126,7 +125,6 @@ __all__ = [
     "twisted_axes",
     "twisted_axis_algebra",
     "twisted_group",
-    "twisted_tau",
     "verify_identification",
     "virasoro",
     "virasoro_quadratic",

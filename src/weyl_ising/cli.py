@@ -23,6 +23,7 @@ import random
 import sys
 import time
 from fractions import Fraction as Q
+from functools import cache
 from operator import mul
 from typing import NamedTuple
 
@@ -223,9 +224,10 @@ def _charge_checks(forms: _Forms, rep, suffix: str = "") -> list[dict]:
 def _t_order_checks(R: RootSystem, script, prefix: str) -> list[dict]:
     """Order of t_a t_b on the realization ``script`` for the first
     adjacent (order 3) and the first orthogonal (order 2) pair of simple
-    roots, each skipped when R has no such pair."""
+    roots, each skipped when R has no such pair; each t is built once."""
     simple = R.simple_roots()
     pairs = [(a, b) for i, b in enumerate(simple) for a in simple[:i]]
+    t = cache(lambda a: t_involution(malpha_lattice(R, a), script))
     out = []
     for label, inner, order in (("adjacent", -1, 3), ("orthogonal", 0, 2)):
         name = f"{prefix}_{label}"
@@ -233,8 +235,7 @@ def _t_order_checks(R: RootSystem, script, prefix: str) -> list[dict]:
         if pair is None:
             out.append(skipped(name, f"no {label} simple pair at this rank"))
         else:
-            t1, t2 = (t_involution(malpha_lattice(R, a), script) for a in pair)
-            out.append(check(name, order, matrix_order(mat_mul(t1, t2))))
+            out.append(check(name, order, matrix_order(mat_mul(*map(t, pair)))))
     return out
 
 
@@ -271,12 +272,10 @@ def lattice_checks(R: RootSystem) -> list[dict]:
     ]
     if script.rank <= 24:
         out.append(check("realization_no_norm2", 0, len(shell(script, 2))))
-        out.append(check("block_rssd", True, is_RSSD(m, script)))
     else:
         out.append(skipped("realization_no_norm2",
                            "shell enumeration capped at rank 24"))
-        out.append(skipped("block_rssd",
-                           "annihilator shell work capped at rank 24"))
+    out.append(check("block_rssd", True, is_RSSD(m, script)))
     return out + _t_order_checks(R, script, "t_product_order")
 
 

@@ -19,7 +19,8 @@ predicates with their t involutions, shell enumeration by integer
 Fincke-Pohst, block embeddings of E8 into X = E8^n, and the explicit
 identifications of the script lattices with R (x) E8.  One fraction-free
 LDL^T of the int Gram per lattice backs determinants, shells,
-memberships, coordinates, projections and inverses.
+memberships, coordinates, projections and inverses; RSSD and t_M read
+the projections of L's basis onto M off M's LDL^T, building no lattice.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import (
     dot,
     hnf,
     int_kernel,
+    mat_mul,
     smith_invariants,
     solve,
 )
@@ -447,46 +449,52 @@ def is_SSD(M: Lattice) -> bool:
     return all(f * a % D == 0 for row in adj for a in row)
 
 
-def is_RSSD(M: Lattice, L: Lattice) -> bool:
-    """Relatively semiselfdual in L: 2L <= M + ann_L(M)."""
-    if not is_sublattice(M, L):
+def _doubled_projections(M: Lattice, L: Lattice) -> tuple[list | None, list]:
+    """``(X, C)``: C[j] the L-coordinates of M's basis vector m_j
+    (``NotASublattice`` unless M <= L); X[k] the M-coordinates ``2 den_M
+    w / (D den_L)`` of 2p(v_k), for v_k L's basis vector k, p the
+    projection onto M's span and ``w = adj(g_M) rows_M v_k``, or X is
+    None if one is not an integer."""
+    _check_ambient(M, L)
+    m_rows, m_den = M._scaled
+    C = [L._int_coordinates(m, m_den) for m in m_rows]
+    if None in C:
         raise NotASublattice("RSSD requires M <= L")
-    big = sum_lattice(M, annihilator(M, L))
-    rows, den = L._scaled
-    return all(big._int_coordinates([2 * c for c in v], den) is not None
-               for v in rows)
+    factors, scale = M._factors(), M._D * L._scaled[1]
+    X = [[divmod(2 * m_den * wk, scale)
+          for wk in solve(factors, [dot(m, v) for m in m_rows])]
+         for v in L._scaled[0]]
+    if any(rest for x in X for _, rest in x):
+        return None, C
+    return [[q for q, _ in x] for x in X], C
+
+
+def is_RSSD(M: Lattice, L: Lattice) -> bool:
+    """Relatively semiselfdual in L: 2L <= M + ann_L(M), that is, 2p(v)
+    in M for all v in L, p the projection onto M's span (2v - 2p(v) is
+    then in ann_L(M), and 2v = m + a projects to 2p(v) = m)."""
+    return _doubled_projections(M, L)[0] is not None
 
 
 def t_involution(M: Lattice, L: Lattice) -> list[list[int]]:
-    """Matrix of t_M on the basis of L: -1 on M's span, +1 on its
-    orthogonal complement.  Columns are images, entries integers.
-    """
-    if not is_RSSD(M, L):
+    """Matrix of t_M on the basis of L, -1 on M's span and +1 on its
+    complement: column k is the int image v_k - 2p(v_k) = v_k - X[k] C."""
+    X, C = _doubled_projections(M, L)
+    if X is None:
         raise NotRSSD("t involution preserves L only for RSSD sublattices")
-    rows, den = L._scaled
-    D = M._D
-    cols = []
-    for v in rows:
-        # v / den projects onto p / (D den), so v - 2 p is the image over D den
-        _, p = M._weights(v)
-        coords = L._int_coordinates(
-            [D * c - 2 * pc for c, pc in zip(v, p)], D * den)
-        if coords is None:
-            raise NotRSSD("t image left the lattice")
-        cols.append(coords)
-    return [list(row) for row in zip(*cols)]
+    cols = [_combine(x, C, L.rank) for x in X]
+    return [[int(i == k) - c[i] for k, c in enumerate(cols)]
+            for i in range(L.rank)]
 
 
 def matrix_order(T: list[list[int]], cap: int = 12) -> int:
     """Multiplicative order of an integer matrix, up to a small cap."""
-    n = len(T)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    ident = [[int(i == j) for j in range(len(T))] for i in range(len(T))]
     power = T
     for k in range(1, cap + 1):
         if power == ident:
             return k
-        power = [[sum(power[i][m] * T[m][j] for m in range(n))
-                  for j in range(n)] for i in range(n)]
+        power = mat_mul(power, T)
     raise OrderCapExceeded(f"order exceeds cap {cap}")
 
 

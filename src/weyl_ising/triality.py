@@ -12,7 +12,8 @@ The involution attached to a twisted axis is the conjugate
 rho_i^l tau_{e^{i,j}} rho_i^{-l}; its action on any axis follows by
 pushing rho factors through tau and re-canonicalizing.  The tests check
 this closed-form action against a literal rewriting of the symbol word
-by the same rules.
+by the same rules.  It closes the 3C triples of ``twisted_axis_algebra``,
+whose Miyamoto group is the twisted group.
 
 A separate abstract model works with pairs (permutation, twist vector)
 directly: it counts them by a recurrence on twist sums, and closes its
@@ -39,7 +40,7 @@ from .lattice import (
     shell,
 )
 from .linalg import dot
-from .permgrp import PermGroup, Permutation, _compose, _pack, closure
+from .permgrp import PermGroup, _compose, _pack, closure, miyamoto_group
 from .rootsys import sign_normalized, simple_system
 
 
@@ -107,13 +108,6 @@ def twisted_tau_image(t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
     return _act_rho(t.i, t.ell, w)
 
 
-def twisted_tau(t: TwistedAxis, n: int) -> Permutation:
-    """The involution of axis t as a permutation of twisted_axes(n)."""
-    axes = twisted_axes(n)
-    index = {a: k for k, a in enumerate(axes)}
-    return Permutation(tuple(index[twisted_tau_image(t, u)] for u in axes))
-
-
 def twisted_axis_algebra(n: int) -> AxisAlgebra:
     """The 2B/3C algebra on the twisted axes: orthogonal exactly when
     the block pairs are disjoint, otherwise a 3C triple closed by the
@@ -139,13 +133,13 @@ class TwistedGroupReport:
 
 
 def twisted_group(n: int) -> TwistedGroupReport:
-    """Group generated by all twisted involutions, with the order of its
-    image acting on block pairs and the kernel order 3^k."""
+    """The Miyamoto group of ``twisted_axis_algebra(n)``, with the order
+    of its image acting on block pairs and the kernel order 3^k."""
     if n < 3:
         raise ValueError("need at least three blocks")
-    axes = twisted_axes(n)
-    gens = [twisted_tau(t, n) for t in axes]
-    G = PermGroup(gens)
+    A = twisted_axis_algebra(n)
+    G = miyamoto_group(A)
+    axes, gens = A.axes, G.generators
 
     pairs = sorted({(a.i, a.j) for a in axes})
     pair_index = {p: k for k, p in enumerate(pairs)}

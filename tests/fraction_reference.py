@@ -21,7 +21,11 @@ to the Bareiss test as a cross-check.  ``conformal_vector`` is the
 general solver of w . e = 2e that ``axes.virasoro`` replaced by reading
 the answer off the 3C graph: it writes out every equation, contracts the
 two-term differences by union-find and eliminates the rest over
-``Fraction``.  The vector and matrix helpers
+``Fraction``.  ``is_RSSD`` and ``t_involution`` are the constructions
+that ``lattice.is_RSSD`` and ``lattice.t_involution`` replaced by
+reading the doubled projections of L's basis off M's own LDL^T: the
+first builds ann_L(M) and M + ann_L(M) and solves 2L on the sum, the
+second solves every image of t on L.  The vector and matrix helpers
 ``vec_add``, ``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec``
 and ``transpose`` build test data; the library has no use for them.
 """
@@ -31,6 +35,13 @@ from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
 from weyl_ising.axes import SAME, TWO_B, NoConformalVector
+from weyl_ising.lattice import (
+    NotASublattice,
+    NotRSSD,
+    annihilator,
+    is_sublattice,
+    sum_lattice,
+)
 from weyl_ising.linalg import Vector, dot
 
 
@@ -417,3 +428,35 @@ def conformal_vector(A) -> dict:
         values[col] = mat[r][m]
     w = {a: values[pos[find(j)]] for j, a in enumerate(axes)}
     return {a: c for a, c in w.items() if c}
+
+
+def is_RSSD(M, L) -> bool:
+    """2L <= M + ann_L(M) by building the sum: ann_L(M) from an integer
+    kernel, the sum from a Hermite form, and each 2v of L's basis solved
+    on the sum's own LDL^T."""
+    if not is_sublattice(M, L):
+        raise NotASublattice("RSSD requires M <= L")
+    big = sum_lattice(M, annihilator(M, L))
+    rows, den = L._scaled
+    return all(big._int_coordinates([2 * c for c in v], den) is not None
+               for v in rows)
+
+
+def t_involution(M, L) -> list[list[int]]:
+    """t_M on the basis of L image by image: v - 2 p(v) for each basis
+    vector v, with p(v) from a solve on M and its L-coordinates from a
+    membership solve on L."""
+    if not is_RSSD(M, L):
+        raise NotRSSD("t involution preserves L only for RSSD sublattices")
+    rows, den = L._scaled
+    D = M._D
+    cols = []
+    for v in rows:
+        # v / den projects onto p / (D den), so v - 2 p is the image over D den
+        _, p = M._weights(v)
+        coords = L._int_coordinates(
+            [D * c - 2 * pc for c, pc in zip(v, p)], D * den)
+        if coords is None:
+            raise NotRSSD("t image left the lattice")
+        cols.append(coords)
+    return [list(row) for row in zip(*cols)]

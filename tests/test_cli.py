@@ -87,6 +87,16 @@ def test_lattice_a1_skips_both_t_orders(capsys):
     assert checks["t_product_order_orthogonal"]["status"] == "skipped"
 
 
+def test_lattice_d5_checks_block_rssd_past_rank_24(capsys):
+    """The rank-40 realization of D5 is past the shell cap, but RSSD is
+    read off solves, so ``block_rssd`` runs there and passes."""
+    code, report = run(capsys, "lattice", "D", "5")
+    assert code == 0
+    checks = by_name(report)
+    assert checks["realization_no_norm2"]["status"] == "skipped"
+    assert checks["block_rssd"] == cli.check("block_rssd", True, True)
+
+
 def test_lattice_shell_flag(capsys):
     code, report = run(capsys, "lattice", "A", "2", "--shell", "2")
     assert code == 0

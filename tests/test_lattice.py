@@ -19,7 +19,9 @@ from fraction_reference import (
     matrix_inverse,
     solve,
 )
+import fraction_reference as reference
 from fraction_reference import shell as reference_shell
+from weyl_ising import lattice
 from weyl_ising.lattice import (
     IncompatibleAmbient,
     Lattice,
@@ -620,6 +622,110 @@ def test_t_involutions_generate_triality():
     u1 = t_involution(malpha_lattice(S, first), script3)
     u3 = t_involution(malpha_lattice(S, last), script3)
     assert matrix_order(mat_mul(u1, u3)) == 2
+
+
+def test_rssd_of_non_primitive_sublattices():
+    """In L = Z, 2Z is RSSD (2 p(1) = 2 lies in it) and t is -1; 4Z is
+    not RSSD, although -1 preserves L."""
+    z = from_basis([(1,)])
+    two, four = from_basis([(2,)]), from_basis([(4,)])
+    assert is_RSSD(two, z) and reference.is_RSSD(two, z)
+    assert t_involution(two, z) == [[-1]]
+    assert not is_RSSD(four, z) and not reference.is_RSSD(four, z)
+    with pytest.raises(NotRSSD):
+        t_involution(four, z)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err)
+
+
+@st.composite
+def _sublattice_pairs(draw):
+    """``(kind, M, L)``: an orthogonal summand M of L, in coordinates
+    apart from the other summand's (RSSD); the span of int combinations
+    of L's basis (a sublattice, mostly not RSSD); or the span of
+    half-integral vectors of L's ambient (often not inside L)."""
+    kind = draw(st.sampled_from(("summand", "combination", "free")))
+    basis, _ = draw(_basis_and_vectors())
+    d, r = len(basis[0]), len(basis)
+    if kind == "summand":
+        other, _ = draw(_basis_and_vectors())
+        e = len(other[0])
+        own = [b + (0,) * e for b in basis]
+        L = from_basis(own + [(0,) * d + b for b in other], d + e)
+        return kind, from_basis(own, d + e), L
+    L = from_basis(basis, d)
+    k = draw(st.integers(1, r))
+    if kind == "combination":
+        coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r,
+                                        max_size=r), min_size=k, max_size=k))
+        gens = [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(d)]
+                for row in coeffs]
+    else:
+        gens = draw(st.lists(st.lists(_HALF, min_size=d, max_size=d),
+                             min_size=k, max_size=k))
+    return kind, from_generators(gens, d), L
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sublattice_pairs())
+def test_rssd_and_t_match_reference(case):
+    """The verdict, the t matrix and the type of a refusal
+    (``NotASublattice``, ``NotRSSD``) agree with building M + ann_L(M)
+    and solving every t image on L."""
+    kind, M, L = case
+    for ours, ref in ((is_RSSD, reference.is_RSSD),
+                      (t_involution, reference.t_involution)):
+        assert _outcome(ours, M, L) == _outcome(ref, M, L)
+    if kind == "summand":
+        assert is_RSSD(M, L)
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("A", 3), ("D", 4)])
+def test_t_involution_matches_reference_on_every_block(kind, rank):
+    """Every M_alpha of the realization is RSSD, with the reference's t."""
+    R = build_root_system(kind, rank)
+    script = ade_realization(R)
+    for alpha in R.positive_roots:
+        M = malpha_lattice(R, alpha)
+        assert is_RSSD(M, script)
+        assert t_involution(M, script) == reference.t_involution(M, script)
+
+
+def test_rssd_and_t_build_no_lattice(monkeypatch):
+    """On the rank-64 realization of E8, RSSD and t are read off solves
+    on M and L: no annihilator, no sum lattice and no Hermite form."""
+    R = e8_model()
+    script = lattice._e8_realization()
+    M = malpha_lattice(R, R.simple_roots()[0])
+
+    def refuse(*args):
+        raise AssertionError("the RSSD path built a lattice")
+
+    for name in ("annihilator", "sum_lattice", "hnf"):
+        monkeypatch.setattr(lattice, name, refuse)
+    assert is_RSSD(M, script)
+    assert matrix_order(t_involution(M, script)) == 2
+
+
+def test_lattice_checks_e8_builds_each_t_once(monkeypatch):
+    """E8's first adjacent and first orthogonal simple pairs share a
+    root, so ``lattice E 8`` builds 3 t involutions for its 2 orders."""
+    calls = []
+
+    def counted(M, L):
+        calls.append(M)
+        return t_involution(M, L)
+
+    monkeypatch.setattr(cli, "t_involution", counted)
+    checks = cli.lattice_checks(build_root_system("E", 8))
+    assert all(c["status"] != "fail" for c in checks)
+    assert len(calls) == 3
 
 
 def test_script_realization_shell():

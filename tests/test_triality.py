@@ -12,7 +12,13 @@ import pytest
 
 from fraction_reference import axis_product
 from weyl_ising import triality
-from weyl_ising.axes import SAME, TWO_B, ThreeC, virasoro
+from weyl_ising.axes import (
+    SAME,
+    TWO_B,
+    ThreeC,
+    miyamoto_permutation,
+    virasoro,
+)
 from weyl_ising.lattice import (
     IncompatibleAmbient,
     e8_lattice,
@@ -21,7 +27,12 @@ from weyl_ising.lattice import (
     shell,
 )
 from weyl_ising.linalg import dot
-from weyl_ising.permgrp import ClosureCapExceeded, PermGroup, closure
+from weyl_ising.permgrp import (
+    ClosureCapExceeded,
+    PermGroup,
+    Permutation,
+    closure,
+)
 from weyl_ising.triality import (
     AbstractTwistedGroup,
     NotFound,
@@ -34,7 +45,6 @@ from weyl_ising.triality import (
     twisted_axes,
     twisted_axis_algebra,
     twisted_group,
-    twisted_tau,
     twisted_tau_image,
 )
 
@@ -150,15 +160,27 @@ def test_engine_matches_word_rewriting():
 
 
 def test_involutions_and_pair_orders():
-    n = 4
-    axes = twisted_axes(n)
-    perms = [twisted_tau(t, n) for t in axes]
+    A = twisted_axis_algebra(4)
+    axes = A.axes
+    perms = [Permutation(miyamoto_permutation(A, t)) for t in axes]
     for p in perms:
         assert not p.is_identity()
         assert (p * p).is_identity()
     for a in range(len(axes)):
         for b in range(a):
             assert (perms[a] * perms[b]).order() in (2, 3)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_miyamoto_permutations_are_the_closed_form_action(n):
+    """The involutions read off the twisted algebra's table act on the
+    axes as the closed-form ``twisted_tau_image``."""
+    A = twisted_axis_algebra(n)
+    assert A.axes == twisted_axes(n)
+    for t in A.axes:
+        images = miyamoto_permutation(A, t)
+        assert [A.axes[k] for k in images] == [twisted_tau_image(t, u)
+                                               for u in A.axes]
 
 
 def test_algebra_relation_classification():
@@ -368,7 +390,8 @@ def test_abstract_generators_are_involutions():
 
 def test_untwisted_involutions_generate_symmetric_group():
     for n in (3, 4, 5):
-        gens = [twisted_tau(TwistedAxis(i, j, 0), n)
+        A = twisted_axis_algebra(n)
+        gens = [miyamoto_permutation(A, TwistedAxis(i, j, 0))
                 for i in range(n) for j in range(i + 1, n)]
         assert PermGroup(gens).order == math.factorial(n)
 
