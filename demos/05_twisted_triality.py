@@ -32,7 +32,7 @@ print("axis counts match 3 * C(n,2) for n = 3, 4, 5")
 
 # The involution groups and their pair-action quotients.
 for n in (3, 4, 5, 6):
-    rep = twisted_group(n)
+    rep = twisted_group(twisted_axis_algebra(n))
     k = n - 2 if n % 3 == 0 else n - 1
     assert rep.group.order == (3 ** k) * math.factorial(n)
     assert rep.pair_action_order == math.factorial(n)

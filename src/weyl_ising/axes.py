@@ -89,7 +89,7 @@ class AxisAlgebra:
     def __init__(self, axes: Sequence[Label],
                  relation: Callable[[Label, Label], object]):
         axes = tuple(axes)
-        index = self._index_of(axes)
+        index = {a: i for i, a in enumerate(axes)}
 
         def encode(a: Label, b: Label) -> int:
             r = relation(a, b)
@@ -105,27 +105,12 @@ class AxisAlgebra:
                 return _TWO_B
             raise ValueError(f"unknown relation value {r!r}")
 
-        self._setup(axes, index, [[encode(a, b) for b in axes] for a in axes])
+        self._setup(axes, [[encode(a, b) for b in axes] for a in axes])
 
-    @classmethod
-    def _from_codes(cls, axes: Sequence[Label],
-                    code: list[list[int]]) -> AxisAlgebra:
-        """The algebra of an already encoded relation table, validated
-        exactly as a table read off a relation callable."""
-        A = cls.__new__(cls)
-        axes = tuple(axes)
-        A._setup(axes, cls._index_of(axes), code)
-        return A
-
-    @staticmethod
-    def _index_of(axes: tuple) -> dict[Label, int]:
+    def _setup(self, axes: tuple, code: list[list[int]]) -> None:
         index = {a: i for i, a in enumerate(axes)}
         if len(index) != len(axes):
             raise ValueError("axis labels must be distinct")
-        return index
-
-    def _setup(self, axes: tuple, index: dict[Label, int],
-               code: list[list[int]]) -> None:
         for i, a in enumerate(axes):
             row = code[i]
             if row[i] != _SAME:
@@ -232,40 +217,46 @@ class AxisAlgebra:
         return Q(total, 256 * du * dv)
 
 
+def _from_thirds(axes: tuple[Label, ...],
+                 third: Callable[[int, int], int | None]) -> AxisAlgebra:
+    """The algebra on ``axes`` whose pair of axis indices i > j is 2B when
+    ``third(i, j)`` is None and 3C with third axis ``axes[third(i, j)]``
+    otherwise, validated exactly as a table read off a relation
+    callable."""
+    n = len(axes)
+    code = [[_SAME] * n for _ in range(n)]
+    for i, row in enumerate(code):
+        for j in range(i):
+            k = third(i, j)
+            row[j] = code[j][i] = _TWO_B if k is None else k
+    A = AxisAlgebra.__new__(AxisAlgebra)
+    A._setup(axes, code)
+    return A
+
+
 def from_root_system(R: RootSystem) -> AxisAlgebra:
     """One axis per positive root; pairs are THREE_C when the roots have
     product +-1 (third axis the canonical positive of their sum or
     difference) and TWO_B when orthogonal."""
-    pos = R.positive_roots
     # doubled coordinates scale the inner product by 4
     doubled = R.positive2
     where = {v: k for k, v in enumerate(doubled)}
 
-    def third(v: tuple[int, ...]) -> int:
+    def third(i: int, j: int) -> int | None:
+        a, b = doubled[i], doubled[j]
+        s = sum(map(mul, a, b))
+        if s == 0:
+            return None
+        if s not in (4, -4):
+            raise ValueError(f"unexpected root pair with product {Q(s, 4)}")
+        v = tuple(map(add if s < 0 else sub, a, b))
         k = where.get(sign_normalized(v))
         if k is None:
             raise NotARoot(f"neither the doubled vector {v} nor its "
                            "negative is a positive root")
         return k
 
-    def encode(i: int, j: int) -> int:
-        a, b = doubled[i], doubled[j]
-        s = sum(map(mul, a, b))
-        if s == 0:
-            return _TWO_B
-        if s == -4:
-            return third(tuple(map(add, a, b)))
-        if s == 4:
-            return third(tuple(map(sub, a, b)))
-        raise ValueError(f"unexpected root pair with product {Q(s, 4)}")
-
-    n = len(pos)
-    code = [[_SAME] * n for _ in range(n)]
-    for i in range(n):
-        row = code[i]
-        for j in range(i):
-            row[j] = code[j][i] = encode(i, j)
-    return AxisAlgebra._from_codes(pos, code)
+    return _from_thirds(R.positive_roots, third)
 
 
 def gram_positive_definite(R: RootSystem, A: AxisAlgebra) -> bool:

@@ -9,9 +9,10 @@ inputs produce byte-identical output: check order is fixed and timing
 goes to stderr, never into the JSON.
 
 Exit status: 0 when every check passes, 1 when any check fails,
-2 on usage errors and on refused computations (a system with more than
-``MAX_AXES`` axes or a Gram with more rows, a shell beyond the rank cap,
-a Smith reduction past its round cap).
+2 on usage errors (an output path that cannot be written among them)
+and on refused computations (a system with more than ``MAX_AXES`` axes
+or a Gram with more rows, a shell beyond the rank cap, a Smith reduction
+past its round cap).
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .rootsys import RootSystem, build_root_system
 from .triality import (
     abstract_twisted_group,
     find_delta,
-    twisted_axes,
     twisted_axis_algebra,
     twisted_group,
 )
@@ -135,8 +135,11 @@ def make_report(command: str, parameters: dict, checks: list[dict],
 def emit(report: dict, out_path: str | None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write report: {err}")
     else:
         sys.stdout.write(text)
     return 0 if report["status"] == "pass" else 1
@@ -373,11 +376,11 @@ def triality_checks(n: int) -> tuple[list[dict], dict]:
     # the degrees multiply to 3^(n-1) n!, and a centre of order 3 takes
     # one factor 3 off the kernel
     k = n - 1 if forms.center == 1 else n - 2
-    report = twisted_group(n)
-    rep = virasoro(twisted_axis_algebra(n))
+    A = twisted_axis_algebra(n)
+    report = twisted_group(A)
     delta, kernel = _delta_kernel_checks()
     checks = [
-        check("axis_count", forms.positive, len(twisted_axes(n))),
+        check("axis_count", forms.positive, len(A)),
         check("group_order", forms.miyamoto, report.group.order),
         check("kernel_order", forms.miyamoto // math.factorial(n),
               report.kernel_order),
@@ -386,7 +389,7 @@ def triality_checks(n: int) -> tuple[list[dict], dict]:
         check("shape", f"3^{k}:S_{n}", report.shape),
         check("abstract_order_agrees", report.group.order,
               abstract_twisted_group(n).order),
-        check("central_charge", forms.charge, rep.central_charge),
+        check("central_charge", forms.charge, virasoro(A).central_charge),
     ]
     return checks + kernel, {"delta": _vec(delta)}
 
@@ -588,16 +591,18 @@ def _criterion_9(max_n: int = 6) -> list[dict]:
     """Triality: kernel sublattice, twisted group orders and kernels,
     abstract agreement, twisted central charges."""
     _, out = _delta_kernel_checks()
+    algebras = {n: twisted_axis_algebra(n)
+                for n in range(2, max(7, max_n) + 1)}
     for n in range(3, max_n + 1):
         order = _forms("T", n).miyamoto
-        report = twisted_group(n)
+        report = twisted_group(algebras[n])
         out.append(check(f"twisted_order n={n}", order, report.group.order))
         out.append(check(f"twisted_kernel n={n}", order // math.factorial(n),
                          report.kernel_order))
         out.append(check(f"abstract_agrees n={n}", report.group.order,
                          abstract_twisted_group(n).order))
-    for n in range(2, max(7, max_n) + 1):
-        rep = virasoro(twisted_axis_algebra(n))
+    for n, A in algebras.items():
+        rep = virasoro(A)
         out.append(check(f"twisted_charge n={n}", _forms("T", n).charge,
                          rep.central_charge))
     return out
@@ -642,8 +647,8 @@ def _criterion_10() -> list[dict]:
         ("weyl A3", weyl_group(build_root_system("A", 3))),
         ("miyamoto D4",
          miyamoto_group(from_root_system(build_root_system("D", 4)))),
-        ("twisted n=4", twisted_group(4).group),
-        ("twisted n=5", twisted_group(5).group),
+        ("twisted n=4", twisted_group(twisted_axis_algebra(4)).group),
+        ("twisted n=5", twisted_group(twisted_axis_algebra(5)).group),
     ]
     for label, G in brute_cases:
         brute = len(enumerate_elements(G.generators))
@@ -776,10 +781,10 @@ def main(argv=None) -> int:
             report = make_report("report", {"max_n": args.max_n}, checks)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {args.command!r}")
+        code = emit(report, args.output)
     except (UsageError, RankTooLarge, SmithDidNotConverge) as err:
         print(f"weyl-ising: {err}", file=sys.stderr)
         return 2
-    code = emit(report, args.output)
     elapsed = time.perf_counter() - start
     print(f"[weyl-ising] {args.command}: {elapsed:.1f}s", file=sys.stderr)
     return code

@@ -5,10 +5,11 @@ The public types are unchanged by the internal storage: ``Permutation.images``,
 by ``enumerate_elements`` are int image tuples on {0..N-1}.  Inside the group
 engine a permutation of degree N <= 256 is packed as ``bytes`` of length N,
 so composition is the C-level ``bytes.translate`` and inversion
-``bytes.maketrans``; above 256 points it stays an image tuple.  The engine
-runs a deterministic incremental Schreier-Sims: base points are chosen as
-the smallest moved points, Schreier generators are processed in BFS orbit
-order, and every non-trivial sift residue becomes a strong generator.
+``bytes.maketrans``; above 256 points it stays an image tuple, composed by
+``operator.itemgetter``.  The engine runs a deterministic incremental
+Schreier-Sims: base points are the smallest moved points, Schreier
+generators are processed in BFS orbit order, and every non-trivial sift
+residue becomes a strong generator.
 Orders in the 10^8..10^9 range on a few hundred points are routine.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .axes import AxisAlgebra, miyamoto_permutation
@@ -31,9 +33,12 @@ def _pack(images: Iterable[int], degree: int) -> bytes | tuple:
 
 
 def _compose(p, q):
-    """Apply q first, then p; both packed alike by ``_pack``."""
+    """Apply q first, then p; both packed alike by ``_pack``, or tuples of
+    any degree (below 2, where ``itemgetter`` gives no tuple, by ``map``)."""
     if type(q) is bytes:
         return q.translate(p + _ID256[len(p):])
+    if len(q) > 1:
+        return itemgetter(*q)(p)
     return tuple(map(p.__getitem__, q))
 
 

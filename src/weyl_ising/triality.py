@@ -8,12 +8,19 @@ drive everything:
     tau_{e^{i,j}} rho_t tau_{e^{i,j}}^{-1} = rho_{(i j)(t)}
     rho_t(e^{p,q}) = e^{p,q}              when t is not p or q
 
-The involution attached to a twisted axis is the conjugate
-rho_i^l tau_{e^{i,j}} rho_i^{-l}; its action on any axis follows by
-pushing rho factors through tau and re-canonicalizing.  The tests check
-this closed-form action against a literal rewriting of the symbol word
-by the same rules.  It closes the 3C triples of ``twisted_axis_algebra``,
-whose Miyamoto group is the twisted group.
+The involution of the axis a = (i, j, l) is the conjugate
+t_a = rho_i^l tau_{e^{i,j}} rho_i^{-l}.  Pushing its rho factors through
+tau gives its action in block arithmetic, an axis b written (x, y, e)
+for rho_x^e(e^{x,y}) = (y, x, -e):
+
+    (i, j, m) -> (i, j, 2l - m)
+    (i, x, e) -> (j, x, e - l),  (j, x, e) -> (i, x, e + l)  (x not i, j)
+    b -> b                       when b's blocks miss i and j
+
+``twisted_axis_algebra`` encodes its table by these rules: a pair that
+shares a block is a 3C triple with third axis t_a(b), a disjoint pair is
+2B, and the algebra's Miyamoto group is the twisted group.  The tests
+check the rules against a literal rewriting of the symbol word.
 
 A separate abstract model works with pairs (permutation, twist vector)
 directly: it counts them by a recurrence on twist sums, and closes its
@@ -26,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, isqrt, log
 from operator import mul
 
-from .axes import SAME, TWO_B, AxisAlgebra, ThreeC
+from .axes import AxisAlgebra, _from_thirds
 from .lattice import (
     Lattice,
     _shell_ints,
@@ -63,15 +70,6 @@ class TwistedAxis:
             raise ValueError("exponent must already be reduced mod 3")
 
 
-def canonical_axis(i: int, j: int, ell: int) -> TwistedAxis:
-    """Canonical form, using rho_i^l(e^{i,j}) = rho_j^{-l}(e^{i,j})."""
-    if i == j:
-        raise ValueError("block indices must differ")
-    if i > j:
-        i, j, ell = j, i, -ell
-    return TwistedAxis(i, j, ell % 3)
-
-
 def twisted_axes(n: int) -> tuple[TwistedAxis, ...]:
     """All 3*n(n-1)/2 axes for n blocks, in deterministic order."""
     if n < 2:
@@ -81,45 +79,32 @@ def twisted_axes(n: int) -> tuple[TwistedAxis, ...]:
                  for ell in range(3))
 
 
-def _act_rho(block: int, exp: int, axis: TwistedAxis) -> TwistedAxis:
-    """rho_block^exp applied to an axis vector."""
-    if block == axis.i:
-        return canonical_axis(axis.i, axis.j, axis.ell + exp)
-    if block == axis.j:
-        return canonical_axis(axis.i, axis.j, axis.ell - exp)
-    return axis
-
-
-def _act_tau(i: int, j: int, axis: TwistedAxis) -> TwistedAxis:
-    """tau_{e^{i,j}} applied to an axis vector: conjugating the rho
-    prefix swaps blocks i and j, and the base axis transposes its
-    indices."""
-    def swap(t: int) -> int:
-        return j if t == i else i if t == j else t
-
-    return canonical_axis(swap(axis.i), swap(axis.j), axis.ell)
-
-
-def twisted_tau_image(t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
-    """Image of axis u under the involution of axis t, computed from
-    the conjugated word rho_i^l tau rho_i^{-l}."""
-    w = _act_rho(t.i, -t.ell, u)
-    w = _act_tau(t.i, t.j, w)
-    return _act_rho(t.i, t.ell, w)
-
-
 def twisted_axis_algebra(n: int) -> AxisAlgebra:
     """The 2B/3C algebra on the twisted axes: orthogonal exactly when
-    the block pairs are disjoint, otherwise a 3C triple closed by the
-    involution action."""
-    def relation(a: TwistedAxis, b: TwistedAxis):
-        if a == b:
-            return SAME
-        if {a.i, a.j} & {b.i, b.j}:
-            return ThreeC(twisted_tau_image(a, b))
-        return TWO_B
+    the block pairs are disjoint, otherwise a 3C triple whose third axis
+    is the image under t_a of the other, by the block arithmetic of the
+    module docstring."""
+    axes = twisted_axes(n)
+    labels = [(a.i, a.j, a.ell) for a in axes]
+    index = {label: k for k, label in enumerate(labels)}
 
-    return AxisAlgebra(twisted_axes(n), relation)
+    def at(x: int, y: int, e: int) -> int:
+        return index[(x, y, e % 3) if x < y else (y, x, -e % 3)]
+
+    def third(u: int, v: int) -> int | None:
+        i, j, ell = labels[u]
+        p, q, m = labels[v]
+        if (p, q) == (i, j):
+            return at(i, j, 2 * ell - m)
+        if p == i or p == j:
+            s, x, e = p, q, m
+        elif q == i or q == j:
+            s, x, e = q, p, -m
+        else:
+            return None
+        return at(j, x, e - ell) if s == i else at(i, x, e + ell)
+
+    return _from_thirds(axes, third)
 
 
 @dataclass(frozen=True)
@@ -132,40 +117,29 @@ class TwistedGroupReport:
     shape: str
 
 
-def twisted_group(n: int) -> TwistedGroupReport:
-    """The Miyamoto group of ``twisted_axis_algebra(n)``, with the order
-    of its image acting on block pairs and the kernel order 3^k."""
-    if n < 3:
-        raise ValueError("need at least three blocks")
-    A = twisted_axis_algebra(n)
+def twisted_group(A: AxisAlgebra) -> TwistedGroupReport:
+    """The Miyamoto group of the twisted algebra ``A``, with the order of
+    its image acting on block pairs and the kernel order 3^k.  Raises
+    ``ValueError`` unless A's axes are ``twisted_axes(n)`` with n >= 3."""
+    # 3 n (n - 1) / 2 axes: n (n - 1) = 2 |axes| / 3, so isqrt gives n - 1
+    n = isqrt(2 * len(A.axes) // 3) + 1
+    if n < 3 or A.axes != twisted_axes(n):
+        raise ValueError("need the twisted axes of at least three blocks")
     G = miyamoto_group(A)
-    axes, gens = A.axes, G.generators
-
-    pairs = sorted({(a.i, a.j) for a in axes})
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    pair_of = [pair_index[(a.i, a.j)] for a in axes]
+    # axis x of twisted_axes(n) lies on block pair x // 3
     pair_gens = []
-    for g in gens:
-        images: list[int | None] = [None] * len(pairs)
-        for x, gx in enumerate(g.images):
-            src, dst = pair_of[x], pair_of[gx]
-            if images[src] is None:
-                images[src] = dst
-            elif images[src] != dst:
-                raise AssertionError("involution does not act on block pairs")
-        pair_gens.append(tuple(images))
+    for g in G.generators:
+        pair = tuple(y // 3 for y in g.images[::3])
+        if any(y // 3 != pair[x // 3] for x, y in enumerate(g.images)):
+            raise AssertionError("involution does not act on block pairs")
+        pair_gens.append(pair)
     P = PermGroup(pair_gens)
 
-    kernel_order, k = divmod(G.order, P.order)
-    if k:
-        raise AssertionError("pair action order does not divide the group order")
-    power = 0
-    m = kernel_order
-    while m % 3 == 0:
-        m //= 3
-        power += 1
-    if m != 1:
-        raise AssertionError(f"kernel order {kernel_order} is not a power of 3")
+    kernel_order, rest = divmod(G.order, P.order)
+    power = round(log(kernel_order, 3))  # checked exactly below
+    if rest or 3 ** power != kernel_order:
+        raise AssertionError(f"|G| / |P| = {G.order}/{P.order} is not a "
+                             "power of 3")
     return TwistedGroupReport(group=G, pair_action_order=P.order,
                               kernel_order=kernel_order,
                               shape=f"3^{power}:S_{n}")

@@ -1,11 +1,17 @@
 """Command-line surface: subcommands, JSON shape, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weyl_ising import cli
 from weyl_ising.axes import ThreeC, from_root_system, virasoro
@@ -363,7 +369,7 @@ def test_degree_forms_match_computed(kind, rank):
         assert {sum(isinstance(A.relation(a, b), ThreeC) for b in A.axes)
                 for a in A.axes} == {forms.m_alpha}
         if rank >= 3:
-            assert forms.miyamoto == twisted_group(rank).group.order
+            assert forms.miyamoto == twisted_group(A).group.order
     else:
         R = build_root_system(kind, rank)
         A = from_root_system(R)
@@ -418,3 +424,115 @@ def test_output_matches_golden(argv, golden, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(argv + ["-o", str(out)]) == 0
     assert out.read_bytes() == (ROOT / golden).read_bytes()
+
+
+def test_twisted_algebra_built_once_per_n(monkeypatch):
+    """``triality_checks``, criterion 9 and criterion 10 build each
+    twisted algebra once; the first two hand it to both ``twisted_group``
+    and ``virasoro``."""
+    built = Counter()
+
+    def counting(n):
+        built[n] += 1
+        return twisted_axis_algebra(n)
+
+    monkeypatch.setattr(cli, "twisted_axis_algebra", counting)
+    cli.triality_checks(4)
+    assert built == {4: 1}
+    built.clear()
+    assert all(c["status"] == "pass" for c in cli._criterion_9())
+    assert built == {n: 1 for n in range(2, 8)}
+    built.clear()
+    assert all(c["status"] == "pass" for c in cli._criterion_10())
+    assert built == {4: 1, 5: 1}
+
+
+# -- the CLI boundary: whatever the argv and the audit file, ``main``
+# returns 0, 1 or 2, or argparse exits with 0 or 2; nothing else escapes.
+# Ranks, --shell norms and --max-n stay where a run takes milliseconds:
+# small systems, or values refused before anything is built.
+
+SMALL = st.integers(1, 4).map(str)
+RANKS = st.one_of(SMALL, SMALL, st.integers(-3, 0).map(str),
+                  st.sampled_from(["28", "401", "1000000000", "10" * 15]),
+                  st.sampled_from(["", "x", "1.5", "0x10"]))
+KINDS = st.sampled_from(["A", "A", "D", "E", "B", "a", ""])
+# extra tokens: unknown flags, flags missing or stealing their value,
+# help, stray positionals; "-7" rather than "7" so that a stolen value
+# is never a costly shell norm
+EXTRAS = st.sampled_from(["--bogus", "-h", "--shell", "--oracle", "--max-n",
+                          "-o", "-7", "A", "report"])
+ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).map(str),
+                    st.floats(), st.text(max_size=4), st.booleans(), st.none(),
+                    st.lists(st.integers(), max_size=2))
+
+
+def _symmetric(n: int, values: list[int]) -> list[list[int]]:
+    return [[values[min(i, j) * n + max(i, j)] for j in range(n)]
+            for i in range(n)]
+
+
+SYMMETRIC = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.integers(-3, 3), min_size=n * n, max_size=n * n).map(
+        lambda values: _symmetric(n, values)))
+GRAMS = st.one_of(SYMMETRIC, st.lists(st.lists(ENTRIES, max_size=3),
+                                      max_size=3))
+AUDIT_FILES = st.one_of(
+    GRAMS.map(lambda g: json.dumps({"gram": g}).encode()),
+    st.dictionaries(st.text(max_size=4), GRAMS, max_size=2).map(
+        lambda d: json.dumps(d).encode()),
+    st.binary(max_size=24),
+    # nesting past the recursion limit, digit strings past int's limit
+    st.sampled_from([3, 999, 1001, 100_000]).map(
+        lambda d: b'{"gram": ' + b"[" * d + b"]" * d + b"}"),
+    st.integers(4290, 4310).map(lambda k: b'{"gram": [[' + b"1" * k + b"]]}"))
+
+
+@st.composite
+def invocations(draw) -> tuple[list[str], bytes]:
+    """An argv over every subcommand, and the bytes of gram.json."""
+    command = draw(st.sampled_from(["roots", "lattice", "griess", "group",
+                                    "triality", "audit", "report"]))
+    argv = [command]
+    gram = b""
+    if command in ("roots", "lattice", "griess", "group"):
+        argv += [draw(KINDS), draw(RANKS)]
+    elif command == "triality":
+        argv.append(draw(RANKS))
+    elif command == "audit":
+        argv.append(draw(st.sampled_from(["gram.json", "gram.json", ".",
+                                          "missing/gram.json"])))
+        gram = draw(AUDIT_FILES)
+    elif command == "report":
+        argv += ["--max-n", draw(RANKS)]
+    if command == "lattice" and draw(st.booleans()):
+        argv += ["--shell", draw(st.one_of(st.integers(-2, 4).map(str),
+                                           st.sampled_from(["", "x"])))]
+    if command == "griess" and draw(st.booleans()):
+        argv.append("--oracle")
+    if draw(st.booleans()):
+        argv += ["-o", draw(st.sampled_from(["out.json", "out.json", ".",
+                                             "missing/out.json"]))]
+    if draw(st.integers(0, 3)) == 0:
+        for extra in draw(st.lists(EXTRAS, min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), extra)
+    return argv, gram
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_cli_boundary(invocation):
+    """Run in a fresh directory, so that an output path a flag steals
+    lands there."""
+    argv, gram = invocation
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("gram.json").write_bytes(gram)
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit:
+                assert exit.code in (0, 2), argv
+            else:
+                assert code in (0, 1, 2), argv

@@ -300,6 +300,26 @@ def test_bytes_and_tuple_paths_agree(gens):
 
 
 
+def test_degree_0_and_1_products_stay_tuples():
+    """``Permutation.__mul__`` sends image tuples of every degree through
+    ``_compose``; at degrees 0 and 1 the product is still a tuple."""
+    assert (Permutation(()) * Permutation(())).images == ()
+    assert (Permutation((0,)) * Permutation((0,))).images == (0,)
+    assert _compose((), ()) == () and _compose((0,), (0,)) == (0,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(257, 400).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)))))
+def test_tuple_path_compose_matches_map_form(pair):
+    """Past 256 points ``_compose`` equals the plain map of p over q."""
+    p, q = (_pack(images, len(images)) for images in pair)
+    assert type(p) is tuple and type(q) is tuple
+    r = _compose(p, q)
+    assert type(r) is tuple and r == tuple(map(p.__getitem__, q))
+    assert (Permutation(p) * Permutation(q)).images == r
+
+
 def _packed_both(images: tuple) -> list:
     """The permutation packed as bytes, and padded past 256 points as a
     tuple."""

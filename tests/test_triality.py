@@ -15,7 +15,9 @@ from weyl_ising import triality
 from weyl_ising.axes import (
     SAME,
     TWO_B,
+    AxisAlgebra,
     ThreeC,
+    from_root_system,
     miyamoto_permutation,
     virasoro,
 )
@@ -33,27 +35,48 @@ from weyl_ising.permgrp import (
     Permutation,
     closure,
 )
+from weyl_ising.rootsys import build_root_system
 from weyl_ising.triality import (
     AbstractTwistedGroup,
     NotFound,
     TwistedAxis,
     _class_root_counts,
     abstract_twisted_group,
-    canonical_axis,
     find_delta,
     kernel_mod3,
     twisted_axes,
     twisted_axis_algebra,
     twisted_group,
-    twisted_tau_image,
 )
 
 
+def canonical(i: int, j: int, ell: int) -> TwistedAxis:
+    """The axis rho_i^ell(e^{i,j}) in canonical form, by the identification
+    rho_i^l(e^{i,j}) = rho_j^{-l}(e^{i,j})."""
+    if i > j:
+        i, j, ell = j, i, -ell
+    return TwistedAxis(i, j, ell % 3)
+
+
+def image(A, t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
+    """The image of axis u under the involution of axis t, read off the
+    table of A by ``miyamoto_permutation``."""
+    return A.axes[miyamoto_permutation(A, t)[A.axes.index(u)]]
+
+
 def test_canonical_axis_identification():
-    assert canonical_axis(1, 0, 1) == TwistedAxis(0, 1, 2)
-    assert canonical_axis(3, 1, 0) == TwistedAxis(1, 3, 0)
-    assert canonical_axis(0, 2, -4) == TwistedAxis(0, 2, 2)
-    assert canonical_axis(0, 2, 7) == TwistedAxis(0, 2, 1)
+    assert canonical(1, 0, 1) == TwistedAxis(0, 1, 2)
+    assert canonical(3, 1, 0) == TwistedAxis(1, 3, 0)
+    assert canonical(0, 2, -4) == TwistedAxis(0, 2, 2)
+    assert canonical(0, 2, 7) == TwistedAxis(0, 2, 1)
+    # both spellings (x, y, e) = (y, x, -e) of every axis have the image
+    # the table gives it under every involution
+    A = twisted_axis_algebra(4)
+    for t in A.axes:
+        for u in A.axes:
+            assert (image(A, t, u)
+                    == twisted_tau_image_by_rewriting(t, (u.i, u.j, u.ell))
+                    == twisted_tau_image_by_rewriting(t, (u.j, u.i, -u.ell)))
 
 
 def test_axis_validation():
@@ -63,8 +86,6 @@ def test_axis_validation():
         TwistedAxis(1, 0, 0)
     with pytest.raises(ValueError):
         TwistedAxis(0, 1, 3)
-    with pytest.raises(ValueError):
-        canonical_axis(2, 2, 0)
 
 
 def test_axis_count():
@@ -76,42 +97,53 @@ def test_axis_count():
 
 def test_action_same_pair():
     # the involution of (i,j,l) sends (i,j,s) to (i,j,2l-s)
+    A = twisted_axis_algebra(4)
     for ell in range(3):
         t = TwistedAxis(0, 1, ell)
         for s in range(3):
-            image = twisted_tau_image(t, TwistedAxis(0, 1, s))
-            assert image == TwistedAxis(0, 1, (2 * ell - s) % 3)
+            u = TwistedAxis(0, 1, s)
+            third = TwistedAxis(0, 1, (2 * ell - s) % 3)
+            assert image(A, t, u) == third
+            assert A.relation(t, u) == (SAME if s == ell else ThreeC(third))
 
 
 def test_action_disjoint_pairs_fixed():
+    A = twisted_axis_algebra(5)
     t = TwistedAxis(0, 1, 1)
     for u in (TwistedAxis(2, 3, 0), TwistedAxis(2, 3, 2), TwistedAxis(2, 4, 1)):
-        assert twisted_tau_image(t, u) == u
+        assert image(A, t, u) == u
+        assert A.relation(t, u) == TWO_B
 
 
 def test_action_shared_index_cases():
     # one shared block: indices transpose, exponents follow the
     # conjugation bookkeeping
-    t = TwistedAxis(0, 1, 1)
-    assert twisted_tau_image(t, TwistedAxis(0, 2, 1)) == TwistedAxis(1, 2, 0)
-    assert twisted_tau_image(t, TwistedAxis(1, 2, 1)) == TwistedAxis(0, 2, 2)
-    t = TwistedAxis(1, 2, 2)
-    assert twisted_tau_image(t, TwistedAxis(0, 1, 1)) == TwistedAxis(0, 2, 0)
-    assert twisted_tau_image(t, TwistedAxis(0, 2, 1)) == TwistedAxis(0, 1, 2)
+    A = twisted_axis_algebra(3)
+    for t, u, third in [
+        (TwistedAxis(0, 1, 1), TwistedAxis(0, 2, 1), TwistedAxis(1, 2, 0)),
+        (TwistedAxis(0, 1, 1), TwistedAxis(1, 2, 1), TwistedAxis(0, 2, 2)),
+        (TwistedAxis(1, 2, 2), TwistedAxis(0, 1, 1), TwistedAxis(0, 2, 0)),
+        (TwistedAxis(1, 2, 2), TwistedAxis(0, 2, 1), TwistedAxis(0, 1, 2)),
+    ]:
+        assert image(A, t, u) == third
+        assert A.relation(t, u) == ThreeC(third)
 
 
-def twisted_tau_image_by_rewriting(t: TwistedAxis, u: TwistedAxis) -> TwistedAxis:
-    """The image of axis u under the involution of axis t, by literal
+def twisted_tau_image_by_rewriting(t: TwistedAxis,
+                                   u: tuple[int, int, int]) -> TwistedAxis:
+    """The image of the axis u = (p, q, e), spelled rho_p^e(e^{p,q}) with
+    p and q in either order, under the involution of axis t, by literal
     rewriting of the symbol word to the normal form rho-prefix .
-    base-axis; independent of the closed-form push-through of
-    ``twisted_tau_image``."""
+    base-axis; independent of the block arithmetic that encodes
+    ``twisted_axis_algebra``."""
+    p, q, e = u
     word: list[tuple] = [
         ("rho", t.i, t.ell),
         ("tau", t.i, t.j),
         ("rho", t.i, (-t.ell) % 3),
-        ("rho", u.i, u.ell),
+        ("rho", p, e),
     ]
-    base = (u.i, u.j)
+    base = (p, q)
 
     changed = True
     while changed:
@@ -147,16 +179,25 @@ def twisted_tau_image_by_rewriting(t: TwistedAxis, u: TwistedAxis) -> TwistedAxi
             exponent += exp
         elif block == base[1]:
             exponent -= exp
-    return canonical_axis(base[0], base[1], exponent)
+    return canonical(base[0], base[1], exponent)
 
 
 def test_engine_matches_word_rewriting():
-    for n in (3, 4, 5):
-        axes = twisted_axes(n)
-        for t in axes:
-            for u in axes:
-                assert (twisted_tau_image(t, u)
-                        == twisted_tau_image_by_rewriting(t, u))
+    """On every ordered pair of axes for n = 2..7 the table's relation
+    is SAME on the diagonal, 3C with the rewritten image as third axis
+    when the block pairs meet, and 2B (the image is the axis itself)
+    when they are disjoint."""
+    for n in range(2, 8):
+        A = twisted_axis_algebra(n)
+        for t in A.axes:
+            for u in A.axes:
+                w = twisted_tau_image_by_rewriting(t, (u.i, u.j, u.ell))
+                if t == u:
+                    assert A.relation(t, u) == SAME and w == u
+                elif {t.i, t.j} & {u.i, u.j}:
+                    assert A.relation(t, u) == ThreeC(w)
+                else:
+                    assert A.relation(t, u) == TWO_B and w == u
 
 
 def test_involutions_and_pair_orders():
@@ -171,16 +212,17 @@ def test_involutions_and_pair_orders():
             assert (perms[a] * perms[b]).order() in (2, 3)
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_miyamoto_permutations_are_the_closed_form_action(n):
     """The involutions read off the twisted algebra's table act on the
-    axes as the closed-form ``twisted_tau_image``."""
+    axes as the rewriting of the symbol word does."""
     A = twisted_axis_algebra(n)
     assert A.axes == twisted_axes(n)
     for t in A.axes:
         images = miyamoto_permutation(A, t)
-        assert [A.axes[k] for k in images] == [twisted_tau_image(t, u)
-                                               for u in A.axes]
+        assert [A.axes[k] for k in images] == [
+            twisted_tau_image_by_rewriting(t, (u.i, u.j, u.ell))
+            for u in A.axes]
 
 
 def test_algebra_relation_classification():
@@ -233,7 +275,7 @@ def test_central_charges(n):
     (7, 3674160, 729),
 ])
 def test_twisted_group_orders(n, order, kernel):
-    report = twisted_group(n)
+    report = twisted_group(twisted_axis_algebra(n))
     assert report.group.order == order
     assert report.kernel_order == kernel
     assert report.pair_action_order == order // kernel
@@ -249,7 +291,8 @@ def test_twisted_group_orders(n, order, kernel):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_abstract_group_order_agrees(n):
-    assert abstract_twisted_group(n).order == twisted_group(n).group.order
+    assert (abstract_twisted_group(n).order
+            == twisted_group(twisted_axis_algebra(n)).group.order)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -400,7 +443,22 @@ def test_abstract_group_rejects_small_n():
     with pytest.raises(ValueError):
         AbstractTwistedGroup(2)
     with pytest.raises(ValueError):
-        twisted_group(2)
+        twisted_group(twisted_axis_algebra(2))
+
+
+def test_twisted_group_refuses_non_twisted_algebras():
+    """``twisted_group`` takes an algebra on ``twisted_axes(n)``, n >= 3,
+    in that order; anything else is refused before a group is built."""
+    A = twisted_axis_algebra(3)
+    for B in (
+        twisted_axis_algebra(2),
+        from_root_system(build_root_system("A", 3)),  # 6 axes
+        AxisAlgebra(range(9), lambda a, b: SAME if a == b else TWO_B),
+        AxisAlgebra(A.axes[::-1], A.relation),
+        AxisAlgebra((), A.relation),
+    ):
+        with pytest.raises(ValueError):
+            twisted_group(B)
 
 
 def test_find_delta():
