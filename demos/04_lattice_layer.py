@@ -64,8 +64,9 @@ assert matrix_order(mat_mul(t0, t1)) == 3  # adjacent pair
 assert matrix_order(mat_mul(t0, t2)) == 2  # orthogonal pair
 print("t-involutions: adjacent product has order 3, orthogonal product order 2")
 
-# The identification of the realization with a named rescaled root
-# lattice holds across the classical and exceptional types.
+# Each realization is identified with R (x) E8: its Gram is the Kronecker
+# product of R's and E8's, and those of E6 and E7 equal their complements
+# in the E8 realization.
 for kind, rank in [("A", 2), ("A", 3), ("D", 4), ("E", 6), ("E", 7), ("E", 8)]:
     assert verify_identification(kind, rank)
 print("realization identifications verified for A2, A3, D4, E6, E7, E8")

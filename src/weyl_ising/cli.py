@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction as Q
@@ -38,6 +39,7 @@ from .axes import (
 )
 from .cocycle import CocycleTable, check_sign_lemma
 from .lattice import (
+    NotRSSD,
     RankTooLarge,
     ade_realization,
     discriminant_group,
@@ -224,13 +226,24 @@ def _charge_checks(forms: _Forms, rep, suffix: str = "") -> list[dict]:
             check(f"conformal_norm{suffix}", forms.norm, rep.norm)]
 
 
-def _t_order_checks(R: RootSystem, script, prefix: str) -> list[dict]:
-    """Order of t_a t_b on the realization ``script`` for the first
-    adjacent (order 3) and the first orthogonal (order 2) pair of simple
-    roots, each skipped when R has no such pair; each t is built once."""
+def _involutions(R: RootSystem, script):
+    """alpha -> t_involution(M_alpha, script), each built once, or None
+    where that raises ``NotRSSD``: exactly where ``is_RSSD`` is False."""
+    @cache
+    def t(alpha):
+        try:
+            return t_involution(malpha_lattice(R, alpha), script)
+        except NotRSSD:
+            return None
+    return t
+
+
+def _t_order_checks(R: RootSystem, t, prefix: str) -> list[dict]:
+    """Order of t_a t_b, t from ``_involutions``, for the first adjacent
+    (order 3) and the first orthogonal (order 2) pair of simple roots,
+    each skipped when R has no such pair."""
     simple = R.simple_roots()
     pairs = [(a, b) for i, b in enumerate(simple) for a in simple[:i]]
-    t = cache(lambda a: t_involution(malpha_lattice(R, a), script))
     out = []
     for label, inner, order in (("adjacent", -1, 3), ("orthogonal", 0, 2)):
         name = f"{prefix}_{label}"
@@ -278,8 +291,9 @@ def lattice_checks(R: RootSystem) -> list[dict]:
     else:
         out.append(skipped("realization_no_norm2",
                            "shell enumeration capped at rank 24"))
-    out.append(check("block_rssd", True, is_RSSD(m, script)))
-    return out + _t_order_checks(R, script, "t_product_order")
+    t = _involutions(R, script)
+    out.append(check("block_rssd", True, t(alpha) is not None))
+    return out + _t_order_checks(R, t, "t_product_order")
 
 
 def _oracle_verdicts(R: RootSystem, pairs=None):
@@ -394,6 +408,21 @@ def triality_checks(n: int) -> tuple[list[dict], dict]:
     return checks + kernel, {"delta": _vec(delta)}
 
 
+MAX_DIGITS = 4300  # CPython's default limit on the digits of an int literal
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _rational(x) -> Q:
+    """``Fraction(str(x))``, refused (``ValueError``) past ``MAX_DIGITS``
+    digits or exponent: ``Fraction("1e10000000")`` builds 10**10000000."""
+    text = str(x)
+    exponent = _EXPONENT.search(text)
+    if (sum(c.isdigit() for c in text) > MAX_DIGITS
+            or exponent and abs(int(exponent[1])) > MAX_DIGITS):
+        raise ValueError(f"digit count or exponent past {MAX_DIGITS}")
+    return Q(text)
+
+
 def audit_checks(path: str) -> tuple[list[dict], dict]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -414,7 +443,7 @@ def audit_checks(path: str) -> tuple[list[dict], dict]:
     if len(rows) > MAX_AXES:
         raise UsageError(f"gram has more than {MAX_AXES} rows")
     try:
-        gram = [[Q(str(x)) for x in row] for row in rows]
+        gram = [[_rational(x) for x in row] for row in rows]
     except (ValueError, TypeError, ZeroDivisionError) as err:
         raise UsageError(f"gram entries must be rational numbers: {err}")
 
@@ -542,13 +571,13 @@ def _criterion_7() -> list[dict]:
                        ("E", 6), ("E", 7), ("E", 8)]:
         out.append(check(f"identification {kind}{rank}", True,
                          verify_identification(kind, rank)))
-    script3 = ade_realization(a3)
-    out += _t_order_checks(a3, script3, "t_order")
+    t3 = _involutions(a3, ade_realization(a3))
+    out += _t_order_checks(a3, t3, "t_order")
     out.append(check("block_ssd", True, is_SSD(m)))
     script2 = ade_realization(a2)
     out.append(check("block_rssd_A2", True, is_RSSD(m, script2)))
-    m3 = malpha_lattice(a3, a3.simple_roots()[0])
-    out.append(check("block_rssd_A3", True, is_RSSD(m3, script3)))
+    out.append(check("block_rssd_A3", True,
+                     t3(a3.simple_roots()[0]) is not None))
     out.append(check("tensor_no_norm2", 0, len(shell(script2, 2))))
     return out
 

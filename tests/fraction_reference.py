@@ -39,8 +39,8 @@ from weyl_ising.lattice import (
     NotASublattice,
     NotRSSD,
     annihilator,
+    from_generators,
     is_sublattice,
-    sum_lattice,
 )
 from weyl_ising.linalg import Vector, dot
 
@@ -436,7 +436,7 @@ def is_RSSD(M, L) -> bool:
     on the sum's own LDL^T."""
     if not is_sublattice(M, L):
         raise NotASublattice("RSSD requires M <= L")
-    big = sum_lattice(M, annihilator(M, L))
+    big = from_generators(M.basis + annihilator(M, L).basis, L.ambient_dim)
     rows, den = L._scaled
     return all(big._int_coordinates([2 * c for c in v], den) is not None
                for v in rows)

@@ -271,10 +271,15 @@ def test_audit_usage_errors(tmp_path, capsys):
         ("not-utf8", b'{"gram": [[2]]}\xff'),
         ("long-int", b'{"gram": [[' + b"1" * 4301 + b"]]}"),
         ("deep", b"[" * 100_000 + b"]" * 100_000),
+        ("big-exponent", b'{"gram": [["1e10000000"]]}'),
+        ("small-exponent", b'{"gram": [["1E-4_301"]]}'),
+        ("long-digits", b'{"gram": [["1.' + b"1" * 4300 + b'"]]}'),
     ]:
         unreadable = tmp_path / f"{name}.json"
         unreadable.write_bytes(content)
+        start = time.perf_counter()
         assert run(capsys, "audit", str(unreadable)) == (2, None)
+        assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("payload", [
@@ -462,9 +467,14 @@ KINDS = st.sampled_from(["A", "A", "D", "E", "B", "a", ""])
 # is never a costly shell norm
 EXTRAS = st.sampled_from(["--bogus", "-h", "--shell", "--oracle", "--max-n",
                           "-o", "-7", "A", "report"])
+# exponent notation around the refusal bound of 4300 and far past it
+EXPONENTS = st.tuples(
+    st.sampled_from(["1", "-2.5", "3/", "e"]), st.sampled_from(["e", "E"]),
+    st.one_of(st.integers(-4310, 4310), st.integers(-10**7, 10**7))).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}")
 ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).map(str),
                     st.floats(), st.text(max_size=4), st.booleans(), st.none(),
-                    st.lists(st.integers(), max_size=2))
+                    st.lists(st.integers(), max_size=2), EXPONENTS)
 
 
 def _symmetric(n: int, values: list[int]) -> list[list[int]]:

@@ -9,7 +9,7 @@ import pytest
 
 from fraction_reference import vec_add, vec_scale
 from weyl_ising.cocycle import CocycleTable, NotInHalfLattice, check_sign_lemma
-from weyl_ising.lattice import e8_model, malpha_lattice, tensor_embedding
+from weyl_ising.lattice import e8_model, malpha_lattice
 from weyl_ising.linalg import dot
 from weyl_ising.rootsys import build_root_system
 
@@ -87,19 +87,20 @@ def test_sign_lemma():
 
 def test_tensor_pair_value_matches_generic_evaluation():
     """The factored residue used by the sign check agrees with the
-    direct bilinear evaluation on full tensor vectors."""
+    direct bilinear evaluation on full tensor vectors, the Kronecker
+    products a (x) g with block i equal to a_i g."""
     one = CocycleTable(1)
     rng = random.Random(8)
     gammas = e8_model().roots
     for kind, rank in [("A", 3), ("E", 6)]:
         R = build_root_system(kind, rank)
-        emb = tensor_embedding(R)
         t = CocycleTable(R.ambient_dim)
         for _ in range(25):
             a = rng.choice(R.roots)
             b = rng.choice(R.roots)
             g = rng.choice(gammas)
-            direct = t.eps0(emb(a, g), emb(b, g))
+            direct = t.eps0(tuple(x * y for x in a for y in g),
+                            tuple(x * y for x in b for y in g))
             assert direct == int(dot(a, b) * one.eps0(g, g)) % 8
 
 

@@ -34,7 +34,6 @@ from weyl_ising.lattice import (
     _shell_keys,
     ade_realization,
     annihilator,
-    block_sum,
     discriminant_group,
     e8_lattice,
     e8_model,
@@ -50,10 +49,8 @@ from weyl_ising.lattice import (
     root_lattice,
     same_lattice,
     shell,
-    sum_lattice,
     t_involution,
     tensor,
-    tensor_embedding,
     verify_identification,
 )
 from weyl_ising import cli
@@ -497,7 +494,8 @@ def test_sum_intersect_annihilator_plane():
     z2 = from_basis([(1, 0), (0, 1)])
     m = from_basis([(2, 0)])
     n = from_basis([(3, 0)])
-    assert same_lattice(sum_lattice(m, n), from_basis([(1, 0)]))
+    assert same_lattice(from_generators(m.basis + n.basis, 2),
+                        from_basis([(1, 0)]))
     assert same_lattice(intersect(m, n), from_basis([(6, 0)]))
     ann = annihilator(m, z2)
     assert same_lattice(ann, from_basis([(0, 1)]))
@@ -555,22 +553,6 @@ def test_matrix_order():
         matrix_order([[0, -1], [1, -1]], cap=2)
 
 
-def test_block_sum():
-    w = block_sum(3, (1, 0, -2), (1, 0, 0, 0, 0, 0, 0, 0))
-    assert w[0] == 1 and w[16] == -2 and sum(1 for c in w if c) == 2
-
-
-def test_tensor_embedding_is_isometric_for_the_product_form():
-    R = build_root_system("A", 2)
-    embed = tensor_embedding(R)
-    e8 = e8_model()
-    g1, g2 = e8.simple_roots()[:2]
-    for a in R.roots[:4]:
-        for b in R.roots[:4]:
-            lhs = dot(embed(a, g1), embed(b, g2))
-            assert lhs == dot(a, b) * dot(g1, g2)
-
-
 def test_malpha_is_scaled_e8():
     R = build_root_system("A", 2)
     alpha = R.simple_roots()[0]
@@ -596,10 +578,11 @@ def test_malpha_pair_geometry():
     m2 = malpha_lattice(R, a2)
     script = ade_realization(R)
     assert intersect(m1, m2).rank == 0
-    assert same_lattice(sum_lattice(m1, m2), script)
+    assert same_lattice(from_generators(m1.basis + m2.basis, 24), script)
     assert is_sublattice(m1, script)
     assert is_RSSD(m1, script)
-    assert index_in(sum_lattice(m1, annihilator(m1, script)), script) == 256
+    big = from_generators(m1.basis + annihilator(m1, script).basis, 24)
+    assert index_in(big, script) == 256
 
 
 def test_t_involutions_generate_triality():
@@ -699,7 +682,7 @@ def test_t_involution_matches_reference_on_every_block(kind, rank):
 
 def test_rssd_and_t_build_no_lattice(monkeypatch):
     """On the rank-64 realization of E8, RSSD and t are read off solves
-    on M and L: no annihilator, no sum lattice and no Hermite form."""
+    on M and L: no annihilator, no spanned lattice and no Hermite form."""
     R = e8_model()
     script = lattice._e8_realization()
     M = malpha_lattice(R, R.simple_roots()[0])
@@ -707,7 +690,7 @@ def test_rssd_and_t_build_no_lattice(monkeypatch):
     def refuse(*args):
         raise AssertionError("the RSSD path built a lattice")
 
-    for name in ("annihilator", "sum_lattice", "hnf"):
+    for name in ("annihilator", "_span", "hnf"):
         monkeypatch.setattr(lattice, name, refuse)
     assert is_RSSD(M, script)
     assert matrix_order(t_involution(M, script)) == 2
@@ -741,3 +724,65 @@ def test_verify_identification_all_types():
         assert verify_identification(kind, rank)
     with pytest.raises(UnsupportedName):
         verify_identification("B", 2)
+
+
+@pytest.mark.parametrize("rank", [7, 6])
+def test_e7_e6_realizations_are_the_complements(rank):
+    """The script realizations of E7 and E6 are the complements in the E8
+    realization of s (x) E8, and for E6 also of (e_1 + e_8) (x) E8; the
+    E6 complement is not the E7 realization."""
+    s, e18 = (Q(1, 2),) * 8, (1, 0, 0, 0, 0, 0, 0, 1)
+    cut = [s] if rank == 7 else [s, e18]
+    comp = annihilator(tensor(from_basis(cut), e8_lattice()),
+                       lattice._e8_realization())
+    assert same_lattice(comp, ade_realization(build_root_system("E", rank)))
+    other = ade_realization(build_root_system("E", 13 - rank))
+    assert not same_lattice(comp, other)
+
+
+def test_verify_identification_refuses_an_index_2_e8_realization(monkeypatch):
+    """With the E8 realization replaced by the index-2 sublattice that
+    doubles its first basis row, the E7 complement is no longer the E7
+    realization."""
+    big = lattice._e8_realization()
+    rows, den = big._scaled
+    sub = Lattice._from_ints(64, [[2 * c for c in rows[0]]] + rows[1:], den)
+    assert index_in(sub, big) == 2
+    monkeypatch.setattr(lattice, "_e8_realization", lambda: sub)
+    assert not verify_identification("E", 7)
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_verify_identification_refuses_a_non_kronecker_gram(
+        monkeypatch, kind, rank):
+    """A realized basis whose first row is doubled breaks the Kronecker
+    identity of the Grams."""
+    kron = lattice.tensor
+
+    def doubled(A, B):
+        rows, den = kron(A, B)._scaled
+        return Lattice._from_ints(A.ambient_dim * B.ambient_dim,
+                                  [[2 * c for c in rows[0]]] + rows[1:], den)
+
+    monkeypatch.setattr(lattice, "tensor", doubled)
+    assert not verify_identification(kind, rank)
+
+
+def test_lattice_checks_project_once_per_root(monkeypatch):
+    """The RSSD checks read their verdict off the involutions of the
+    order checks: ``lattice E 8`` projects onto 3 roots' M_alpha, and
+    criterion 7 onto 4 (3 in A3, 1 in A2)."""
+    calls = []
+    project = lattice._doubled_projections
+
+    def counted(M, L):
+        calls.append(M)
+        return project(M, L)
+
+    monkeypatch.setattr(lattice, "_doubled_projections", counted)
+    checks = cli.lattice_checks(build_root_system("E", 8))
+    assert all(c["status"] != "fail" for c in checks)
+    assert len(calls) == len(set(calls)) == 3
+    calls.clear()
+    assert all(c["status"] == "pass" for c in cli._criterion_7())
+    assert len(calls) == len(set(calls)) == 4
