@@ -15,12 +15,10 @@ from .axes import (
     TWO_B,
     AxisAlgebra,
     NoConformalVector,
-    NotATriple,
     ThreeC,
     VirasoroReport,
     from_root_system,
     miyamoto_permutation,
-    sub_virasoro_3C,
     virasoro,
 )
 from .cocycle import CocycleTable, NotInHalfLattice, check_sign_lemma
@@ -32,8 +30,6 @@ from .lattice import (
     discriminant_group,
     e8_lattice,
     from_basis,
-    from_generators,
-    intersect,
     is_RSSD,
     is_SSD,
     malpha_lattice,
@@ -79,7 +75,6 @@ __all__ = [
     "Cyc8",
     "Lattice",
     "NoConformalVector",
-    "NotATriple",
     "NotInHalfLattice",
     "PermGroup",
     "Permutation",
@@ -103,9 +98,7 @@ __all__ = [
     "enumerate_elements",
     "find_delta",
     "from_basis",
-    "from_generators",
     "from_root_system",
-    "intersect",
     "is_RSSD",
     "is_SSD",
     "ising_vector",
@@ -117,7 +110,6 @@ __all__ = [
     "oracle_product",
     "root_lattice",
     "shell",
-    "sub_virasoro_3C",
     "t_involution",
     "tensor",
     "transposition_profile",

@@ -49,23 +49,15 @@ class NoConformalVector(ValueError):
     """The system w.x = 2x over the axis span has no solution."""
 
 
-class NotATriple(ValueError):
-    """The given axes do not form a closed 3C triple."""
-
-
 @dataclass(frozen=True)
 class VirasoroReport:
-    """A candidate conformal vector with its verified numerology.
-
-    ``is_conformal`` records the outcome of the report's own checks: for
-    ``virasoro`` that w acts as multiplication by 2 on every axis, for
-    ``sub_virasoro_3C`` that the four commutant identities hold.
-    """
+    """The conformal vector w of ``virasoro``, which has checked that w
+    acts as multiplication by 2 on every axis, with its norm <w, w> and
+    central charge 2 <w, w>."""
 
     vector: Mapping
     norm: Q
     central_charge: Q
-    is_conformal: bool
 
 
 # Relation codes of the internal table: an int k >= 0 is THREE_C with
@@ -307,42 +299,11 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
     # w . e_b = 2 e_b for every b, checked by the int product: with w's
     # terms over d, 32 d (w . e_b) must be {b: 64 d}
     wt, d = A._terms(w)
-    ok = all({i: c for i, c in A._product_ints(wt, [(b, 1)]).items() if c}
-             == {b: 64 * d} for b in range(len(axes)))
-    if not ok:
+    if not all({i: c for i, c in A._product_ints(wt, [(b, 1)]).items() if c}
+               == {b: 64 * d} for b in range(len(axes))):
         raise NoConformalVector("solved vector fails the action check")
     norm = A.pairing(w, w)
-    return VirasoroReport(vector=w, norm=norm, central_charge=2 * norm,
-                          is_conformal=ok)
-
-
-def sub_virasoro_3C(A: AxisAlgebra, e: Label, triple: Sequence[Label]) -> VirasoroReport:
-    """Report on a := (32/33)(e + f + g) - e for a 3C triple {e, f, g}.
-
-    Verifies a.a = 2a, <a,a> = 21/44, e.a = 0 and <e,a> = 0; the flag in
-    the report is the conjunction of the four.
-    """
-    t = tuple(triple)
-    if len(t) != 3 or e not in t or len(set(t)) != 3:
-        raise NotATriple(f"{t!r} is not a triple through {e!r}")
-    for i in range(3):
-        for j in range(i):
-            r = A.relation(t[i], t[j])
-            third = ({0, 1, 2} - {i, j}).pop()
-            if r != ThreeC(t[third]):
-                raise NotATriple(f"axes {t[i]!r}, {t[j]!r} do not close onto "
-                                 f"{t[third]!r}")
-    w = A.element({a: Q(32, 33) for a in t})
-    a_vec = A.element({**w, e: w[e] - 1})
-    checks = [
-        A.product(a_vec, a_vec) == A.element({k: 2 * c for k, c in a_vec.items()}),
-        A.pairing(a_vec, a_vec) == Q(21, 44),
-        A.product(A.axis(e), a_vec) == {},
-        A.pairing(A.axis(e), a_vec) == 0,
-    ]
-    norm = A.pairing(a_vec, a_vec)
-    return VirasoroReport(vector=a_vec, norm=norm, central_charge=2 * norm,
-                          is_conformal=all(checks))
+    return VirasoroReport(vector=w, norm=norm, central_charge=2 * norm)
 
 
 def miyamoto_permutation(A: AxisAlgebra, e: Label) -> tuple[int, ...]:

@@ -341,7 +341,8 @@ def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
         check("dimension", forms.positive, len(A)),
         check("gram_positive_definite", True, gram_positive_definite(R, A)),
         *_charge_checks(forms, rep),
-        check("is_conformal", True, rep.is_conformal),
+        check("is_conformal", True, all(
+            A.product(rep.vector, A.axis(b)) == {b: 2} for b in A.axes)),
     ]
     if oracle:
         verdicts = [ok for _, _, _, ok in _oracle_verdicts(R)]

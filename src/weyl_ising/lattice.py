@@ -15,13 +15,12 @@ script realizations of R (x) E8 inside E8^n and their identifications:
 the realized Gram is the Kronecker product of the small Grams, and
 E7 (x) E8 and E6 (x) E8 are the complements of A1 (x) E8 and A2 (x) E8.
 
-Contents: duals and discriminant groups (Smith form), intersections,
-annihilators and indices (Hermite form), the SSD and RSSD predicates
-with their t involutions, shell enumeration by integer Fincke-Pohst,
-and the realizations.  One fraction-free LDL^T of the int Gram per
-lattice backs determinants, shells, memberships, coordinates,
-projections and inverses; RSSD and t_M read the projections of L's
-basis onto M off M's LDL^T, building no lattice.
+Contents: discriminant groups (Smith form), annihilators and indices
+(Hermite form), the SSD and RSSD predicates with their t involutions,
+shell enumeration by integer Fincke-Pohst, and the realizations.  One
+fraction-free LDL^T of the int Gram per lattice backs determinants,
+shells, memberships and inverses; RSSD and t_M read the projections of
+L's basis onto M off M's LDL^T, building no lattice.
 """
 
 from __future__ import annotations
@@ -111,27 +110,29 @@ def _span(rows: Sequence[Sequence[int]], den: int, ambient_dim: int) -> Lattice:
 class Lattice:
     """A positive definite lattice with exact rational coordinates.
 
-    ``Lattice(ambient_dim, basis)`` takes the basis as rational vectors.
-    The working state is the int core ``_scaled``: the basis as int
-    ``rows`` over a common denominator ``den > 0`` with ``gcd(den, every
-    entry) == 1``, the form ``_scaled_rows(basis)`` returns.  The lattice
-    operations of this module build the core directly (``_from_ints``),
-    and then ``basis`` is a ``Fraction`` view made on first access.  The
-    core is unique for a given basis, so equality and hashing read it.
+    Every instance holds its int core ``_scaled`` from construction on:
+    the basis as int ``rows`` over a common denominator ``den > 0`` with
+    ``gcd(den, every entry) == 1``.  ``Lattice(ambient_dim, basis)``
+    takes the basis as rational (or int) vectors and clears their
+    denominators (``_scaled_rows``); the lattice operations of this
+    module hand over int rows and a denominator (``_from_ints``), which
+    divides out their common factor.  ``basis`` is a ``Fraction`` view of
+    the core, made on first access.  The core is unique for a given
+    basis, so equality and hashing read it.
 
     From the core, lazily and once per instance: the int Gram
     ``g = rows rows^T``, so that ``gram == g / den^2`` (``_int_gram``),
     and its fraction-free LDL^T (``_ldl``), the one factorization behind
-    ``det``, ``shell``, membership, coordinates and projections, which
-    solve each vector on it as ``adj(g) b`` over its last pivot
-    ``D = det g`` (``linalg.solve``, ``_D``).  ``is_SSD`` and
-    ``dual_basis`` read the whole ``adj`` (``_inverse``), built from unit
-    solves.  Values become ``Fraction`` only where a public method
-    returns them.  Instances are immutable.
+    ``det``, ``shell`` and membership, which solve each vector on it as
+    ``adj(g) b`` over its last pivot ``D = det g`` (``linalg.solve``,
+    ``_D``).  ``is_SSD`` reads the whole ``adj`` (``_inverse``), built
+    from unit solves.  Values become ``Fraction`` only where a public
+    method returns them.  Instances are immutable.
     """
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector]):
-        self.__dict__.update(ambient_dim=ambient_dim, basis=tuple(basis))
+        self.__dict__.update(ambient_dim=ambient_dim,
+                             _scaled=_scaled_rows(basis))
 
     @classmethod
     def _from_ints(cls, ambient_dim: int, rows: Sequence[Sequence[int]],
@@ -165,10 +166,6 @@ class Lattice:
     def basis(self) -> tuple[Vector, ...]:
         rows, den = self._scaled
         return tuple(tuple(Q(c, den) for c in row) for row in rows)
-
-    @cached_property
-    def _scaled(self) -> tuple[list[list[int]], int]:
-        return _scaled_rows(self.basis)
 
     @property
     def rank(self) -> int:
@@ -244,14 +241,6 @@ class Lattice:
         return self.is_integral() and all(
             self._int_gram[i][i] % (2 * d2) == 0 for i in range(self.rank))
 
-    def dual_basis(self) -> tuple[Vector, ...]:
-        """Vectors spanning L* inside the rational span of L."""
-        rows, den = self._scaled
-        adj, D = self._inverse
-        return tuple(
-            tuple(Q(den * c, D) for c in _combine(a, rows, self.ambient_dim))
-            for a in adj)
-
     def _weights(self, v_int: Sequence[int]) -> tuple[list[int], list[int]]:
         """``(w, p)`` for an int vector: ``w = adj (rows v_int)`` (a solve
         on ``_ldl``) and ``p = sum_k w[k] rows[k]``.  For ``v = v_int /
@@ -288,42 +277,16 @@ class Lattice:
         (v_int,), v_den = _scaled_rows([v])
         return v_int, v_den
 
-    def coordinates(self, v: Sequence) -> list[Q] | None:
-        """Rational coordinates of v over the basis, or None if v is
-        outside the rational span."""
-        v_int, v_den = self._scaled_vector(v)
-        w, p = self._weights(v_int)
-        D = self._D
-        # v lies in the span iff it equals its projection
-        if any(pj != D * c for pj, c in zip(p, v_int)):
-            return None
-        den = self._scaled[1]
-        return [Q(den * wk, D * v_den) for wk in w]
-
     def contains(self, v: Sequence) -> bool:
         return self._int_coordinates(*self._scaled_vector(v)) is not None
 
-    def project(self, v: Sequence) -> Vector:
-        """Orthogonal projection of v onto the rational span of L."""
-        v_int, v_den = self._scaled_vector(v)
-        _, p = self._weights(v_int)
-        scale = self._D * v_den
-        return tuple(Q(c, scale) for c in p)
-
 
 def from_basis(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Lattice:
-    vecs = tuple(tuple(Q(c) for c in v) for v in vectors)
     if ambient_dim is None:
-        ambient_dim = len(vecs[0])
-    lat = Lattice(ambient_dim, vecs)
+        ambient_dim = len(vectors[0])
+    lat = Lattice(ambient_dim, vectors)
     lat._factors()  # refuses a dependent basis
     return lat
-
-
-def from_generators(vectors: Sequence[Sequence], ambient_dim: int) -> Lattice:
-    """Lattice spanned by possibly dependent/redundant generators."""
-    rows, den = _scaled_rows(vectors)
-    return _span(rows, den, ambient_dim)
 
 
 def root_lattice(R: RootSystem) -> Lattice:
@@ -370,20 +333,6 @@ def _check_ambient(M: Lattice, N: Lattice) -> None:
     if M.ambient_dim != N.ambient_dim:
         raise IncompatibleAmbient(
             f"ambient dims {M.ambient_dim} != {N.ambient_dim}")
-
-
-def intersect(M: Lattice, N: Lattice) -> Lattice:
-    """M cap N via the left kernel of the stacked basis matrix."""
-    _check_ambient(M, N)
-    if not M.rank or not N.rank:
-        return Lattice(M.ambient_dim, ())
-    (m_rows, m_den), (n_rows, n_den) = M._scaled, N._scaled
-    den = lcm(m_den, n_den)
-    m_rows = [[den // m_den * c for c in row] for row in m_rows]
-    rows = m_rows + [[-(den // n_den) * c for c in row] for row in n_rows]
-    k = M.rank
-    gens = [_combine(w[:k], m_rows, M.ambient_dim) for w in int_kernel(rows)]
-    return _span(gens, den, M.ambient_dim)
 
 
 def annihilator(M: Lattice, L: Lattice) -> Lattice:
@@ -636,6 +585,7 @@ def e8_model() -> RootSystem:
     return _E8_MODEL
 
 
+@cache
 def e8_lattice() -> Lattice:
     return root_lattice(e8_model())
 
@@ -647,11 +597,12 @@ def malpha_lattice(R: RootSystem, alpha) -> Lattice:
 
 
 def ade_realization(R: RootSystem) -> Lattice:
-    """The script lattice of R inside (1/2) X, X = E8^n: the Hermite
-    basis of ``tensor(root_lattice(R), E8)``, whose block i of
-    alpha (x) gamma is alpha_i gamma."""
-    rows, den = tensor(root_lattice(R), e8_lattice())._scaled
-    return _span(rows, den, 8 * R.ambient_dim)
+    """The script lattice of R inside (1/2) X, X = E8^n:
+    ``tensor(root_lattice(R), E8)`` in its Kronecker basis, simple root
+    (x) E8 simple root, whose block i of alpha (x) gamma is alpha_i
+    gamma.  Its checks read basis-free invariants, ``same_lattice``
+    compares canonical forms, and shells come out sorted."""
+    return tensor(root_lattice(R), e8_lattice())
 
 
 @cache

@@ -160,12 +160,6 @@ class RootSystem:
 
     # -- queries ----------------------------------------------------------
 
-    def is_root(self, v) -> bool:
-        try:
-            return _double(v) in self._index2
-        except NotARoot:
-            return False
-
     def inner(self, u, v) -> Q:
         return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
 
@@ -174,13 +168,6 @@ class RootSystem:
         if r:
             raise ValueError("root count is not a multiple of the rank")
         return h
-
-    def reflect(self, alpha, v) -> Vector:
-        """r_alpha(v) = v - <alpha, v> alpha (alpha must be a root)."""
-        if not self.is_root(alpha):
-            raise NotARoot(f"{alpha} is not a root of {self.kind}{self.rank}")
-        c = self.inner(alpha, v)
-        return tuple(Q(x) - c * Q(a) for x, a in zip(v, alpha))
 
     def reflection_images(self, alpha2: tuple[int, ...]) -> tuple[int, ...]:
         """The reflection in the root alpha2 / 2 (given doubled) as a

@@ -1,9 +1,17 @@
-"""Fixtures shared by the weight-2 tests."""
+"""Test settings and fixtures shared by the weight-2 tests.
+
+Hypothesis draws from a fixed seed (``derandomize``), so every run tries
+the same examples and takes about the same time; ``max_examples`` stays
+set per test."""
 
 import pytest
+from hypothesis import settings
 
 from weyl_ising.linalg import dot
 from weyl_ising.rootsys import build_root_system
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,15 @@ two-term differences by union-find and eliminates the rest over
 that ``lattice.is_RSSD`` and ``lattice.t_involution`` replaced by
 reading the doubled projections of L's basis off M's own LDL^T: the
 first builds ann_L(M) and M + ann_L(M) and solves 2L on the sum, the
-second solves every image of t on L.  The vector and matrix helpers
-``vec_add``, ``vec_sub``, ``vec_scale``, ``gram_matrix``, ``mat_vec``
-and ``transpose`` build test data; the library has no use for them.
+second solves every image of t on L.  ``project`` is the orthogonal
+projection through the ``Fraction`` inverse of the Gram, and ``reflect``
+the ``Fraction`` reflection that ``RootSystem.reflection_images`` reads
+as root indices in ints.  ``from_generators`` (the lattice spanned by
+dependent generators, based by their Hermite form) and ``intersect``
+(M cap N from an integer kernel) build test lattices.  The vector and
+matrix helpers ``vec_add``, ``vec_sub``, ``vec_scale``, ``gram_matrix``,
+``mat_vec`` and ``transpose`` build test data; the library has no use
+for them.
 """
 
 from fractions import Fraction as Q
@@ -38,11 +44,14 @@ from weyl_ising.axes import SAME, TWO_B, NoConformalVector
 from weyl_ising.lattice import (
     NotASublattice,
     NotRSSD,
+    _check_ambient,
+    _combine,
+    _scaled_rows,
+    _span,
     annihilator,
-    from_generators,
     is_sublattice,
 )
-from weyl_ising.linalg import Vector, dot
+from weyl_ising.linalg import Vector, dot, int_kernel
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -67,6 +76,43 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
 
 def transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
+
+
+def reflect(alpha: Sequence, v: Sequence) -> Vector:
+    """r_alpha(v) = v - <alpha, v> alpha for a root alpha (norm 2)."""
+    c = dot(alpha, v)
+    return tuple(Q(x) - c * Q(a) for x, a in zip(v, alpha))
+
+
+def project(L, v: Sequence) -> Vector:
+    """The orthogonal projection of v onto the span of L's basis:
+    ``sum_k c_k b_k`` with ``c = gram^-1 (<b_k, v>)_k``."""
+    basis = L.basis
+    rhs = [dot(b, v) for b in basis]
+    coef = [dot(row, rhs) for row in matrix_inverse(L.gram)]
+    return tuple(sum((c * b[j] for c, b in zip(coef, basis)), Q(0))
+                 for j in range(L.ambient_dim))
+
+
+def from_generators(vectors: Sequence[Sequence], ambient_dim: int):
+    """The lattice spanned by possibly dependent or redundant
+    generators."""
+    rows, den = _scaled_rows(vectors)
+    return _span(rows, den, ambient_dim)
+
+
+def intersect(M, N):
+    """M cap N via the left kernel of the stacked basis matrix."""
+    _check_ambient(M, N)
+    if not M.rank or not N.rank:
+        return from_generators([], M.ambient_dim)
+    (m_rows, m_den), (n_rows, n_den) = M._scaled, N._scaled
+    den = m_den * n_den
+    m_rows = [[n_den * c for c in row] for row in m_rows]
+    rows = m_rows + [[-m_den * c for c in row] for row in n_rows]
+    gens = [_combine(w[:M.rank], m_rows, M.ambient_dim)
+            for w in int_kernel(rows)]
+    return _span(gens, den, M.ambient_dim)
 
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:

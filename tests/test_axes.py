@@ -20,12 +20,10 @@ from weyl_ising.axes import (
     TWO_B,
     AxisAlgebra,
     NoConformalVector,
-    NotATriple,
     ThreeC,
     from_root_system,
     gram_positive_definite,
     miyamoto_permutation,
-    sub_virasoro_3C,
     virasoro,
 )
 from weyl_ising.linalg import dot, ldl_is_positive_definite
@@ -134,32 +132,22 @@ def test_virasoro_central_charges(kind, rank, charge):
     assert report.norm == Q(4 * h * rank, h + 30)
     coeff = Q(32, h + 30)
     assert report.vector == {a: coeff for a in A.axes}
-    assert report.is_conformal
     for a in A.axes:
         assert three_c_partners(A, a) == 2 * (h - 2)
         assert axis_product(A, report.vector, A.axis(a)) == {a: 2}
 
 
 def test_sub_virasoro_triple(A2):
-    e, f, g = A2.axes
-    report = sub_virasoro_3C(A2, e, (e, f, g))
-    assert report.norm == Q(21, 44)
-    assert report.central_charge == Q(21, 22)
-    assert report.is_conformal
-    assert report.vector == {e: Q(-1, 33), f: Q(32, 33), g: Q(32, 33)}
-
-
-def test_sub_virasoro_rejects_bad_triples(A2, A3):
-    e, f, g = A2.axes
-    with pytest.raises(NotATriple):
-        sub_virasoro_3C(A2, e, (f, g, g))
-    with pytest.raises(NotATriple):
-        sub_virasoro_3C(A2, e, (f, g))
-    a = next(x for x in A3.axes if x[:2] == (1, -1))
-    b = next(x for x in A3.axes if x[2:] == (1, -1))
-    c = A3.axes[0] if A3.axes[0] not in (a, b) else A3.axes[1]
-    with pytest.raises(NotATriple):
-        sub_virasoro_3C(A3, a, (a, b, c))
+    """For each axis e of A2's triple, a = (32/33)(e + f + g) - e has
+    a . a = 2a and <a, a> = 21/44 (central charge 21/22), and it
+    commutes with e: e . a = 0 and <e, a> = 0."""
+    for e in A2.axes:
+        a = A2.element({x: Q(32, 33) - (x == e) for x in A2.axes})
+        assert a[e] == Q(-1, 33)
+        assert A2.product(a, a) == {x: 2 * c for x, c in a.items()}
+        assert A2.pairing(a, a) == Q(21, 44)
+        assert A2.product(A2.axis(e), a) == {}
+        assert A2.pairing(A2.axis(e), a) == 0
 
 
 def test_miyamoto_swaps_triple(A2):
@@ -454,7 +442,6 @@ def assert_virasoro_matches_reference(A):
         return
     report = virasoro(A)
     assert list(report.vector.items()) == list(expected.items())
-    assert report.is_conformal
     assert report.norm == axis_pairing(A, expected, expected)
     assert report.central_charge == 2 * report.norm
 

@@ -7,6 +7,7 @@ import math
 import tempfile
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,24 @@ def test_griess_oracle_catches_a_wrong_product(capsys, monkeypatch):
     check = by_name(report)["oracle_agreement"]
     assert check["status"] == "fail"
     assert check["actual"] == "3/15 pairs"
+
+
+def test_griess_is_conformal_catches_a_wrong_vector(capsys, monkeypatch):
+    """A Virasoro solve that returns 2w, with w's norm and charge, passes
+    the charge checks and fails ``is_conformal``: 2w acts on every axis
+    as multiplication by 4."""
+    solve = cli.virasoro
+
+    def doubled(A):
+        rep = solve(A)
+        return replace(rep, vector={a: 2 * c for a, c in rep.vector.items()})
+
+    monkeypatch.setattr(cli, "virasoro", doubled)
+    code, report = run(capsys, "griess", "A", "3")
+    assert code == 1
+    checks = by_name(report)
+    assert checks["is_conformal"]["status"] == "fail"
+    assert checks["central_charge"]["status"] == "pass"
 
 
 def test_group_a3(capsys):

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from fraction_reference import (
     det_bareiss,
     det_rational,
+    from_generators,
     gram_matrix,
     int_coordinates,
-    matrix_inverse,
+    intersect,
     solve,
 )
 import fraction_reference as reference
@@ -38,9 +39,7 @@ from weyl_ising.lattice import (
     e8_lattice,
     e8_model,
     from_basis,
-    from_generators,
     index_in,
-    intersect,
     is_RSSD,
     is_SSD,
     is_sublattice,
@@ -109,29 +108,16 @@ def test_same_lattice_canonical():
     assert not same_lattice(a, e)
 
 
-def test_dual_basis_pairing():
-    lat = root_lattice(build_root_system("A", 2))
-    dual = lat.dual_basis()
-    for i, b in enumerate(lat.basis):
-        for j, d in enumerate(dual):
-            assert dot(b, d) == int(i == j)
-    # E8 is self dual
-    e8 = e8_lattice()
-    assert same_lattice(e8, from_basis(e8.dual_basis(), 8))
-
-
 def test_coordinates_and_contains():
     lat = root_lattice(build_root_system("A", 2))
     v = tuple(x + y for x, y in zip(lat.basis[0], lat.basis[1]))
-    assert lat.coordinates(v) == [1, 1]
+    assert lat._int_coordinates(*lat._scaled_vector(v)) == [1, 1]
     assert lat.contains(v)
     assert not lat.contains(tuple(Q(c, 2) for c in v))
     # outside the span entirely
-    assert lat.coordinates((1, 0, 0)) is None
+    assert not lat.contains((1, 0, 0))
     with pytest.raises(IncompatibleAmbient):
-        lat.coordinates((1, 0))
-    with pytest.raises(IncompatibleAmbient):
-        lat.project((1, 0))
+        lat.contains((1, 0))
 
 
 def _reference_coordinates(basis, v):
@@ -170,35 +156,24 @@ def _basis_and_vectors(draw):
 @settings(max_examples=150, deadline=None)
 @given(_basis_and_vectors())
 def test_integer_core_matches_fraction_reference(case):
-    """The int-scaled Gram, inverse, determinant and coordinates agree
-    with the plain Fraction computations on the same basis.  The
-    determinant is read off the cached LDL^T: 0 for a dependent basis,
-    where elimination stops at a zero pivot, and 1 for the empty one."""
+    """The int-scaled Gram, determinant and memberships agree with the
+    plain Fraction computations on the same basis.  The determinant is
+    read off the cached LDL^T: 0 for a dependent basis, where elimination
+    stops at a zero pivot, and 1 for the empty one."""
     basis, vectors = case
     d = len(basis[0])
     lat = from_basis(basis, d)
     g = gram_matrix(basis)
-    ginv = matrix_inverse(g)
     assert lat.gram == g
     assert lat.det() == det_rational(g)
     dependent = basis[:1] + [vectors[0]] + basis[1:]
     assert (Lattice(d, tuple(dependent)).det()
             == det_rational(gram_matrix(dependent)) == 0)
     assert Lattice(d, ()).det() == det_bareiss([]) == 1
-    assert lat.dual_basis() == tuple(
-        tuple(sum(ginv[i][k] * basis[k][j] for k in range(len(basis)))
-              for j in range(lat.ambient_dim))
-        for i in range(len(basis)))
     for v in vectors:
         ref = _reference_coordinates(basis, v)
-        assert lat.coordinates(v) == ref
         assert lat.contains(v) == (
             ref is not None and all(c.denominator == 1 for c in ref))
-        rhs = [dot(b, v) for b in basis]
-        coef = [dot(row, rhs) for row in ginv]
-        assert lat.project(v) == tuple(
-            sum(c * b[j] for c, b in zip(coef, basis))
-            for j in range(lat.ambient_dim))
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,7 +194,6 @@ def test_int_core_equals_fraction_basis(case, k):
     assert lat.rank == ref.rank == len(basis)
     assert lat.gram == ref.gram
     assert lat.det() == ref.det()
-    assert lat.dual_basis() == ref.dual_basis()
     assert lat._canonical == ref._canonical
     assert lat == ref and hash(lat) == hash(ref)
     assert lat == Lattice(d, basis) and hash(lat) == hash(Lattice(d, basis))
@@ -252,11 +226,7 @@ def test_dependent_basis_raises_value_error():
     cached LDL^T with one typed error."""
     lat = Lattice(2, [(1, 0), (2, 0)])
     assert lat.det() == 0
-    for call in (lambda: lat.contains((1, 0)),
-                 lambda: lat.coordinates((1, 0)),
-                 lambda: lat.project((1, 0)),
-                 lat.dual_basis,
-                 lambda: is_SSD(lat)):
+    for call in (lambda: lat.contains((1, 0)), lambda: is_SSD(lat)):
         with pytest.raises(ValueError,
                            match="basis vectors are linearly dependent"):
             call()
@@ -289,13 +259,6 @@ def test_lattices_are_immutable_and_pickle():
     script = ade_realization(build_root_system("A", 2))
     for x in (lat, built, script):
         assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
-
-
-def test_project():
-    lat = from_basis([(1, 0, 0), (0, 1, 0)])
-    assert lat.project((3, 4, 5)) == (3, 4, 0)
-    p = root_lattice(build_root_system("A", 2)).project((1, 0, 0))
-    assert p == (Q(2, 3), Q(-1, 3), Q(-1, 3))
 
 
 def test_tensor_gram_is_kronecker():
@@ -712,10 +675,42 @@ def test_lattice_checks_e8_builds_each_t_once(monkeypatch):
 
 
 def test_script_realization_shell():
-    script = ade_realization(build_root_system("A", 2))
+    R = build_root_system("A", 2)
+    script = ade_realization(R)
+    assert script == tensor(root_lattice(R), e8_lattice())
     assert script.rank == 16
-    assert len(shell(script, 4)) == 720
     assert shell(script, 2) == []
+
+
+@pytest.mark.parametrize("kind, rank, cap", [
+    ("A", 2, 24), ("A", 3, 24), ("A", 4, 32), ("D", 4, 32)])
+def test_realization_minimal_vectors_are_split(kind, rank, cap):
+    """The norm-4 vectors of R (x) E8 are the split alpha (x) gamma, over
+    roots alpha of R and gamma of E8, with alpha (x) gamma =
+    (-alpha) (x) (-gamma) (Kitaoka, Arithmetic of Quadratic Forms, ch. 7):
+    there are 240 |Phi_R| / 2 of them."""
+    R = build_root_system(kind, rank)
+    assert len(shell(ade_realization(R), 4, cap=cap)) == 120 * len(R.roots)
+
+
+def test_e8_lattice_is_built_once(monkeypatch):
+    """``malpha_lattice`` takes E8 from the cache of ``e8_lattice``: 120
+    calls over E8's positive roots build its root lattice once."""
+    lattice.e8_lattice.cache_clear()
+    builds = []
+    build = lattice.root_lattice
+
+    def counted(R):
+        builds.append(R)
+        return build(R)
+
+    monkeypatch.setattr(lattice, "root_lattice", counted)
+    R = e8_model()
+    for alpha in R.positive_roots:
+        malpha_lattice(R, alpha)
+    assert len(R.positive_roots) == 120
+    assert len(builds) == 1
+    assert e8_lattice() is e8_lattice()
 
 
 def test_verify_identification_all_types():

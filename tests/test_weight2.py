@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyl_ising.cyclotomic import Cyc8
-from fraction_reference import vec_add, vec_sub
+from fraction_reference import project, vec_add, vec_sub
 from weyl_ising.axes import TWO_B, from_root_system
 from weyl_ising.cli import _oracle_verdicts
 from weyl_ising.cocycle import SCALE, NotInHalfLattice
@@ -213,7 +213,7 @@ def test_ising_vector_rejects_labels_outside_quarter_integers():
 @pytest.mark.parametrize("kind, rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_virasoro_quadratic_is_half_the_projection(kind, rank):
     """The quadratic built from the int core equals half the projection
-    of each unit vector through ``Lattice.project``; for E6 on a root
+    of each unit vector, a ``Fraction`` projection; for E6 on a root
     with half-integer coordinates."""
     R = build_root_system(kind, rank)
     alpha = next((a for a in R.positive_roots
@@ -223,7 +223,7 @@ def test_virasoro_quadratic_is_half_the_projection(kind, rank):
     d = M.ambient_dim
     expected = {}
     for i in range(d):
-        for j, c in enumerate(M.project([int(i == k) for k in range(d)])):
+        for j, c in enumerate(project(M, [int(i == k) for k in range(d)])):
             if c:
                 expected[(i, j)] = c / 2
     assert expected
