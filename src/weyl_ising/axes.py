@@ -17,17 +17,26 @@ denominator per operand: ``product`` accumulates 32 c_a c_b (SAME) and
 c_a c_b (THREE_C) in ints and makes one ``Fraction`` per output term over
 32 d_u d_v, ``pairing`` accumulates 64 c_a c_b and c_a c_b over
 256 d_u d_v, and the action check of ``virasoro`` runs the same int
-product.  ``Fraction`` remains at the public boundaries (every
-coefficient is converted with it on the way in).
+product.  ``associative_on_units`` and ``automorphic_on_units``, the
+associativity and Miyamoto-automorphism checks of the acceptance
+battery, read the same int kernels on a table of unit products e_i . e_j
+and build no ``Fraction``.  ``Fraction`` remains at the public
+boundaries (every coefficient is converted with it on the way in).
+
+``from_root_system`` builds one algebra per root system and every caller
+shares it, so the relation table ``_code`` is immutable: tuple rows of
+int codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
+from itertools import product
 from math import lcm
 from operator import add, mul, sub
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .rootsys import NotARoot, RootSystem, sign_normalized
 
@@ -122,7 +131,9 @@ class AxisAlgebra:
                                      "not close")
         self.axes = axes
         self._index = index
-        self._code = code
+        # tuple rows: an algebra may be shared (``from_root_system`` is
+        # cached), so its table cannot be assigned into
+        self._code = tuple(map(tuple, code))
 
     def __len__(self) -> int:
         return len(self.axes)
@@ -191,11 +202,9 @@ class AxisAlgebra:
         return {axes[i]: Q(c, den)
                 for i, c in self._product_ints(ut, vt).items() if c}
 
-    def pairing(self, u: Mapping, v: Mapping) -> Q:
-        vt, dv = self._terms(v) if u else ([], 1)
-        if not vt:
-            return Q(0)
-        ut, du = self._terms(u)
+    def _pairing_ints(self, ut, vt) -> int:
+        """The pairing of two term lists over d_u and d_v as an int
+        numerator over 256 d_u d_v."""
         total = 0
         code = self._code
         for i, ca in ut:
@@ -206,7 +215,14 @@ class AxisAlgebra:
                     total += 64 * ca * cb
                 elif k >= 0:
                     total += ca * cb
-        return Q(total, 256 * du * dv)
+        return total
+
+    def pairing(self, u: Mapping, v: Mapping) -> Q:
+        vt, dv = self._terms(v) if u else ([], 1)
+        if not vt:
+            return Q(0)
+        ut, du = self._terms(u)
+        return Q(self._pairing_ints(ut, vt), 256 * du * dv)
 
 
 def _from_thirds(axes: tuple[Label, ...],
@@ -226,10 +242,12 @@ def _from_thirds(axes: tuple[Label, ...],
     return A
 
 
+@cache
 def from_root_system(R: RootSystem) -> AxisAlgebra:
     """One axis per positive root; pairs are THREE_C when the roots have
     product +-1 (third axis the canonical positive of their sum or
-    difference) and TWO_B when orthogonal."""
+    difference) and TWO_B when orthogonal.  Built once per root system
+    and shared by every caller."""
     # doubled coordinates scale the inner product by 4
     doubled = R.positive2
     where = {v: k for k, v in enumerate(doubled)}
@@ -265,6 +283,38 @@ def gram_positive_definite(R: RootSystem, A: AxisAlgebra) -> bool:
         16 * scaled.get(k, 1) == 960 * (i == j) + sum(map(mul, a, b)) ** 2
         for i, (a, row) in enumerate(zip(v, A._code))
         for j, (b, k) in enumerate(zip(v[i:], row[i:]), i))
+
+
+def _unit_products(A: AxisAlgebra, pairs: Iterable[tuple[int, int]]) -> dict:
+    """(i, j) -> the nonzero terms {axis index: int} of e_i . e_j over
+    32, from the int product, for each pair of axis indices."""
+    ints = A._product_ints
+    return {(i, j): {k: c for k, c in ints(((i, 1),), ((j, 1),)).items() if c}
+            for i, j in set(pairs)}
+
+
+def associative_on_units(A: AxisAlgebra,
+                         triples: Iterable[tuple[int, int, int]]) -> bool:
+    """Whether <e_i . e_j, e_k> = <e_i, e_j . e_k> for every triple of
+    axis indices: both sides are int numerators over 256 * 32."""
+    triples = list(triples)
+    P = _unit_products(A, [(i, j) for i, j, _ in triples]
+                       + [(j, k) for _, j, k in triples])
+    pairing = A._pairing_ints
+    return all(pairing(P[i, j].items(), ((k, 1),))
+               == pairing(((i, 1),), P[j, k].items())
+               for i, j, k in triples)
+
+
+def automorphic_on_units(A: AxisAlgebra,
+                         perms: Iterable[Sequence[int]]) -> bool:
+    """Whether every permutation of axis indices in ``perms`` maps
+    e_a . e_b to e_p(a) . e_p(b) for all axes a, b, compared as int
+    numerators over 32."""
+    n = len(A)
+    P = _unit_products(A, product(range(n), repeat=2))
+    return all(P[p[a], p[b]] == {p[k]: c for k, c in terms.items()}
+               for p in perms for (a, b), terms in P.items())
 
 
 def virasoro(A: AxisAlgebra) -> VirasoroReport:

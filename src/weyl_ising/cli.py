@@ -26,12 +26,15 @@ import sys
 import time
 from fractions import Fraction as Q
 from functools import cache
+from itertools import product
 from operator import mul
 from typing import NamedTuple
 
 from . import __version__
 from .axes import (
     TWO_B,
+    associative_on_units,
+    automorphic_on_units,
     from_root_system,
     gram_positive_definite,
     miyamoto_permutation,
@@ -644,28 +647,19 @@ def _criterion_10() -> list[dict]:
     out = []
     for kind, rank in [("A", 2), ("A", 3), ("D", 4)]:
         A = from_root_system(build_root_system(kind, rank))
-        units = [A.axis(a) for a in A.axes]
-        ok = all(A.pairing(A.product(u, v), w) == A.pairing(u, A.product(v, w))
-                 for u in units for v in units for w in units)
+        ok = associative_on_units(A, product(range(len(A)), repeat=3))
         out.append(check(f"associativity_exhaustive {kind}{rank}", True, ok))
     E = from_root_system(build_root_system("E", 8))
     rng = random.Random(5)
-    units = [E.axis(a) for a in E.axes]
-    triples = ([rng.choice(units) for _ in range(3)] for _ in range(1000))
-    ok = all(E.pairing(E.product(u, v), w) == E.pairing(u, E.product(v, w))
-             for u, v, w in triples)
-    out.append(check("associativity_random_E8 (1000 triples)", True, ok))
+    axes = range(len(E))
+    triples = [[rng.choice(axes) for _ in range(3)] for _ in range(1000)]
+    out.append(check("associativity_random_E8 (1000 triples)", True,
+                     associative_on_units(E, triples)))
 
     for kind, rank in [("A", 3), ("D", 4)]:
         A = from_root_system(build_root_system(kind, rank))
-        ok = True
-        for e in A.axes:
-            perm = miyamoto_permutation(A, e)
-            image = {a: A.axes[perm[i]] for i, a in enumerate(A.axes)}
-            ok = ok and all(
-                {image[k]: c for k, c in A.product(A.axis(a), A.axis(b)).items()}
-                == A.product(A.axis(image[a]), A.axis(image[b]))
-                for a in A.axes for b in A.axes)
+        ok = automorphic_on_units(A, [miyamoto_permutation(A, e)
+                                      for e in A.axes])
         out.append(check(f"miyamoto_automorphism {kind}{rank}", True, ok))
 
     for kind, rank in [("A", 2), ("A", 4), ("D", 4), ("E", 6), ("E", 8)]:

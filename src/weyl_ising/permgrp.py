@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .axes import AxisAlgebra, miyamoto_permutation
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _double
 
 _ID256 = bytes(range(256))
 
@@ -337,10 +337,12 @@ _WEYL_CACHE: dict[tuple[str, int], PermGroup] = {}
 
 def weyl_group(R: RootSystem) -> PermGroup:
     """The reflection group of R acting on its full root set, generated
-    by the reflections in all positive roots."""
+    by the reflections in its simple roots, in the order of
+    ``R.simple_roots()`` (W is generated by its simple reflections:
+    Humphreys, Reflection Groups and Coxeter Groups, CUP 1990, 1.5)."""
     key = (R.kind, R.rank)
     if key not in _WEYL_CACHE:
-        gens = [R.reflection_images(a2) for a2 in R.positive2]
+        gens = [R.reflection_images(_double(a)) for a in R.simple_roots()]
         _WEYL_CACHE[key] = PermGroup(gens, len(R.roots))
     return _WEYL_CACHE[key]
 

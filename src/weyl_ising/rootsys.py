@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from operator import mul, sub
 from typing import Iterable
@@ -207,8 +207,10 @@ class RootSystem:
         return tuple(self.roots[self._index2[a]] for a in simple)
 
 
+@cache
 def build_root_system(kind: str, rank: int) -> RootSystem:
-    """Construct the root system of the given kind and rank.
+    """Construct the root system of the given kind and rank, once per
+    (kind, rank): every caller shares the one frozen object.
 
     Supported: (A, rank >= 1), (D, rank >= 4), (E, rank in {6, 7, 8}).
     """

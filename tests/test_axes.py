@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Q
 from functools import cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from weyl_ising.axes import (
     AxisAlgebra,
     NoConformalVector,
     ThreeC,
+    associative_on_units,
+    automorphic_on_units,
     from_root_system,
     gram_positive_definite,
     miyamoto_permutation,
@@ -213,18 +216,44 @@ def test_gram_positive_definite():
             assert ldl_is_positive_definite(axis_gram(A))
 
 
+def recoded(base: AxisAlgebra, i: int, j: int, k: int) -> AxisAlgebra:
+    """A copy of ``base`` whose pair of axis indices (i, j) is 3C with
+    third axis index k, left unvalidated (its triples do not close);
+    ``base`` and its shared table are untouched."""
+    code = [list(row) for row in base._code]
+    code[i][j] = code[j][i] = k
+    A = AxisAlgebra.__new__(AxisAlgebra)
+    A.axes, A._index, A._code = base.axes, base._index, code
+    return A
+
+
+def first_two_b_pair(A: AxisAlgebra) -> tuple[int, int]:
+    return next((i, j) for i, a in enumerate(A.axes)
+                for j, b in enumerate(A.axes) if A.relation(a, b) == TWO_B)
+
+
 def test_gram_certificate_rejects_a_recoded_pair():
     """One 2B pair of E6 marked 3C changes one Gram entry from 0 to
     1/256: the Gram stays positive definite, but the table no longer
     matches the root coordinates."""
     R = build_root_system("E", 6)
-    A = from_root_system(R)
-    a, b = next((a, b) for a in A.axes for b in A.axes
-                if A.relation(a, b) == TWO_B)
-    i, j = A.axes.index(a), A.axes.index(b)
-    A._code[i][j] = A._code[j][i] = 0  # third axis A.axes[0]
+    base = from_root_system(R)
+    A = recoded(base, *first_two_b_pair(base), 0)  # third axis A.axes[0]
     assert ldl_is_positive_definite(axis_gram(A))
     assert not gram_positive_definite(R, A)
+    assert gram_positive_definite(R, base)  # the shared table is untouched
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_axis_algebra_is_shared_and_its_table_immutable(kind, rank):
+    R = build_root_system(kind, rank)
+    assert build_root_system(kind, rank) is R
+    A = from_root_system(R)
+    assert from_root_system(build_root_system(kind, rank)) is A
+    with pytest.raises(TypeError):
+        A._code[0][1] = 0
+    with pytest.raises(TypeError):
+        A._code[0] = A._code[1]
 
 
 def test_gram_certificate_needs_the_positive_roots():
@@ -479,3 +508,92 @@ def test_bowtie_has_no_conformal_vector():
         virasoro(A)
     with pytest.raises(NoConformalVector):
         conformal_vector(A)
+
+
+# -- the int checks of criterion 10 -----------------------------------------
+
+def recoded_d4() -> AxisAlgebra:
+    """D4 with its first 2B pair recoded as 3C, with the first axis
+    outside the pair as third axis."""
+    base = algebra("D4")
+    i, j = first_two_b_pair(base)
+    return recoded(base, i, j, min({0, 1, 2} - {i, j}))
+
+
+def tau_with_fixed_pair_swapped(A, e) -> list[list[int]]:
+    """tau_e with the images of two axes it fixes swapped, for every
+    such pair."""
+    tau = miyamoto_permutation(A, e)
+    fixed = [x for x, image in enumerate(tau) if image == x]
+    out = []
+    for x, y in combinations(fixed, 2):
+        p = list(tau)
+        p[x], p[y] = y, x
+        out.append(p)
+    return out
+
+
+def dict_associative(A, i, j, k) -> bool:
+    u, v, w = (A.axis(A.axes[x]) for x in (i, j, k))
+    return A.pairing(A.product(u, v), w) == A.pairing(u, A.product(v, w))
+
+
+def dict_automorphic(A, p) -> bool:
+    index = {a: i for i, a in enumerate(A.axes)}
+
+    def apply(u):
+        return {A.axes[p[index[a]]]: c for a, c in u.items()}
+
+    units = [A.axis(a) for a in A.axes]
+    return all(apply(A.product(u, v)) == A.product(apply(u), apply(v))
+               for u in units for v in units)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "D4", "T3", "T4",
+                                  "recoded D4"])
+def test_int_checks_match_public_product_and_pairing(name):
+    """Per triple and per permutation, the int verdicts of criterion 10
+    are the verdicts of the public ``Fraction`` product and pairing, on
+    valid algebras and on a broken table alike."""
+    A = recoded_d4() if name == "recoded D4" else algebra(name)
+    n = len(A)
+    verdicts = set()
+    for t in product(range(n), repeat=3):
+        verdict = dict_associative(A, *t)
+        assert associative_on_units(A, [t]) == verdict
+        verdicts.add(verdict)
+    assert verdicts == ({True, False} if name == "recoded D4" else {True})
+    perms = [p for e in A.axes for p in ([miyamoto_permutation(A, e)]
+                                         + tau_with_fixed_pair_swapped(A, e))]
+    for k in range(n):  # the identity and the transpositions (0 k)
+        p = list(range(n))
+        p[0], p[k] = k, 0
+        perms.append(p)
+    verdicts = set()
+    for p in perms:
+        verdict = dict_automorphic(A, p)
+        assert automorphic_on_units(A, [p]) == verdict
+        verdicts.add(verdict)
+    # every permutation of A2's one triple is an automorphism
+    assert verdicts == ({True} if name == "A2" else {True, False})
+
+
+def test_int_checks_reject_a_recoded_pair():
+    """A 2B pair of D4 recoded as 3C, with a third axis outside the pair,
+    breaks both associativity and the Miyamoto automorphisms."""
+    A = algebra("D4")
+    M = recoded_d4()
+    for B, ok in ((A, True), (M, False)):
+        n = len(B)
+        assert associative_on_units(B, product(range(n), repeat=3)) is ok
+        assert automorphic_on_units(
+            B, [miyamoto_permutation(B, e) for e in B.axes]) is ok
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_swapping_two_fixed_axes_breaks_the_automorphism(name):
+    A = algebra(name)
+    for e in A.axes:
+        assert automorphic_on_units(A, [miyamoto_permutation(A, e)])
+        assert not any(automorphic_on_units(A, [p])
+                       for p in tau_with_fixed_pair_swapped(A, e))

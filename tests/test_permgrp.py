@@ -1,7 +1,7 @@
 """Permutation engine: BSGS orders, membership, reflection and axis groups."""
 
 import time
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fraction_reference import reflect
 from weyl_ising.axes import from_root_system
+from weyl_ising.cli import _degrees
 from weyl_ising.permgrp import (
     ClosureCapExceeded,
     PermGroup,
@@ -102,11 +103,27 @@ def test_schreier_sims_order_matches_closure(gens):
 
 @pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_weyl_generators_match_fraction_reflections(kind, rank):
+    """W is generated by the reflections in the simple roots, in the
+    order of ``simple_roots``."""
     R = build_root_system(kind, rank)
     index = {r: i for i, r in enumerate(R.roots)}
     expected = [tuple(index[reflect(a, r)] for r in R.roots)
-                for a in R.positive_roots]
+                for a in R.simple_roots()]
     assert [g.images for g in weyl_group(R).generators] == expected
+
+
+@pytest.mark.parametrize("kind,rank", [
+    *(("A", n) for n in range(1, 9)), *(("D", n) for n in range(4, 9)),
+    ("E", 6), ("E", 7),
+])
+def test_simple_reflections_generate_all_reflections(kind, rank):
+    """The group of the rank simple reflections has the order of the group
+    of all positive-root reflections, and that order is the product of
+    the degrees."""
+    R = build_root_system(kind, rank)
+    everything = PermGroup([R.reflection_images(a2) for a2 in R.positive2],
+                           len(R.roots))
+    assert weyl_group(R).order == everything.order == prod(_degrees(kind, rank))
 
 
 @pytest.mark.parametrize("kind,rank,order", [
