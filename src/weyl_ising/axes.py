@@ -317,6 +317,14 @@ def automorphic_on_units(A: AxisAlgebra,
                for p in perms for (a, b), terms in P.items())
 
 
+def _is_conformal(A: AxisAlgebra, w: Mapping) -> bool:
+    """Whether w . e_b = 2 e_b for every axis b, by the int product: with
+    w's terms taken once over d, 32 d (w . e_b) must be {b: 64 d}."""
+    wt, d = A._terms(w)
+    return all({i: c for i, c in A._product_ints(wt, [(b, 1)]).items() if c}
+               == {b: 64 * d} for b in range(len(A.axes)))
+
+
 def virasoro(A: AxisAlgebra) -> VirasoroReport:
     """Solve w . e_b = 2 e_b (all axes b) for w = sum_a c_a e_a.
 
@@ -346,11 +354,7 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
                     f"3C partners {axes[i]!r} and {axes[j]!r} have "
                     f"{deg[i]} and {deg[j]} 3C partners")
     w = A.element({a: Q(64, 64 + d) for a, d in zip(axes, deg)})
-    # w . e_b = 2 e_b for every b, checked by the int product: with w's
-    # terms over d, 32 d (w . e_b) must be {b: 64 d}
-    wt, d = A._terms(w)
-    if not all({i: c for i, c in A._product_ints(wt, [(b, 1)]).items() if c}
-               == {b: 64 * d} for b in range(len(axes))):
+    if not _is_conformal(A, w):
         raise NoConformalVector("solved vector fails the action check")
     norm = A.pairing(w, w)
     return VirasoroReport(vector=w, norm=norm, central_charge=2 * norm)

@@ -33,6 +33,7 @@ from typing import NamedTuple
 from . import __version__
 from .axes import (
     TWO_B,
+    _is_conformal,
     associative_on_units,
     automorphic_on_units,
     from_root_system,
@@ -289,11 +290,10 @@ def lattice_checks(R: RootSystem) -> list[dict]:
         check("block_norm4_count", 240, len(shell(m, 4))),
         check("realization_even", True, script.is_even()),
     ]
-    if script.rank <= 24:
-        out.append(check("realization_no_norm2", 0, len(shell(script, 2))))
-    else:
-        out.append(skipped("realization_no_norm2",
-                           "shell enumeration capped at rank 24"))
+    # capped by the admitted systems (A27's rank 216), not SHELL_RANK_CAP:
+    # the norm-2 shell is empty and its tree small on the Kronecker basis
+    out.append(check("realization_no_norm2", 0,
+                     len(shell(script, 2, cap=script.rank))))
     t = _involutions(R, script)
     out.append(check("block_rssd", True, t(alpha) is not None))
     return out + _t_order_checks(R, t, "t_product_order")
@@ -344,8 +344,7 @@ def griess_checks(R: RootSystem, oracle: bool) -> list[dict]:
         check("dimension", forms.positive, len(A)),
         check("gram_positive_definite", True, gram_positive_definite(R, A)),
         *_charge_checks(forms, rep),
-        check("is_conformal", True, all(
-            A.product(rep.vector, A.axis(b)) == {b: 2} for b in A.axes)),
+        check("is_conformal", True, _is_conformal(A, rep.vector)),
     ]
     if oracle:
         verdicts = [ok for _, _, _, ok in _oracle_verdicts(R)]

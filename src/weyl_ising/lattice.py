@@ -460,6 +460,13 @@ def _shell_keys(L: Lattice, norm, cap: int = SHELL_RANK_CAP
     is then linear in x, ``offset + sum_k x_k P_k`` with ``P_k`` the row
     ``rows[k]`` packed the same way, so the descent adds one ``x_k P_k``
     per level, and int order is the lexicographic order of the vectors.
+
+    The shell is symmetric under v -> -v, and the key of -v is ``2 offset
+    - key(v)``.  So the descent walks only the half of the tree whose
+    topmost nonzero coefficient is positive: a ``top`` flag, true while
+    every x above the level is zero, restricts that level to x_k >= 0 (at
+    level 0 to x_0 > 0), and the mirrored keys of the other half join the
+    list before the one sort.  Norm 0 is the zero vector alone.
     """
     if L.rank > cap:
         raise RankTooLarge(f"rank {L.rank} exceeds enumeration cap {cap}")
@@ -498,6 +505,8 @@ def _shell_keys(L: Lattice, norm, cap: int = SHELL_RANK_CAP
         raise ValueError("Gram matrix is not positive definite")
     if target.denominator != 1:  # x^T g x is an int
         return [], decode, den
+    if T == 0:
+        return [offset], decode, den
     pivots, mult = factors
     below = [1] + pivots[:-1]
     scale = lcm(*(p * q for p, q in zip(pivots, below)))
@@ -507,23 +516,26 @@ def _shell_keys(L: Lattice, norm, cap: int = SHELL_RANK_CAP
     keys: list[int] = []
     x = [0] * r  # x[j] for j > k is fixed by the levels above k
 
-    def emit(s: int, c: int, key: int) -> None:
-        """Level 0 with ``w_0 s^2 == budget``: t_0 = p_0 x_0 + c = +-s."""
-        for t in ((s, -s) if s else (0,)):
+    def emit(s: int, c: int, key: int, top: bool) -> None:
+        """Level 0 with ``w_0 s^2 == budget``: t_0 = p_0 x_0 + c = +-s.
+        When every x above is 0, c is 0 and the budget is the whole
+        positive one, so s > 0 and x_0 > 0 takes t_0 = s alone."""
+        for t in ((s,) if top else (s, -s) if s else (0,)):
             x0, rest = divmod(t - c, p0)
             if not rest:
                 keys.append(key + x0 * key0)
 
-    def descend(k: int, budget: int, key: int) -> None:
+    def descend(k: int, budget: int, key: int, top: bool) -> None:
         c = sum(map(mul, mult[k], x[k + 1:]))
         p, w, pk = pivots[k], weights[k], packed[k]
         s = isqrt(budget // w)
-        xs = range(-((s + c) // p), (s - c) // p + 1)
+        xs = range(0 if top else -((s + c) // p), (s - c) // p + 1)
         if k > 1:
             for xk in xs:
                 t = p * xk + c
                 x[k] = xk
-                descend(k - 1, budget - w * t * t, key + xk * pk)
+                descend(k - 1, budget - w * t * t, key + xk * pk,
+                        top and not xk)
             return
         a01 = a0[0]
         c0 = sum(map(mul, a0[1:], x[2:]))
@@ -532,15 +544,16 @@ def _shell_keys(L: Lattice, norm, cap: int = SHELL_RANK_CAP
             rest = budget - w * t * t
             s0 = isqrt(rest // w0)
             if w0 * s0 * s0 == rest:
-                emit(s0, c0 + a01 * x1, key + x1 * pk)
+                emit(s0, c0 + a01 * x1, key + x1 * pk, top and not x1)
 
     budget = scale * T
     if r == 1:
         s0 = isqrt(budget // w0)
         if w0 * s0 * s0 == budget:
-            emit(s0, 0, offset)
+            emit(s0, 0, offset, True)
     else:
-        descend(r - 1, budget, offset)
+        descend(r - 1, budget, offset, True)
+    keys += [2 * offset - key for key in keys]
     keys.sort()
     return keys, decode, den
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, isqrt, log
-from operator import mul
 
 from .axes import AxisAlgebra, _from_thirds
 from .lattice import (
@@ -44,7 +43,6 @@ from .lattice import (
     _span,
     e8_lattice,
     index_in,
-    shell,
 )
 from .linalg import dot
 from .permgrp import PermGroup, _compose, _pack, closure, miyamoto_group
@@ -241,21 +239,27 @@ def kernel_mod3(delta) -> Lattice:
 
 
 def _classifies_as_A8(K: Lattice) -> bool:
-    roots = shell(K, 2)
+    """Whether the roots (norm-2 vectors) of K form an A8 system: 72 of
+    them, whose positive ones (first nonzero coordinate positive) have 8
+    simple roots in one chain, pairing to -1 along its 7 edges and to 0
+    elsewhere.  Read in ints: the roots are int vectors over K's ``den``
+    (``_shell_ints``), so a pairing of -1 is an int dot of ``-den^2``."""
+    roots, den = _shell_ints(K, 2)
     if len(roots) != 72:
         return False
     simple = simple_system(r for r in roots if sign_normalized(r) == r)
     if len(simple) != 8:
         return False
+    edge = -den * den
     edges = 0
     degree = [0] * 8
     adj = [[] for _ in range(8)]
     for a in range(8):
         for b in range(a):
             s = dot(simple[a], simple[b])
-            if s not in (0, -1):
+            if s not in (0, edge):
                 return False
-            if s == -1:
+            if s == edge:
                 edges += 1
                 degree[a] += 1
                 degree[b] += 1
@@ -318,6 +322,44 @@ def _class_root_counts(L: Lattice) -> list[int]:
 
 
 _DELTA_CACHE: tuple | None = None
+_CHUNK = 1024  # keys per block of byte lanes in ``find_delta``
+
+
+def _lane_classes(L: Lattice, keys: list[int], decode) -> tuple[bytes, bytes]:
+    """The classes in L/3L of a block of keys of one shell of L, an
+    8-dimensional lattice whose shell keys have one-byte digits ``v_j +
+    bias`` (coordinate 0 first), as two base-3 halves: byte m of the
+    first (second) is ``sum kappa_i 3^i`` over i < 4 (``3^(i-4)`` over
+    i >= 4) for key m, kappa_i the pairing of basis vector i with v mod 3.
+
+    With the basis as ``rows / den``, that pairing is ``<rows_i, v> /
+    den^2``.  The bytes of the keys, read in steps of 8, are the
+    coordinate columns; one big-int combination of them per basis row
+    puts ``<rows_i, v> + 128`` in byte m, which needs |<rows_i, v>| <=
+    127 (no byte carries into the next): checked by Cauchy-Schwarz on
+    the shell's norm.  A 256-byte ``bytes.translate`` table reads the
+    pairing mod 3 off each byte (L integral: den^2 divides it), and each
+    half is at most 80, so again no byte carries."""
+    rows, den = L._scaled
+    first = decode(keys[0])
+    if max(map(dot, rows, rows)) * dot(first, first) > 127 ** 2:
+        raise AssertionError("a pairing may overflow its byte lane")
+    bias = keys[0].to_bytes(8, "big")[0] - first[0]
+    mod3 = bytes((b - 128) // den ** 2 % 3 for b in range(256))
+    n = len(keys)
+    blob = b"".join([key.to_bytes(8, "big") for key in keys])
+    columns = [int.from_bytes(blob[j::8], "little") for j in range(8)]
+    ones = int.from_bytes(b"\1" * n, "little")
+    residues = []
+    for row in rows:
+        lane = (128 - bias * sum(row)) * ones
+        for c, column in zip(row, columns):
+            if c:
+                lane += c * column
+        residues.append(int.from_bytes(
+            lane.to_bytes(n, "little").translate(mod3), "little"))
+    return tuple(sum(3 ** i * r for i, r in enumerate(half)).to_bytes(
+        n, "little") for half in (residues[:4], residues[4:]))
 
 
 def find_delta() -> tuple[tuple, Lattice]:
@@ -326,34 +368,35 @@ def find_delta() -> tuple[tuple, Lattice]:
     sublattice with determinant 9 and a single 8-node chain of simple
     roots (72 roots in all).
 
-    The shells of norm 2, 4, 6 and 8 are read as sorted packed keys and
-    decoded one vector at a time, and a candidate reaches the lattice
-    checks only when its class in E8/3E8 has 72 kernel roots in the
-    ``_class_root_counts`` table."""
+    The shells of norm 2, 4, 6 and 8 are read as sorted packed keys in
+    blocks of ``_CHUNK`` keys, so the lane ints stay small, and each
+    block's classes in E8/3E8 come from byte lanes (``_lane_classes``).
+    E8's int basis rows are twice the simple roots (int norm 8, den 2)
+    and a shell vector of norm at most 8 has int norm at most 32, so by
+    Cauchy-Schwarz every int pairing lies in [-16, 16], well inside a
+    byte lane.  Only a key whose class has 72 kernel roots in the
+    ``_class_root_counts`` table is decoded and reaches the lattice
+    checks, and the scan stops at the first delta that passes them."""
     global _DELTA_CACHE
     if _DELTA_CACHE is not None:
         return _DELTA_CACHE
     L = e8_lattice()
     counts = _class_root_counts(L)
-    rows, den = L._scaled
-    # <alpha_i, v / den> = <rows_i, v> / den^2, i from the top
-    simple = rows[::-1]
-    den2 = den * den
+    den = L._scaled[1]
     for norm in (2, 4, 6, 8):
         keys, decode, _ = _shell_keys(L, norm)
-        for key in keys:  # in lexicographic order, decoded one at a time
-            v = decode(key)
-            kappa = 0
-            for a in simple:
-                kappa = 3 * kappa + (sum(map(mul, a, v)) // den2) % 3
-            if counts[kappa] != 72:
-                continue
-            delta = tuple(Q(c, den) for c in v)
-            K = kernel_mod3(delta)
-            if K.det() != 9 or index_in(K, L) != 3:
-                continue
-            if not _classifies_as_A8(K):
-                continue
-            _DELTA_CACHE = (delta, K)
-            return _DELTA_CACHE
+        for start in range(0, len(keys), _CHUNK):
+            block = keys[start:start + _CHUNK]
+            low, high = _lane_classes(L, block, decode)
+            for key, lo, hi in zip(block, low, high):
+                if counts[lo + 81 * hi] != 72:
+                    continue
+                delta = tuple(Q(c, den) for c in decode(key))
+                K = kernel_mod3(delta)
+                if K.det() != 9 or index_in(K, L) != 3:
+                    continue
+                if not _classifies_as_A8(K):
+                    continue
+                _DELTA_CACHE = (delta, K)
+                return _DELTA_CACHE
     raise NotFound("no suitable twist vector with norm at most 8")

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weyl_ising import cli
-from weyl_ising.axes import ThreeC, from_root_system, virasoro
+from weyl_ising.axes import AxisAlgebra, ThreeC, from_root_system, virasoro
 from weyl_ising.permgrp import (
     contains_minus_one,
     miyamoto_group,
@@ -95,12 +95,14 @@ def test_lattice_a1_skips_both_t_orders(capsys):
 
 
 def test_lattice_d5_checks_block_rssd_past_rank_24(capsys):
-    """The rank-40 realization of D5 is past the shell cap, but RSSD is
-    read off solves, so ``block_rssd`` runs there and passes."""
+    """The rank-40 realization of D5 is past the shell cap of
+    ``lattice --shell``, but ``realization_no_norm2`` runs with its own
+    cap and RSSD is read off solves, so both run there and pass."""
     code, report = run(capsys, "lattice", "D", "5")
     assert code == 0
     checks = by_name(report)
-    assert checks["realization_no_norm2"]["status"] == "skipped"
+    assert checks["realization_no_norm2"] == cli.check(
+        "realization_no_norm2", 0, 0)
     assert checks["block_rssd"] == cli.check("block_rssd", True, True)
 
 
@@ -198,6 +200,32 @@ def test_griess_is_conformal_catches_a_wrong_vector(capsys, monkeypatch):
         return replace(rep, vector={a: 2 * c for a, c in rep.vector.items()})
 
     monkeypatch.setattr(cli, "virasoro", doubled)
+    code, report = run(capsys, "griess", "A", "3")
+    assert code == 1
+    checks = by_name(report)
+    assert checks["is_conformal"]["status"] == "fail"
+    assert checks["central_charge"]["status"] == "pass"
+
+
+def test_griess_is_conformal_catches_a_wrong_product(capsys, monkeypatch):
+    """With the Virasoro solve left alone and the int product corrupted
+    after it (one more unit on the first term of every product),
+    ``is_conformal`` fails while the charge checks pass."""
+    solve, ints = cli.virasoro, AxisAlgebra._product_ints
+
+    def corrupted(self, ut, vt):
+        out = ints(self, ut, vt)
+        for i in out:
+            out[i] += 1
+            break
+        return out
+
+    def solve_then_corrupt(A):
+        rep = solve(A)
+        monkeypatch.setattr(AxisAlgebra, "_product_ints", corrupted)
+        return rep
+
+    monkeypatch.setattr(cli, "virasoro", solve_then_corrupt)
     code, report = run(capsys, "griess", "A", "3")
     assert code == 1
     checks = by_name(report)

@@ -363,6 +363,30 @@ def test_shell_matches_fraction_reference(case):
     assert shell(lat, norm) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(_lattice_and_norm())
+def test_shell_keys_are_closed_under_negation(case):
+    """The half-tree descent and its mirrored keys: the keys are
+    symmetric about the zero vector's key ``offset`` (which decodes to
+    0), ``2 offset - key`` decodes to minus the vector of ``key``, and
+    the shell equals the ``Fraction`` reference.  The norm-0 shell is
+    the zero vector alone."""
+    lat, norm = case
+    zero = (0,) * lat.ambient_dim
+    keys, decode, den = _shell_keys(lat, 0)
+    assert list(map(decode, keys)) == [zero]
+    assert shell(lat, 0) == reference_shell(lat, 0) == [zero]
+    keys, decode, den = _shell_keys(lat, norm)
+    assert [tuple(Q(c, den) for c in decode(k)) for k in keys] == (
+        reference_shell(lat, norm))
+    if keys:
+        offset = (keys[0] + keys[-1]) // 2
+        assert decode(offset) == zero
+        assert [2 * offset - k for k in keys] == keys[::-1]
+        assert all(decode(2 * offset - k) == tuple(-c for c in decode(k))
+                   for k in keys)
+
+
 def _assert_reference_shell(lat, norm):
     got = shell(lat, norm)
     assert got == reference_shell(lat, norm)

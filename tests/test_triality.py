@@ -23,7 +23,9 @@ from weyl_ising.axes import (
 )
 from weyl_ising.lattice import (
     IncompatibleAmbient,
+    _shell_keys,
     e8_lattice,
+    from_basis,
     index_in,
     same_lattice,
     shell,
@@ -41,6 +43,7 @@ from weyl_ising.triality import (
     NotFound,
     TwistedAxis,
     _class_root_counts,
+    _lane_classes,
     abstract_twisted_group,
     find_delta,
     kernel_mod3,
@@ -509,6 +512,62 @@ def test_class_root_counts_match_brute_force():
             1 for c in coeffs if sum(map(mul, c, kappa)) % 3 == 0)
     assert Counter(counts) == {240: 1, 126: 240, 84: 2160, 78: 2240,
                                72: 1920}
+
+
+def _reference_classes(keys, decode, rows, den) -> list[int]:
+    """The class index sum kappa_i 3^i of every key, kappa_i the pairing
+    of the decoded vector with basis row i over den^2, mod 3: one decode
+    and eight dot products per key."""
+    out = []
+    for key in keys:
+        v = decode(key)
+        kappa = 0
+        for a in rows[::-1]:
+            kappa = 3 * kappa + (sum(map(mul, a, v)) // (den * den)) % 3
+        out.append(kappa)
+    return out
+
+
+@pytest.mark.parametrize("norm", [2, 4, 6, 8])
+@pytest.mark.parametrize("chunk", [triality._CHUNK, 7])
+def test_lane_classes_match_per_key_dots(norm, chunk):
+    """The byte lanes of ``find_delta`` give every vector of E8's shells
+    of norm 2 to 8 the class of the per-key decode-and-dot loop, in blocks
+    of its own size and in blocks of 7 keys."""
+    e8 = e8_lattice()
+    keys, decode, _ = _shell_keys(e8, norm)
+    got = []
+    for start in range(0, len(keys), chunk):
+        low, high = _lane_classes(e8, keys[start:start + chunk], decode)
+        got += [lo + 81 * hi for lo, hi in zip(low, high)]
+    assert got == _reference_classes(keys, decode, *e8._scaled)
+
+
+def test_lane_classes_refuse_pairings_past_a_byte():
+    """On 16 E8 the roots (norm 512) pair with the basis rows up to 512
+    in absolute value, past the 127 that a byte lane holds: refused."""
+    e8 = e8_lattice()
+    big = from_basis([[16 * c for c in b] for b in e8.basis])
+    keys, decode, _ = _shell_keys(big, 512)
+    assert len(keys) == 240
+    with pytest.raises(AssertionError, match="overflow"):
+        _lane_classes(big, keys, decode)
+
+
+def test_cold_find_delta_tries_one_candidate(monkeypatch):
+    """A cold ``find_delta`` sends one key to the lattice checks: the
+    first key of the norm-8 shell whose class has 72 kernel roots."""
+    monkeypatch.setattr(triality, "_DELTA_CACHE", None)
+    tried = []
+    kernel = triality.kernel_mod3
+
+    def counted(delta):
+        tried.append(delta)
+        return kernel(delta)
+
+    monkeypatch.setattr(triality, "kernel_mod3", counted)
+    delta, _ = find_delta()
+    assert tried == [delta]
 
 
 def test_kernel_simple_roots_form_a_chain():
