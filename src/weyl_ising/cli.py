@@ -41,7 +41,7 @@ from .axes import (
     miyamoto_permutation,
     virasoro,
 )
-from .cocycle import CocycleTable, check_sign_lemma
+from .cocycle import CocycleTable, check_sign_lemma, scaled
 from .lattice import (
     NotRSSD,
     RankTooLarge,
@@ -596,8 +596,8 @@ def _criterion_8() -> list[dict]:
         table = CocycleTable(R.ambient_dim)
         values = set()
         for alpha in R.simple_roots()[:2]:
-            mb = malpha_lattice(R, alpha).basis
-            values |= {table.eps0(u, v) for u in mb for v in mb}
+            mb = [scaled(u) for u in malpha_lattice(R, alpha).basis]
+            values |= {table.eps0_scaled(u, v) for u in mb for v in mb}
         out.append(check(f"eps0_zero_on_blocks {kind}{rank}", [0],
                          sorted(values)))
     table = CocycleTable(1)
@@ -610,11 +610,11 @@ def _criterion_8() -> list[dict]:
     def lattice_vector():
         coeffs = [rng.randrange(-2, 3) for _ in simple2]
         v2 = tuple(sum(map(mul, coeffs, col)) for col in columns)
-        return tuple(Q(c, 2) for c in v2), v2
+        return scaled([Q(c, 2) for c in v2]), v2
 
     pairs = ((lattice_vector(), lattice_vector()) for _ in range(100))
-    holds = all((table.eps0(a, b) - table.eps0(b, a)) % 8 == dot(a2, b2) % 8
-                for (a, a2), (b, b2) in pairs)
+    holds = all((table.eps0_scaled(a, b) - table.eps0_scaled(b, a)) % 8
+                == dot(a2, b2) % 8 for (a, a2), (b, b2) in pairs)
     out.append(check("commutator_identity", True, holds))
     return out
 

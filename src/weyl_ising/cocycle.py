@@ -27,9 +27,10 @@ with ``adj = D B^-1`` and ``D = det G``, and a coordinate that ``D``
 does not divide exactly raises ``NotInHalfLattice``; its message prints
 the vector as rationals (``_vec``).  The residue table's columns are
 kept as int tuples, so the row form c^T T of a block is eight int dots
-of its coordinates.  No ``Fraction`` enters a residue: the scalars are
-int numerators over the one denominator ``D``, and the result is an int
-mod 8.  The 240 E8 self-residues behind ``check_sign_lemma`` do not
+of its coordinates; coordinates and row form are memoized per distinct
+block, which recur across the vectors of an oracle sweep.  No
+``Fraction`` enters a residue: the scalars are int numerators over the
+one denominator ``D``, and the result is an int mod 8.  The 240 E8 self-residues behind ``check_sign_lemma`` do not
 depend on the root system checked and are computed once per process.
 """
 
@@ -98,8 +99,10 @@ class CocycleTable:
         # one int dot of its coordinates c
         self._columns = tuple(zip(*table))
         # scaled vector -> (x-basis coordinates, coordinates times the
-        # residue table), both flattened over the blocks
+        # residue table), both flattened over the blocks; the same pair
+        # for each distinct 8-coordinate block, which recur across vectors
         self._memo: dict[IntVector, tuple[IntVector, IntVector]] = {}
+        self._blocks: dict[IntVector, tuple[list[int], list[int]]] = {}
 
     def _forms(self, w: IntVector) -> tuple[IntVector, IntVector]:
         """Coordinates c of w / SCALE over the x-basis, and c^T T
@@ -114,16 +117,20 @@ class CocycleTable:
         row_form: list[int] = []
         for t in range(self.n):
             block = w[8 * t: 8 * t + 8]
-            c = []
-            for row in self._adj:
-                q, r = divmod(sum(map(mul, row, block)), self._den)
-                if r:
-                    raise NotInHalfLattice(
-                        f"block {t} of {_vec(w)} is not an integer "
-                        "combination of the x-basis")
-                c.append(q)
-            coords += c
-            row_form += [sum(map(mul, c, col)) for col in self._columns]
+            pair = self._blocks.get(block)
+            if pair is None:
+                c = []
+                for row in self._adj:
+                    q, r = divmod(sum(map(mul, row, block)), self._den)
+                    if r:
+                        raise NotInHalfLattice(
+                            f"block {t} of {_vec(w)} is not an integer "
+                            "combination of the x-basis")
+                    c.append(q)
+                pair = (c, [sum(map(mul, c, col)) for col in self._columns])
+                self._blocks[block] = pair
+            coords += pair[0]
+            row_form += pair[1]
         forms = (tuple(coords), tuple(row_form))
         self._memo[w] = forms
         return forms
@@ -160,4 +167,5 @@ def _e8_self_residues() -> frozenset[int]:
     """The residues eps0(gamma, gamma) over the 240 roots of the E8
     model; they do not depend on the root system being checked."""
     table = CocycleTable(1)
-    return frozenset(table.eps0(g, g) for g in e8_model().roots)
+    return frozenset(table.eps0_scaled(g4, g4)
+                     for g4 in map(scaled, e8_model().roots))

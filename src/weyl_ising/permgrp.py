@@ -9,8 +9,13 @@ so composition is the C-level ``bytes.translate`` and inversion
 ``operator.itemgetter``.  The engine runs a deterministic incremental
 Schreier-Sims: base points are the smallest moved points, Schreier
 generators are processed in BFS orbit order, and every non-trivial sift
-residue becomes a strong generator.
+residue becomes a strong generator.  At the first base point the orbit
+and the Schreier generators come from the residues of the input
+generators alone, which generate the group; deeper levels use every
+strong generator that fixes the base prefix.
 Orders in the 10^8..10^9 range on a few hundred points are routine.
+``closure`` is the brute-force oracle beside it: it uses no BSGS, and
+skips each generator that the earlier ones already reach.
 """
 
 from __future__ import annotations
@@ -159,12 +164,24 @@ class PermGroup:
     # -- construction ------------------------------------------------------
 
     def _build(self, gens: list) -> None:
-        """Schreier-Sims on generators already packed by ``_pack``."""
+        """Schreier-Sims on generators already packed by ``_pack``.
+
+        Level i's orbit, transversal and Schreier pairs run over the
+        strong generators that fix the first i base points, except at
+        level 0, where they run over ``top``: the residues h_m of the
+        input generators, with g_m in G_{m-1} h_m, so that ``top``
+        generates the group G_m built so far.  By Schreier's lemma a
+        transversal of G_{b_0} in G and any generating set of G give
+        generators of G_{b_0} (Seress, Permutation Group Algorithms,
+        CUP 2003, Lemma 4.2.1), so the BSGS is complete without sifting
+        the Schreier generators of the deeper strong generators at
+        level 0."""
         n = self.degree
         ident = _pack(range(n), n)
         base: list[int] = []
         strong: list = []
         strong_set: set = set()
+        top: list[int] = []
         # persistent per-level state; coset representatives are only ever
         # extended, never replaced, so a Schreier pair once verified stays
         # verified as the deeper stabilizer groups grow
@@ -181,6 +198,8 @@ class PermGroup:
             checked.append(set())
 
         def level_gen_indices(i: int) -> list[int]:
+            if i == 0:
+                return top
             prefix = base[:i]
             return [k for k, g in enumerate(strong)
                     if all(g[p] == p for p in prefix)]
@@ -250,6 +269,8 @@ class PermGroup:
             h, j = sift(g, 0)
             if h == ident:
                 continue
+            # h is no member of the group built so far, so it is new
+            top.append(len(strong))
             add_strong(h, j)
             close(j)
 
@@ -290,37 +311,52 @@ class ClosureCapExceeded(ValueError):
 def closure(identity, generators: Sequence, compose: Callable,
             cap: int = 10_000) -> set:
     """All products ``compose(g, x)`` reachable from ``identity`` by left
-    multiplication with the generators.  Brute force, level by level:
-    level k + 1 is every product of a level-k element with every
-    generator, less the elements already seen, so level k holds the
-    elements of word length k.  The cap is checked before each level
-    joins the result, which therefore never holds more than ``cap``
-    elements: ``ClosureCapExceeded`` is raised exactly when the closure
-    has more.  On packed permutations (``bytes``) with ``compose`` equal
-    to ``_compose``, each product is the ``x.translate`` that
-    ``_compose`` computes, on generator tables padded once per call."""
+    multiplication with the generators.  Brute force, one generator at a
+    time: ``seen`` is the group H of the generators used so far, and a
+    generator g whose product with ``identity`` is already in H is
+    skipped.  Otherwise the products g x over H, less H, start a
+    breadth-first search that multiplies each new element by every used
+    generator; it ends on the group generated by H and g (Butler,
+    Fundamental Algorithms for Permutation Groups, LNCS 559, 1991,
+    ch. 6).  The cap is checked before each batch of new elements joins
+    the result, which therefore never holds more than ``cap`` elements:
+    ``ClosureCapExceeded`` is raised exactly when the closure has more.
+    No BSGS enters, so the result is an independent oracle for
+    ``PermGroup.order``.  On packed permutations (``bytes``) with
+    ``compose`` equal to ``_compose``, each product is the
+    ``x.translate`` that ``_compose`` computes, on generator tables
+    padded once per call."""
     if compose is _compose and type(identity) is bytes:
-        tables = [g + _ID256[len(g):] for g in generators]
+        generators = [g + _ID256[len(g):] for g in generators]
 
-        def level(xs: set) -> set:
-            return {x.translate(t) for x in xs for t in tables}
+        def products(gens: list, xs) -> set:
+            return {x.translate(t) for x in xs for t in gens}
     else:
-        def level(xs: set) -> set:
-            return {compose(g, x) for x in xs for g in generators}
+        def products(gens: list, xs) -> set:
+            return {compose(g, x) for x in xs for g in gens}
+    if cap < 1:
+        raise ClosureCapExceeded(f"closure exceeds cap {cap}")
     seen = {identity}
-    frontier = {identity}
-    while frontier:
-        frontier = level(frontier) - seen
-        if len(seen) + len(frontier) > cap:
-            raise ClosureCapExceeded(f"closure exceeds cap {cap}")
-        seen |= frontier
+    used: list = []
+    for g in generators:
+        if products([g], [identity]) <= seen:
+            continue
+        used.append(g)
+        frontier = products([g], seen) - seen
+        while frontier:
+            if len(seen) + len(frontier) > cap:
+                raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+            seen |= frontier
+            frontier = products(used, frontier) - seen
     return seen
 
 
 def enumerate_elements(generators: Iterable, cap: int = 10_000) -> set:
-    """Brute-force closure of the generating set; raises past the cap.
+    """Brute-force closure of the generating set, as int image tuples;
+    raises ``ClosureCapExceeded`` past the cap.
 
-    Independent oracle for PermGroup.order on small groups.
+    Independent oracle for PermGroup.order on small groups: ``closure``
+    on the packed generators, with no BSGS.
     """
     gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in generators]
     if not gens:

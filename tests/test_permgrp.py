@@ -1,12 +1,14 @@
 """Permutation engine: BSGS orders, membership, reflection and axis groups."""
 
 import time
+from itertools import permutations
 from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from closure_reference import level_closure, with_redundant
 from fraction_reference import reflect
 from weyl_ising.axes import from_root_system
 from weyl_ising.cli import _degrees
@@ -14,6 +16,7 @@ from weyl_ising.permgrp import (
     ClosureCapExceeded,
     PermGroup,
     Permutation,
+    closure,
     contains_minus_one,
     enumerate_elements,
     miyamoto_group,
@@ -127,15 +130,13 @@ def test_simple_reflections_generate_all_reflections(kind, rank):
 
 
 @pytest.mark.parametrize("kind,rank,order", [
-    ("A", 2, 6),
-    ("A", 3, 24),
-    ("A", 4, 120),
-    ("D", 4, 192),
-    ("D", 5, 1920),
-    ("E", 6, 51840),
-    ("E", 7, 2903040),
+    (kind, rank, prod(_degrees(kind, rank))) for kind, rank in [
+        *(("A", n) for n in range(1, 11)), *(("D", n) for n in range(4, 13)),
+        ("E", 6), ("E", 7), ("E", 8)]
 ])
 def test_weyl_group_orders(kind, rank, order):
+    """|W| is the product of the degrees, on every type up to A10 and
+    D12 (the last on 264 roots, the tuple path)."""
     assert weyl_group(build_root_system(kind, rank)).order == order
 
 
@@ -168,7 +169,10 @@ def test_reflections_are_members():
     ("A", 3, 24),
     ("A", 4, 120),
     ("D", 4, 96),
+    ("D", 5, 1920),
     ("E", 6, 51840),
+    ("E", 7, 1451520),
+    ("E", 8, 348364800),
 ])
 def test_miyamoto_group_orders(kind, rank, order):
     A = from_root_system(build_root_system(kind, rank))
@@ -372,3 +376,50 @@ def test_order_of_involution_products(p, q, order):
     for pp, qq in zip(_packed_both(p), _packed_both(q)):
         r = _compose(pp, qq)
         assert _order(r) == order == lcm(*_cycle_lengths(r))
+
+
+_small_generator_lists = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("tuples", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(gens=_small_generator_lists, data=st.data())
+def test_closure_matches_level_reference(tuples, gens, data):
+    """The closure that skips reached generators returns the set of the
+    level-by-level reference, on generator lists with duplicates, the
+    identity and products of earlier generators, packed as bytes and,
+    padded to 257..300 points, as tuples; its cap is exact."""
+    extra = data.draw(st.integers(257, 300)) - len(gens[0]) if tuples else 0
+    gens = [_pad(tuple(g), extra) for g in gens]
+    n = len(gens[0])
+    identity = _pack(range(n), n)
+    packed = with_redundant(data.draw, [_pack(g, n) for g in gens],
+                            identity, _compose)
+    assert all(type(g) is (bytes if n <= 256 else tuple) for g in packed)
+    expected = level_closure(identity, packed, _compose)
+    assert closure(identity, packed, _compose) == expected
+    assert closure(identity, packed, _compose, cap=len(expected)) == expected
+    with pytest.raises(ClosureCapExceeded):
+        closure(identity, packed, _compose, cap=len(expected) - 1)
+
+
+@pytest.mark.parametrize("extra", [0, 260])
+@settings(max_examples=60, deadline=None)
+@given(gens=_small_generator_lists, data=st.data())
+def test_redundant_generators_keep_order_and_membership(extra, gens, data):
+    """Adding the identity, duplicates and products of the generators
+    changes neither the order nor any membership answer, and both agree
+    with the reference closure, on the bytes path and, padded with 260
+    fixed points, on the tuple path."""
+    n = len(gens[0])
+    gens = [tuple(g) for g in gens]
+    identity = tuple(range(n))
+    more = with_redundant(data.draw, gens, identity, _compose)
+    G = PermGroup([_pad(g, extra) for g in gens])
+    H = PermGroup([_pad(g, extra) for g in more])
+    elements = level_closure(identity, gens, _compose)
+    assert G.order == H.order == len(elements)
+    for p in permutations(range(n)):
+        padded = _pad(p, extra)
+        assert (padded in G) == (padded in H) == (p in elements)

@@ -9,7 +9,10 @@ from fractions import Fraction as Q
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closure_reference import level_closure, with_redundant
 from fraction_reference import axis_product
 from weyl_ising import triality
 from weyl_ising.axes import (
@@ -362,8 +365,8 @@ class TwistedGroupElement:
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_abstract_closure_matches_compose_search(n):
-    """The search on codes finds the elements, level for level, that
-    the search with ``TwistedGroupElement.compose`` finds."""
+    """The search on codes finds the elements that the search with
+    ``TwistedGroupElement.compose`` finds."""
     g = abstract_twisted_group(n)
     gens = [TwistedGroupElement(*pair) for pair in g.generators]
     by_compose = closure(TwistedGroupElement.identity(n), gens,
@@ -372,6 +375,32 @@ def test_abstract_closure_matches_compose_search(n):
     with pytest.raises(ClosureCapExceeded):
         closure(TwistedGroupElement.identity(n), gens,
                 TwistedGroupElement.compose, g.order - 1)
+
+
+_twisted_pairs = st.sampled_from([3, 4]).flatmap(lambda n: st.lists(
+    st.tuples(st.permutations(range(n)),
+              st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+    min_size=1, max_size=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs=_twisted_pairs, data=st.data())
+def test_closure_matches_level_reference_on_twisted_elements(pairs, data):
+    """With ``TwistedGroupElement.compose`` the closure that skips
+    reached generators returns the level-by-level reference's set, on
+    generator lists with duplicates, the identity and products of
+    earlier generators; its cap is exact."""
+    compose = TwistedGroupElement.compose
+    n = len(pairs[0][0])
+    identity = TwistedGroupElement.identity(n)
+    gens = with_redundant(
+        data.draw, [TwistedGroupElement(tuple(s), tuple(a)) for s, a in pairs],
+        identity, compose)
+    expected = level_closure(identity, gens, compose)
+    assert closure(identity, gens, compose) == expected
+    assert closure(identity, gens, compose, len(expected)) == expected
+    with pytest.raises(ClosureCapExceeded):
+        closure(identity, gens, compose, len(expected) - 1)
 
 
 @pytest.mark.parametrize("n", [86, 87])
