@@ -11,11 +11,8 @@ them (the cocycle's 8th roots of unity are kept as their exponents mod
 __version__ = "0.1.0"
 
 from .axes import (
-    SAME,
-    TWO_B,
     AxisAlgebra,
     NoConformalVector,
-    ThreeC,
     VirasoroReport,
     from_root_system,
     miyamoto_permutation,
@@ -80,10 +77,7 @@ __all__ = [
     "Permutation",
     "RankTooLarge",
     "RootSystem",
-    "SAME",
     "SmithDidNotConverge",
-    "ThreeC",
-    "TWO_B",
     "TwistedAxis",
     "VirasoroReport",
     "Weight2Element",

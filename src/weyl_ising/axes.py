@@ -1,20 +1,23 @@
 """Closed-form Griess algebra on a finite axis set with 2B/3C incidence.
 
-Axes are opaque hashable labels.  Each unordered pair of axes is either
-SAME (the labels name one axis), TWO_B (orthogonal: zero product, zero
-pairing), or THREE_C with a designated third axis closing the triple.
-Products, the invariant bilinear form, conformal vectors and Miyamoto
-permutations all follow from the three closed-form rules
+Axes are opaque hashable labels.  Each pair of distinct axes is either
+2B (orthogonal: zero product, zero pairing) or 3C with a designated
+third axis closing the triple.  The one constructor
+``AxisAlgebra(axes, third)`` reads that incidence as axis indices:
+``third(i, j)`` for i > j is the index of the third axis of a 3C pair
+and None for a 2B pair.  Products, the invariant bilinear form,
+conformal vectors and Miyamoto permutations all follow from the three
+closed-form rules
 
     e . e = 2e        <e, e> = 1/4
-    e . f = 0         <e, f> = 0          (TWO_B)
-    e . f = (e + f - g)/32,  <e, f> = 1/256   (THREE_C with third g)
+    e . f = 0         <e, f> = 0          (2B)
+    e . f = (e + f - g)/32,  <e, f> = 1/256   (3C with third g)
 
 extended bilinearly over exact rationals.
 
 Coefficients enter the products as int numerators over one common
-denominator per operand: ``product`` accumulates 32 c_a c_b (SAME) and
-c_a c_b (THREE_C) in ints and makes one ``Fraction`` per output term over
+denominator per operand: ``product`` accumulates 32 c_a c_b (e = f) and
+c_a c_b (3C) in ints and makes one ``Fraction`` per output term over
 32 d_u d_v, ``pairing`` accumulates 64 c_a c_b and c_a c_b over
 256 d_u d_v, and the action check of ``virasoro`` runs the same int
 product.  ``associative_on_units`` and ``automorphic_on_units``, the
@@ -43,17 +46,6 @@ from .rootsys import NotARoot, RootSystem, sign_normalized
 Label = Hashable
 Element = dict  # Label -> Fraction, zero coefficients dropped
 
-SAME = "SAME"
-TWO_B = "2B"
-
-
-@dataclass(frozen=True)
-class ThreeC:
-    """Relation tag for a 3C pair, carrying the third axis of the triple."""
-
-    third: Label
-
-
 class NoConformalVector(ValueError):
     """The system w.x = 2x over the axis span has no solution."""
 
@@ -69,8 +61,8 @@ class VirasoroReport:
     central_charge: Q
 
 
-# Relation codes of the internal table: an int k >= 0 is THREE_C with
-# third axis axes[k].
+# Relation codes of the internal table: the diagonal is _SAME, a 2B pair
+# _TWO_B, and an int k >= 0 is 3C with third axis axes[k].
 _SAME = -1
 _TWO_B = -2
 
@@ -78,9 +70,14 @@ _TWO_B = -2
 class AxisAlgebra:
     """Finite-dimensional commutative algebra spanned by axes.
 
-    ``relation(a, b)`` must be symmetric, return SAME on the diagonal,
-    and close its THREE_C triples: relation(a, b) = ThreeC(c) forces
-    relation(a, c) = ThreeC(b) and relation(b, c) = ThreeC(a).
+    ``third(i, j)``, called once for each pair of axis indices i > j,
+    returns the index of the third axis of a 3C pair or None for a 2B
+    pair.  The table is built from that lower triangle, so by
+    construction it is symmetric and pairs each axis only with itself
+    on the diagonal.  The constructor checks that the labels are
+    distinct, that every third index is another axis, and that every
+    triple closes: third(i, j) = k forces the pair {i, k} to have third
+    axis j and {j, k} third axis i.
 
     The relation is stored as an axis-index table of int codes, so the
     products look each label up once per term rather than hashing a pair
@@ -88,47 +85,29 @@ class AxisAlgebra:
     """
 
     def __init__(self, axes: Sequence[Label],
-                 relation: Callable[[Label, Label], object]):
+                 third: Callable[[int, int], int | None]):
         axes = tuple(axes)
-        index = {a: i for i, a in enumerate(axes)}
-
-        def encode(a: Label, b: Label) -> int:
-            r = relation(a, b)
-            if isinstance(r, ThreeC):
-                k = index.get(r.third)
-                if k is None:
-                    raise ValueError(f"third axis {r.third!r} of ({a!r}, {b!r}) "
-                                     "is not another axis")
-                return k
-            if r == SAME:
-                return _SAME
-            if r == TWO_B:
-                return _TWO_B
-            raise ValueError(f"unknown relation value {r!r}")
-
-        self._setup(axes, [[encode(a, b) for b in axes] for a in axes])
-
-    def _setup(self, axes: tuple, code: list[list[int]]) -> None:
         index = {a: i for i, a in enumerate(axes)}
         if len(index) != len(axes):
             raise ValueError("axis labels must be distinct")
-        for i, a in enumerate(axes):
-            row = code[i]
-            if row[i] != _SAME:
-                raise ValueError(f"relation({a!r}, {a!r}) must be SAME")
+        n = len(axes)
+        code = [[_SAME] * n for _ in range(n)]
+        for i, row in enumerate(code):
             for j in range(i):
-                b = axes[j]
+                k = third(i, j)
+                if k is None:
+                    k = _TWO_B
+                elif k not in range(n) or k == i or k == j:
+                    label = axes[k] if k in range(n) else k
+                    raise ValueError(f"third axis {label!r} of ({axes[i]!r}, "
+                                     f"{axes[j]!r}) is not another axis")
+                row[j] = code[j][i] = k
+        for i, row in enumerate(code):
+            for j in range(i):
                 k = row[j]
-                if code[j][i] != k:
-                    raise ValueError(f"relation is not symmetric on ({a!r}, {b!r})")
-                if k < 0:
-                    continue
-                if k == i or k == j:
-                    raise ValueError(f"third axis {axes[k]!r} of ({a!r}, {b!r}) "
-                                     "is not another axis")
-                if row[k] != j or code[j][k] != i:
-                    raise ValueError(f"triple through ({a!r}, {b!r}) does "
-                                     "not close")
+                if k >= 0 and (row[k] != j or code[j][k] != i):
+                    raise ValueError(f"triple through ({axes[i]!r}, "
+                                     f"{axes[j]!r}) does not close")
         self.axes = axes
         self._index = index
         # tuple rows: an algebra may be shared (``from_root_system`` is
@@ -138,11 +117,13 @@ class AxisAlgebra:
     def __len__(self) -> int:
         return len(self.axes)
 
-    def relation(self, a: Label, b: Label):
+    def third(self, a: Label, b: Label) -> Label | None:
+        """The third axis of the 3C triple through the distinct axes a
+        and b, or None when they are 2B."""
         k = self._code[self._index[a]][self._index[b]]
-        if k >= 0:
-            return ThreeC(self.axes[k])
-        return SAME if k == _SAME else TWO_B
+        if k == _SAME:
+            raise ValueError(f"{a!r} and {b!r} are one axis")
+        return self.axes[k] if k >= 0 else None
 
     def element(self, coeffs: Mapping) -> Element:
         index = self._index
@@ -225,28 +206,11 @@ class AxisAlgebra:
         return Q(self._pairing_ints(ut, vt), 256 * du * dv)
 
 
-def _from_thirds(axes: tuple[Label, ...],
-                 third: Callable[[int, int], int | None]) -> AxisAlgebra:
-    """The algebra on ``axes`` whose pair of axis indices i > j is 2B when
-    ``third(i, j)`` is None and 3C with third axis ``axes[third(i, j)]``
-    otherwise, validated exactly as a table read off a relation
-    callable."""
-    n = len(axes)
-    code = [[_SAME] * n for _ in range(n)]
-    for i, row in enumerate(code):
-        for j in range(i):
-            k = third(i, j)
-            row[j] = code[j][i] = _TWO_B if k is None else k
-    A = AxisAlgebra.__new__(AxisAlgebra)
-    A._setup(axes, code)
-    return A
-
-
 @cache
 def from_root_system(R: RootSystem) -> AxisAlgebra:
-    """One axis per positive root; pairs are THREE_C when the roots have
+    """One axis per positive root; pairs are 3C when the roots have
     product +-1 (third axis the canonical positive of their sum or
-    difference) and TWO_B when orthogonal.  Built once per root system
+    difference) and 2B when orthogonal.  Built once per root system
     and shared by every caller."""
     # doubled coordinates scale the inner product by 4
     doubled = R.positive2
@@ -266,12 +230,12 @@ def from_root_system(R: RootSystem) -> AxisAlgebra:
                            "negative is a positive root")
         return k
 
-    return _from_thirds(R.positive_roots, third)
+    return AxisAlgebra(R.positive_roots, third)
 
 
 def gram_positive_definite(R: RootSystem, A: AxisAlgebra) -> bool:
     """True if A's axes are R's positive roots and its table's Gram,
-    scaled by 256 (SAME 64, THREE_C 1, TWO_B 0), is 60 I + H o H entry
+    scaled by 256 (64 on the diagonal, 3C 1, 2B 0), is 60 I + H o H entry
     for entry, where H is the Gram of the positive roots and o is the
     entrywise product; the expected side is read off root coordinates
     only, so the check also cross-checks the 2B/3C table.  H o H = K K^T
@@ -333,23 +297,17 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
     c_a - c_k = 0, so c is constant on each connected component of the
     3C graph.  Its e_b component then reads (64 + deg b) c_b = 64, where
     deg b counts b's 3C partners.  So a solution exists exactly when deg
-    is constant on each component, checked on every 3C pair, and no two
-    distinct labels are SAME (for such a pair the components of the two
-    equations force c_a = c_b = 0 and then 0 = 64).  Every component has
-    an equation with the nonzero coefficient 64 + deg, so the solution
-    c_b = 64/(64 + deg b) is unique.  The int product then checks the
-    action on every axis.
+    is constant on each component, checked on every 3C pair.  Every
+    component has an equation with the nonzero coefficient 64 + deg, so
+    the solution c_b = 64/(64 + deg b) is unique.  The int product then
+    checks the action on every axis.
     """
     axes = A.axes
     code = A._code
     deg = [sum(k >= 0 for k in row) for row in code]
     for i, row in enumerate(code):
         for j in range(i):
-            k = row[j]
-            if k == _SAME:
-                raise NoConformalVector(f"axes {axes[i]!r} and {axes[j]!r} "
-                                        "are one axis")
-            if k >= 0 and deg[i] != deg[j]:
+            if row[j] >= 0 and deg[i] != deg[j]:
                 raise NoConformalVector(
                     f"3C partners {axes[i]!r} and {axes[j]!r} have "
                     f"{deg[i]} and {deg[j]} 3C partners")
@@ -362,7 +320,7 @@ def virasoro(A: AxisAlgebra) -> VirasoroReport:
 
 def miyamoto_permutation(A: AxisAlgebra, e: Label) -> tuple[int, ...]:
     """Index images of the axis involution attached to e: fixes e and its
-    TWO_B partners, swaps f and g in every 3C triple through e."""
+    2B partners, swaps f and g in every 3C triple through e."""
     row = A._code[A._index[e]]
     return tuple(k if k >= 0 else j for j, k in enumerate(row))
 

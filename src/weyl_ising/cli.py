@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 from . import __version__
 from .axes import (
-    TWO_B,
     _is_conformal,
     associative_on_units,
     automorphic_on_units,
@@ -317,8 +316,8 @@ def _oracle_verdicts(R: RootSystem, pairs=None):
         return vectors[a]
 
     for a, b in pairs:
-        rel = A.relation(a, b)
-        kind = ("2B: zero product, zero pairing" if rel == TWO_B
+        c = A.third(a, b)
+        kind = ("2B: zero product, zero pairing" if c is None
                 else "3C: (e+f-g)/32 product, 1/256 pairing")
         ea, eb = vector(a), vector(b)
         try:
@@ -329,10 +328,10 @@ def _oracle_verdicts(R: RootSystem, pairs=None):
             yield a, b, kind, False
             continue
         pair = oracle_pairing(ea, eb)
-        if rel == TWO_B:
+        if c is None:
             yield a, b, kind, not prod and pair == 0
         else:
-            closed = (ea + eb - vector(rel.third)).scale(Q(1, 32))
+            closed = (ea + eb - vector(c)).scale(Q(1, 32))
             yield a, b, kind, prod == closed and pair == Q(1, 256)
 
 
@@ -610,7 +609,7 @@ def _criterion_8() -> list[dict]:
     def lattice_vector():
         coeffs = [rng.randrange(-2, 3) for _ in simple2]
         v2 = tuple(sum(map(mul, coeffs, col)) for col in columns)
-        return scaled([Q(c, 2) for c in v2]), v2
+        return tuple(2 * c for c in v2), v2
 
     pairs = ((lattice_vector(), lattice_vector()) for _ in range(100))
     holds = all((table.eps0_scaled(a, b) - table.eps0_scaled(b, a)) % 8

@@ -130,7 +130,7 @@ class Permutation:
         return _cycle_lengths(self.images)
 
     def order(self) -> int:
-        return lcm(*self.cycle_lengths())
+        return _order(self.images)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Permutation):

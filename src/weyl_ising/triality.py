@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, isqrt, log
 
-from .axes import AxisAlgebra, _from_thirds
+from .axes import AxisAlgebra
 from .lattice import (
     Lattice,
     _shell_ints,
@@ -102,7 +102,7 @@ def twisted_axis_algebra(n: int) -> AxisAlgebra:
             return None
         return at(j, x, e - ell) if s == i else at(i, x, e + ell)
 
-    return _from_thirds(axes, third)
+    return AxisAlgebra(axes, third)
 
 
 @dataclass(frozen=True)

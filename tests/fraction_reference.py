@@ -40,7 +40,7 @@ from fractions import Fraction as Q
 from math import ceil, floor, gcd, isqrt
 from typing import Sequence
 
-from weyl_ising.axes import SAME, TWO_B, NoConformalVector
+from weyl_ising.axes import NoConformalVector
 from weyl_ising.lattice import (
     NotASublattice,
     NotRSSD,
@@ -336,7 +336,7 @@ def _axis_terms(u) -> list[tuple]:
 def axis_product(A, u, v) -> dict:
     """u . v in the axis algebra A by the closed-form rules, one
     ``Fraction`` product per pair of terms, with the relation read
-    through ``A.relation``."""
+    through ``a == b`` and ``A.third``."""
     out: dict = {}
 
     def add(a, c: Q) -> None:
@@ -347,15 +347,14 @@ def axis_product(A, u, v) -> dict:
         for a, ca in _axis_terms(u):
             for b, cb in vt:
                 c = ca * cb
-                r = A.relation(a, b)
-                if r == SAME:
+                if a == b:
                     add(a, c)
                     add(b, c)
-                elif r != TWO_B:
+                elif (g := A.third(a, b)) is not None:
                     c = c / 32
                     add(a, c)
                     add(b, c)
-                    add(r.third, -c)
+                    add(g, -c)
     return {a: c for a, c in out.items() if c}
 
 
@@ -366,35 +365,33 @@ def axis_pairing(A, u, v) -> Q:
     if vt:
         for a, ca in _axis_terms(u):
             for b, cb in vt:
-                r = A.relation(a, b)
-                if r == SAME:
+                if a == b:
                     total += ca * cb / 4
-                elif r != TWO_B:
+                elif A.third(a, b) is not None:
                     total += ca * cb / 256
     return total
 
 
 def axis_gram(A) -> list[list[Q]]:
-    """The Gram matrix of A's axes by the closed-form rules (SAME 1/4,
-    TWO_B 0, THREE_C 1/256), with the relation read through
-    ``A.relation``."""
-    value = {SAME: Q(1, 4), TWO_B: Q(0)}
-    return [[value.get(A.relation(a, b), Q(1, 256)) for b in A.axes]
-            for a in A.axes]
+    """The Gram matrix of A's axes by the closed-form rules (1/4 on the
+    diagonal, 2B 0, 3C 1/256), with the relation read through ``a == b``
+    and ``A.third``."""
+    return [[Q(1, 4) if a == b else Q(0) if A.third(a, b) is None
+             else Q(1, 256) for b in A.axes] for a in A.axes]
 
 
 def conformal_vector(A) -> dict:
     """The w in the axis span of A with w . e = 2e for every axis e, as
     {label: Fraction} in axis order, with the relation read through
-    ``A.relation``.  Raises ``NoConformalVector`` when the system is
-    inconsistent and a plain ``ValueError`` when its solution is not
-    unique."""
+    ``a == b`` and ``A.third``.  Raises ``NoConformalVector`` when the
+    system is inconsistent and a plain ``ValueError`` when its solution
+    is not unique."""
     axes = A.axes
     n = len(axes)
     index = {a: i for i, a in enumerate(axes)}
 
     # rows: (dict var-index -> int, rhs), every equation scaled by 32 so
-    # that its coefficients are the ints 32 (SAME) and +-1 (THREE_C)
+    # that its coefficients are the ints 32 (a == b) and +-1 (3C)
     rows: list[tuple[dict[int, int], int]] = []
     for b in range(n):
         # coefficient of axis g in sum_a c_a (e_a . e_b), for each g
@@ -405,14 +402,13 @@ def conformal_vector(A) -> dict:
             col[a] = col.get(a, 0) + val
 
         for a in range(n):
-            r = A.relation(axes[a], axes[b])
-            if r == SAME:
+            if a == b:
                 put(a, a, 32)
                 put(b, a, 32)
-            elif r != TWO_B:
+            elif (g := A.third(axes[a], axes[b])) is not None:
                 put(a, a, 1)
                 put(b, a, 1)
-                put(index[r.third], a, -1)
+                put(index[g], a, -1)
         for g, row in cols.items():
             row = {j: v for j, v in row.items() if v}
             rhs = 64 if g == b else 0

@@ -17,11 +17,8 @@ from fraction_reference import (
 )
 
 from weyl_ising.axes import (
-    SAME,
-    TWO_B,
     AxisAlgebra,
     NoConformalVector,
-    ThreeC,
     associative_on_units,
     automorphic_on_units,
     from_root_system,
@@ -35,7 +32,20 @@ from weyl_ising.triality import twisted_axis_algebra
 
 
 def three_c_partners(A, a) -> int:
-    return sum(isinstance(A.relation(a, b), ThreeC) for b in A.axes)
+    return sum(b != a and A.third(a, b) is not None for b in A.axes)
+
+
+def relabelled(A: AxisAlgebra, axes) -> AxisAlgebra:
+    """A's table with its axis labels listed in the order ``axes``,
+    built through the constructor from ``A.third``."""
+    axes = tuple(axes)
+    index = {a: i for i, a in enumerate(axes)}
+
+    def third(i, j):
+        c = A.third(axes[i], axes[j])
+        return None if c is None else index[c]
+
+    return AxisAlgebra(axes, third)
 
 
 @pytest.fixture(scope="module")
@@ -57,31 +67,29 @@ def test_a2_shape(A2):
     assert len(A2) == 3
     for i, a in enumerate(A2.axes):
         for b in A2.axes[:i]:
-            assert isinstance(A2.relation(a, b), ThreeC)
+            assert A2.third(a, b) is not None
 
 
 def test_e8_three_c_counts(E8):
     assert len(E8) == 120
     for a in E8.axes:
-        partners = sum(1 for b in E8.axes if isinstance(E8.relation(a, b), ThreeC))
-        assert partners == 56
+        assert three_c_partners(E8, a) == 56
 
 
 def test_orthogonal_pair_is_two_b(A3):
     a = next(x for x in A3.axes if x[:2] == (1, -1))
     b = next(x for x in A3.axes if x[2:] == (1, -1))
     assert dot(a, b) == 0
-    assert A3.relation(a, b) == TWO_B
+    assert A3.third(a, b) is None and A3.third(b, a) is None
 
 
 def test_product_rules(A3):
     e, f = A3.axes[0], A3.axes[1]
     assert A3.product(A3.axis(e), A3.axis(e)) == {e: 2}
-    r = A3.relation(e, f)
-    if r == TWO_B:
+    g = A3.third(e, f)
+    if g is None:
         assert A3.product(A3.axis(e), A3.axis(f)) == {}
     else:
-        g = r.third
         expected = {e: Q(1, 32), f: Q(1, 32), g: Q(-1, 32)}
         assert A3.product(A3.axis(e), A3.axis(f)) == expected
     # commutativity over random elements
@@ -96,10 +104,9 @@ def test_pairing_rules(A3):
     for a in A3.axes:
         for b in A3.axes:
             value = A3.pairing(A3.axis(a), A3.axis(b))
-            r = A3.relation(a, b)
-            if r == SAME:
+            if a == b:
                 assert value == Q(1, 4)
-            elif r == TWO_B:
+            elif A3.third(a, b) is None:
                 assert value == 0
             else:
                 assert value == Q(1, 256)
@@ -229,7 +236,8 @@ def recoded(base: AxisAlgebra, i: int, j: int, k: int) -> AxisAlgebra:
 
 def first_two_b_pair(A: AxisAlgebra) -> tuple[int, int]:
     return next((i, j) for i, a in enumerate(A.axes)
-                for j, b in enumerate(A.axes) if A.relation(a, b) == TWO_B)
+                for j, b in enumerate(A.axes)
+                if j != i and A.third(a, b) is None)
 
 
 def test_gram_certificate_rejects_a_recoded_pair():
@@ -261,80 +269,140 @@ def test_gram_certificate_needs_the_positive_roots():
     A = from_root_system(R)
     smaller = from_root_system(build_root_system("A", 2))
     assert not gram_positive_definite(R, smaller)
-    reordered = AxisAlgebra(R.positive_roots[::-1], A.relation)
+    reordered = relabelled(A, R.positive_roots[::-1])
     assert ldl_is_positive_definite(axis_gram(reordered))
     assert not gram_positive_definite(R, reordered)
 
 
-def test_duplicate_axis_degenerates():
-    def rel(a, b):
-        return SAME  # two labels for one axis
-
-    A = AxisAlgebra(("p", "q"), rel)
-    assert not ldl_is_positive_definite(axis_gram(A))
-    with pytest.raises(NoConformalVector, match="are one axis"):
-        virasoro(A)
-
-
 def test_relation_validation():
-    def asymmetric(a, b):
-        if a == b:
-            return SAME
-        return TWO_B if a < b else ThreeC("p")
+    """A third index that names no other axis, and repeated labels, are
+    refused."""
+    for bad in (2, -1, 0, 1, "p"):
+        with pytest.raises(ValueError, match="is not another axis"):
+            AxisAlgebra(("p", "q"), lambda i, j, k=bad: k)
 
-    with pytest.raises(ValueError):
-        AxisAlgebra(("p", "q"), asymmetric)
-
-    def bad_diagonal(a, b):
-        return TWO_B
-
-    with pytest.raises(ValueError):
-        AxisAlgebra(("p", "q"), bad_diagonal)
-
-    def dangling_third(a, b):
-        return SAME if a == b else ThreeC("missing")
-
-    with pytest.raises(ValueError):
-        AxisAlgebra(("p", "q"), dangling_third)
-
-    with pytest.raises(ValueError):
-        AxisAlgebra(("p", "p"), lambda a, b: SAME)
+    with pytest.raises(ValueError, match="must be distinct"):
+        AxisAlgebra(("p", "p"), lambda i, j: None)
 
 
 def test_unclosed_triple_rejected():
-    def open_triple(a, b):
-        if a == b:
-            return SAME
-        if {a, b} == {"p", "q"}:
-            return ThreeC("r")
-        return TWO_B  # (p, r) and (q, r) should be 3C
+    def open_triple(i, j):
+        # (p, q) is 3C through r, but (p, r) and (q, r) are 2B
+        return 2 if (i, j) == (1, 0) else None
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not close"):
         AxisAlgebra(("p", "q", "r"), open_triple)
+
+
+def test_every_algebra_goes_through_the_constructor(monkeypatch):
+    """``from_root_system`` (uncached) and ``twisted_axis_algebra`` each
+    run ``AxisAlgebra.__init__`` once, on the algebra they return."""
+    built = []
+    init = AxisAlgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AxisAlgebra, "__init__", counted)
+    A = from_root_system.__wrapped__(build_root_system("A", 3))
+    assert built == [A] and len(A) == 6
+    built.clear()
+    T = twisted_axis_algebra(3)
+    assert built == [T] and len(T) == 9
+
+
+def closes(n: int, table: dict) -> bool:
+    """Brute force: every 3C entry (i, j) -> k of ``table`` (all pairs
+    i > j of range(n), None for 2B) names an index of range(n) other
+    than i and j, and the pairs {i, k} and {j, k} have third j and i."""
+    def entry(a, b):
+        return table[max(a, b), min(a, b)]
+
+    return all(k is None or (k in range(n) and k not in (i, j)
+                             and entry(i, k) == j and entry(j, k) == i)
+               for (i, j), k in table.items())
+
+
+@st.composite
+def third_tables(draw):
+    """(n, drawn triples, table): edge-disjoint triples of range(n),
+    n <= 7, as a closed table of third indices, sometimes with one
+    entry replaced by an index out of range, one of the pair's own, or
+    another entry."""
+    n = draw(st.integers(0, 7), label="n")
+    triples = []
+    for t in draw(st.lists(st.sampled_from(list(combinations(range(n), 3))),
+                           unique=True) if n >= 3 else st.just([])):
+        if all(len(set(t) & set(u)) < 2 for u in triples):
+            triples.append(t)
+    table = {(i, j): None for i in range(n) for j in range(i)}
+    for t in triples:
+        for k in t:
+            i, j = sorted(set(t) - {k}, reverse=True)
+            table[i, j] = k
+    if table and draw(st.booleans(), label="corrupt"):
+        pair = draw(st.sampled_from(sorted(table)), label="pair")
+        table[pair] = draw(st.one_of(st.none(), st.integers(-2, n + 1)),
+                           label="value")
+    return n, triples, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(third_tables())
+def test_constructor_accepts_exactly_the_closed_tables(drawn):
+    n, triples, table = drawn
+    labels = [f"x{i}" for i in range(n)]
+
+    def build():
+        return AxisAlgebra(labels, lambda i, j: table[i, j])
+
+    if not closes(n, table):
+        with pytest.raises(ValueError):
+            build()
+        return
+    A = build()
+    for t in triples:
+        for a, b, c in ((t[0], t[1], t[2]), (t[0], t[2], t[1]),
+                        (t[1], t[2], t[0])):
+            assert A.third(labels[a], labels[b]) == labels[c]
+            assert A.third(labels[b], labels[a]) == labels[c]
+    for (i, j), k in table.items():
+        expected = None if k is None else labels[k]
+        assert A.third(labels[i], labels[j]) == expected
+        assert A.third(labels[j], labels[i]) == expected
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_root_system_table_matches_relation_callable(kind, rank):
     """The doubled-int table of from_root_system agrees with the algebra
-    built through the public constructor from the Fraction rule."""
+    built through the constructor from the Fraction rule, and with its
+    own axes listed in reverse."""
     R = build_root_system(kind, rank)
+    roots = R.positive_roots
+    index = {a: i for i, a in enumerate(roots)}
 
-    def relation(a, b):
-        if a == b:
-            return SAME
+    def third(i, j):
+        a, b = roots[i], roots[j]
         s = dot(a, b)
         if s == 0:
-            return TWO_B
-        return ThreeC(sign_normalized(
-            tuple(x - s * y for x, y in zip(a, b))))
+            return None
+        return index[sign_normalized(tuple(x - s * y for x, y in zip(a, b)))]
 
-    reference = AxisAlgebra(R.positive_roots, relation)
+    reference = AxisAlgebra(roots, third)
+    reversed_ = relabelled(from_root_system(R), roots[::-1])
     A = from_root_system(R)
     assert A.axes == reference.axes
     for a in A.axes:
         assert miyamoto_permutation(A, a) == miyamoto_permutation(reference, a)
         for b in A.axes:
-            assert A.relation(a, b) == reference.relation(a, b)
+            if a == b:
+                for B in (A, reference, reversed_):
+                    with pytest.raises(ValueError, match="are one axis"):
+                        B.third(a, b)
+            else:
+                assert A.third(a, b) == reference.third(a, b) \
+                    == reversed_.third(a, b)
     assert axis_gram(A) == axis_gram(reference)
 
 
@@ -345,27 +413,27 @@ def test_element_helpers(A2):
         A2.element({"nope": 1})
 
 
-def _triples_relation(*triples):
-    """SAME on the diagonal, THREE_C inside each given triple, TWO_B
-    elsewhere."""
-    def relation(a, b):
-        if a == b:
-            return SAME
+def triples_algebra(axes, *triples) -> AxisAlgebra:
+    """The algebra on the labels ``axes`` that is 3C inside each given
+    triple of labels and 2B elsewhere."""
+    axes = tuple(axes)
+
+    def third(i, j):
+        a, b = axes[i], axes[j]
         for t in triples:
             if a in t and b in t:
-                return ThreeC(next(x for x in t if x not in (a, b)))
-        return TWO_B
+                return axes.index(next(x for x in t if x not in (a, b)))
+        return None
 
-    return relation
+    return AxisAlgebra(axes, third)
 
 
 SMALL_ALGEBRAS = {
-    "point": lambda: AxisAlgebra(("p",), _triples_relation()),
-    "orthogonal pair": lambda: AxisAlgebra("pq", _triples_relation()),
+    "point": lambda: triples_algebra("p"),
+    "orthogonal pair": lambda: triples_algebra("pq"),
     # two 3C triples through p: a closed table whose 3C graph is
     # connected with degrees 4, 2, 2, 2, 2
-    "bowtie": lambda: AxisAlgebra("pqrst", _triples_relation("pqr", "pst")),
-    "duplicate": lambda: AxisAlgebra("pq", lambda a, b: SAME),
+    "bowtie": lambda: triples_algebra("pqrst", "pqr", "pst"),
 }
 
 
@@ -444,19 +512,21 @@ def test_kernel_validation_is_unchanged():
 def disjoint_union(names, order=None) -> AxisAlgebra:
     """The algebras ``algebra(name)`` side by side, axes relabelled
     (part, label) and listed in ``order`` (a permutation of the axis
-    positions); axes of different parts are TWO_B."""
+    positions); axes of different parts are 2B."""
     parts = [algebra(name) for name in names]
     axes = [(k, a) for k, P in enumerate(parts) for a in P.axes]
     if order is not None:
         axes = [axes[i] for i in order]
+    index = {x: i for i, x in enumerate(axes)}
 
-    def relation(x, y):
-        if x[0] != y[0]:
-            return TWO_B
-        r = parts[x[0]].relation(x[1], y[1])
-        return ThreeC((x[0], r.third)) if isinstance(r, ThreeC) else r
+    def third(i, j):
+        (p, a), (q, b) = axes[i], axes[j]
+        if p != q:
+            return None
+        c = parts[p].third(a, b)
+        return None if c is None else index[p, c]
 
-    return AxisAlgebra(axes, relation)
+    return AxisAlgebra(axes, third)
 
 
 def assert_virasoro_matches_reference(A):

@@ -16,10 +16,7 @@ from closure_reference import level_closure, with_redundant
 from fraction_reference import axis_product
 from weyl_ising import triality
 from weyl_ising.axes import (
-    SAME,
-    TWO_B,
     AxisAlgebra,
-    ThreeC,
     from_root_system,
     miyamoto_permutation,
     virasoro,
@@ -110,7 +107,10 @@ def test_action_same_pair():
             u = TwistedAxis(0, 1, s)
             third = TwistedAxis(0, 1, (2 * ell - s) % 3)
             assert image(A, t, u) == third
-            assert A.relation(t, u) == (SAME if s == ell else ThreeC(third))
+            if s == ell:
+                assert third == u
+            else:
+                assert A.third(t, u) == third
 
 
 def test_action_disjoint_pairs_fixed():
@@ -118,7 +118,7 @@ def test_action_disjoint_pairs_fixed():
     t = TwistedAxis(0, 1, 1)
     for u in (TwistedAxis(2, 3, 0), TwistedAxis(2, 3, 2), TwistedAxis(2, 4, 1)):
         assert image(A, t, u) == u
-        assert A.relation(t, u) == TWO_B
+        assert A.third(t, u) is None
 
 
 def test_action_shared_index_cases():
@@ -132,7 +132,7 @@ def test_action_shared_index_cases():
         (TwistedAxis(1, 2, 2), TwistedAxis(0, 2, 1), TwistedAxis(0, 1, 2)),
     ]:
         assert image(A, t, u) == third
-        assert A.relation(t, u) == ThreeC(third)
+        assert A.third(t, u) == third
 
 
 def twisted_tau_image_by_rewriting(t: TwistedAxis,
@@ -189,21 +189,21 @@ def twisted_tau_image_by_rewriting(t: TwistedAxis,
 
 
 def test_engine_matches_word_rewriting():
-    """On every ordered pair of axes for n = 2..7 the table's relation
-    is SAME on the diagonal, 3C with the rewritten image as third axis
-    when the block pairs meet, and 2B (the image is the axis itself)
-    when they are disjoint."""
+    """On every ordered pair of distinct axes for n = 2..7 the table is
+    3C with the rewritten image as third axis when the block pairs meet,
+    and 2B (the image is the axis itself) when they are disjoint; the
+    rewriting fixes every axis under its own involution."""
     for n in range(2, 8):
         A = twisted_axis_algebra(n)
         for t in A.axes:
             for u in A.axes:
                 w = twisted_tau_image_by_rewriting(t, (u.i, u.j, u.ell))
                 if t == u:
-                    assert A.relation(t, u) == SAME and w == u
+                    assert w == u
                 elif {t.i, t.j} & {u.i, u.j}:
-                    assert A.relation(t, u) == ThreeC(w)
+                    assert A.third(t, u) == w
                 else:
-                    assert A.relation(t, u) == TWO_B and w == u
+                    assert A.third(t, u) is None and w == u
 
 
 def test_involutions_and_pair_orders():
@@ -236,22 +236,22 @@ def test_algebra_relation_classification():
         A = twisted_axis_algebra(n)
         for a in A.axes:
             for b in A.axes:
-                rel = A.relation(a, b)
                 if a == b:
-                    assert rel == SAME
+                    with pytest.raises(ValueError, match="are one axis"):
+                        A.third(a, b)
                 elif {a.i, a.j} & {b.i, b.j}:
-                    assert isinstance(rel, ThreeC)
+                    assert A.third(a, b) is not None
                 else:
-                    assert rel == TWO_B
+                    assert A.third(a, b) is None
 
 
 def test_two_block_algebra_is_one_triple():
     A = twisted_axis_algebra(2)
     assert len(A) == 3
     a, b, c = A.axes
-    assert A.relation(a, b) == ThreeC(c)
-    assert A.relation(b, c) == ThreeC(a)
-    assert A.relation(a, c) == ThreeC(b)
+    assert A.third(a, b) == c
+    assert A.third(b, c) == a
+    assert A.third(a, c) == b
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -267,7 +267,7 @@ def test_central_charges(n):
     coeff = Q(32, 3 * (n + 9))
     assert rep.vector == {a: coeff for a in A.axes}
     for a in A.axes:
-        partners = sum(isinstance(A.relation(a, b), ThreeC) for b in A.axes)
+        partners = sum(b != a and A.third(a, b) is not None for b in A.axes)
         assert partners == 6 * n - 10 and Q(64, 64 + partners) == coeff
         assert axis_product(A, rep.vector, A.axis(a)) == {a: 2}
 
@@ -481,12 +481,19 @@ def test_twisted_group_refuses_non_twisted_algebras():
     """``twisted_group`` takes an algebra on ``twisted_axes(n)``, n >= 3,
     in that order; anything else is refused before a group is built."""
     A = twisted_axis_algebra(3)
+    reversed_ = A.axes[::-1]
+    position = {a: i for i, a in enumerate(reversed_)}
+
+    def reversed_third(i, j):
+        c = A.third(reversed_[i], reversed_[j])
+        return None if c is None else position[c]
+
     for B in (
         twisted_axis_algebra(2),
         from_root_system(build_root_system("A", 3)),  # 6 axes
-        AxisAlgebra(range(9), lambda a, b: SAME if a == b else TWO_B),
-        AxisAlgebra(A.axes[::-1], A.relation),
-        AxisAlgebra((), A.relation),
+        AxisAlgebra(range(9), lambda i, j: None),
+        AxisAlgebra(reversed_, reversed_third),
+        AxisAlgebra((), reversed_third),
     ):
         with pytest.raises(ValueError):
             twisted_group(B)

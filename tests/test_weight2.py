@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weyl_ising.cyclotomic import Cyc8
 from fraction_reference import project, vec_add, vec_sub
-from weyl_ising.axes import TWO_B, from_root_system
+from weyl_ising.axes import from_root_system
 from weyl_ising.cli import _oracle_verdicts
 from weyl_ising.cocycle import SCALE, NotInHalfLattice
 from weyl_ising.lattice import e8_lattice, from_basis, malpha_lattice, shell
@@ -373,7 +373,7 @@ def _e8_sample_pairs(R, A, per_stratum=4):
     for i, a in enumerate(R.positive_roots):
         for b in R.positive_roots[:i]:
             halves = (a[0].denominator == 2) + (b[0].denominator == 2)
-            key = (A.relation(a, b) == TWO_B, halves)
+            key = (A.third(a, b) is None, halves)
             strata.setdefault(key, []).append((a, b))
     assert len(strata) == 6
     return [pairs[k * len(pairs) // per_stratum]
