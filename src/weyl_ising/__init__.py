@@ -40,7 +40,6 @@ from .linalg import SmithDidNotConverge
 from .permgrp import (
     ClosureCapExceeded,
     PermGroup,
-    Permutation,
     contains_minus_one,
     enumerate_elements,
     miyamoto_group,
@@ -74,7 +73,6 @@ __all__ = [
     "NoConformalVector",
     "NotInHalfLattice",
     "PermGroup",
-    "Permutation",
     "RankTooLarge",
     "RootSystem",
     "SmithDidNotConverge",

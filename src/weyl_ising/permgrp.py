@@ -1,21 +1,21 @@
 """Permutation groups with exact order via base and strong generating set.
 
-The public types are unchanged by the internal storage: ``Permutation.images``,
-``PermGroup.generators`` and ``strong_generators``, and the elements returned
-by ``enumerate_elements`` are int image tuples on {0..N-1}.  Inside the group
-engine a permutation of degree N <= 256 is packed as ``bytes`` of length N,
-so composition is the C-level ``bytes.translate`` and inversion
-``bytes.maketrans``; above 256 points it stays an image tuple, composed by
-``operator.itemgetter``.  The engine runs a deterministic incremental
-Schreier-Sims: base points are the smallest moved points, Schreier
-generators are processed in BFS orbit order, and every non-trivial sift
-residue becomes a strong generator.  At the first base point the orbit
-and the Schreier generators come from the residues of the input
-generators alone, which generate the group; deeper levels use every
-strong generator that fixes the base prefix.
-Orders in the 10^8..10^9 range on a few hundred points are routine.
-``closure`` is the brute-force oracle beside it: it uses no BSGS, and
-skips each generator that the earlier ones already reach.
+Permutations are int image tuples on {0..N-1}: what ``PermGroup`` and
+``in`` take (checked once there, and in ``enumerate_elements``), and what
+``generators``, ``strong_generators`` and ``enumerate_elements`` give back.
+Inside the group engine a permutation of degree N <= 256 is packed as
+``bytes`` of length N, so composition is the C-level ``bytes.translate``
+and inversion ``bytes.maketrans``; above 256 points it stays an image
+tuple, composed by ``operator.itemgetter``.  The engine runs a deterministic
+incremental Schreier-Sims: base points are the smallest moved points,
+Schreier generators are processed in BFS orbit order, and every non-trivial
+sift residue becomes a strong generator; membership runs the same sift.  At
+the first base point the orbit and the Schreier generators come from the
+residues of the input generators alone, which generate the group; deeper
+levels use every strong generator that fixes the base prefix.  Orders in
+the 10^8..10^9 range on a few hundred points are routine.  ``closure`` is
+the brute-force oracle beside it: it uses no BSGS, and skips each generator
+that the earlier ones already reach.
 """
 
 from __future__ import annotations
@@ -96,70 +96,33 @@ def _order(r) -> int:
     return lcm(*_cycle_lengths(r))
 
 
-class Permutation:
-    """Bijection of {0..degree-1} stored as its image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        t = tuple(images)
-        if not _is_bijection(t):
-            raise ValueError("images are not a bijection of 0..n-1")
-        self.images = t
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """(p * q)(x) = p(q(x)): the right factor acts first."""
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return Permutation(_compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_inverse(self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
-    def cycle_lengths(self) -> list[int]:
-        return _cycle_lengths(self.images)
-
-    def order(self) -> int:
-        return _order(self.images)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Permutation):
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.images)})"
+def _images(generators: Iterable, degree: int | None = None) -> tuple:
+    """The generators as a tuple of int image tuples, each a bijection
+    of {0..degree-1}, and that degree, which defaults to the first one's
+    length.  The one input check of the public entry points: raises
+    ``ValueError`` on a missing degree, unequal degrees or a
+    non-bijection."""
+    gens = tuple(map(tuple, generators))
+    if degree is None:
+        if not gens:
+            raise ValueError("degree is required for an empty generating set")
+        degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generators act on different sets")
+    if not all(map(_is_bijection, gens)):
+        raise ValueError("images are not a bijection of 0..n-1")
+    return gens, degree
 
 
 class PermGroup:
-    """Group generated by permutations, with a verified BSGS."""
+    """Group generated by permutations, given as int image sequences,
+    with a verified BSGS; ``generators`` and ``strong_generators`` are
+    int image tuples."""
 
     def __init__(self, generators: Iterable, degree: int | None = None):
-        gens = tuple(g if isinstance(g, Permutation) else Permutation(g)
-                     for g in generators)
-        if degree is None:
-            if not gens:
-                raise ValueError("degree is required for an empty generating set")
-            degree = gens[0].degree
-        if any(g.degree != degree for g in gens):
-            raise ValueError("generators act on different sets")
-        self.degree = degree
-        self.generators = gens
-        self._build([_pack(g.images, degree) for g in gens
-                     if any(v != i for i, v in enumerate(g.images))])
+        self.generators, self.degree = _images(generators, degree)
+        self._build([_pack(g, self.degree) for g in self.generators
+                     if any(v != i for i, v in enumerate(g))])
 
     # -- construction ------------------------------------------------------
 
@@ -275,29 +238,22 @@ class PermGroup:
             close(j)
 
         self.base = tuple(base)
-        self._levels = list(zip(base, trans, inv))
-        self.strong_generators = tuple(Permutation(g) for g in strong)
+        self._sift = sift
+        self.strong_generators = tuple(map(tuple, strong))
         self.order = prod(len(t) for t in trans) if base else 1
 
     # -- queries -----------------------------------------------------------
 
-    def _sift_final(self, g):
-        for b, trans, inv in self._levels:
-            img = g[b]
-            if img not in trans:
-                return g
-            g = _compose(inv[img], g)
-        return g
-
     def __contains__(self, perm) -> bool:
-        """Membership by sifting; anything that is not a bijection of
-        {0..degree-1} (wrong length, an image out of range, a repeated
-        image) is not a member."""
-        t = perm.images if isinstance(perm, Permutation) else tuple(perm)
+        """Membership by the build's sift; anything that is not a
+        bijection of {0..degree-1} (wrong length, an image out of range,
+        a repeated image) is not a member."""
         n = self.degree
-        if len(t) != n or not _is_bijection(t):
+        try:
+            (t,), _ = _images([perm], n)
+        except ValueError:
             return False
-        return self._sift_final(_pack(t, n)) == _pack(range(n), n)
+        return self._sift(_pack(t, n), 0)[0] == _pack(range(n), n)
 
     def __repr__(self) -> str:
         return (f"PermGroup(degree={self.degree}, order={self.order}, "
@@ -358,12 +314,7 @@ def enumerate_elements(generators: Iterable, cap: int = 10_000) -> set:
     Independent oracle for PermGroup.order on small groups: ``closure``
     on the packed generators, with no BSGS.
     """
-    gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = len(gens[0])
-    if any(len(g) != n for g in gens):
-        raise ValueError("generators act on different sets")
+    gens, n = _images(generators)
     packed = [_pack(g, n) for g in gens]
     return {tuple(x) for x in closure(_pack(range(n), n), packed, _compose, cap)}
 
@@ -385,8 +336,7 @@ def weyl_group(R: RootSystem) -> PermGroup:
 
 def contains_minus_one(R: RootSystem) -> bool:
     """Whether negation of all roots lies in the reflection group."""
-    index = {r: i for i, r in enumerate(R.roots2)}
-    negation = tuple(index[tuple(-c for c in r)] for r in R.roots2)
+    negation = tuple(R._index2[tuple(-c for c in r)] for r in R.roots2)
     return negation in weyl_group(R)
 
 

@@ -118,7 +118,9 @@ class TwistedGroupReport:
 def twisted_group(A: AxisAlgebra) -> TwistedGroupReport:
     """The Miyamoto group of the twisted algebra ``A``, with the order of
     its image acting on block pairs and the kernel order 3^k.  Raises
-    ``ValueError`` unless A's axes are ``twisted_axes(n)`` with n >= 3."""
+    ``ValueError`` unless A's axes are ``twisted_axes(n)`` with n >= 3,
+    its involutions permute the block pairs and that kernel order is a
+    power of 3."""
     # 3 n (n - 1) / 2 axes: n (n - 1) = 2 |axes| / 3, so isqrt gives n - 1
     n = isqrt(2 * len(A.axes) // 3) + 1
     if n < 3 or A.axes != twisted_axes(n):
@@ -127,17 +129,17 @@ def twisted_group(A: AxisAlgebra) -> TwistedGroupReport:
     # axis x of twisted_axes(n) lies on block pair x // 3
     pair_gens = []
     for g in G.generators:
-        pair = tuple(y // 3 for y in g.images[::3])
-        if any(y // 3 != pair[x // 3] for x, y in enumerate(g.images)):
-            raise AssertionError("involution does not act on block pairs")
+        pair = tuple(y // 3 for y in g[::3])
+        if any(y // 3 != pair[x // 3] for x, y in enumerate(g)):
+            raise ValueError("involution does not act on block pairs")
         pair_gens.append(pair)
     P = PermGroup(pair_gens)
 
     kernel_order, rest = divmod(G.order, P.order)
     power = round(log(kernel_order, 3))  # checked exactly below
     if rest or 3 ** power != kernel_order:
-        raise AssertionError(f"|G| / |P| = {G.order}/{P.order} is not a "
-                             "power of 3")
+        raise ValueError(f"|G| / |P| = {G.order}/{P.order} is not a "
+                         "power of 3")
     return TwistedGroupReport(group=G, pair_action_order=P.order,
                               kernel_order=kernel_order,
                               shape=f"3^{power}:S_{n}")
@@ -337,13 +339,14 @@ def _lane_classes(L: Lattice, keys: list[int], decode) -> tuple[bytes, bytes]:
     coordinate columns; one big-int combination of them per basis row
     puts ``<rows_i, v> + 128`` in byte m, which needs |<rows_i, v>| <=
     127 (no byte carries into the next): checked by Cauchy-Schwarz on
-    the shell's norm.  A 256-byte ``bytes.translate`` table reads the
-    pairing mod 3 off each byte (L integral: den^2 divides it), and each
-    half is at most 80, so again no byte carries."""
+    the shell's norm, ``OverflowError`` otherwise.  A 256-byte
+    ``bytes.translate`` table reads the pairing mod 3 off each byte (L
+    integral: den^2 divides it), and each half is at most 80, so again
+    no byte carries."""
     rows, den = L._scaled
     first = decode(keys[0])
     if max(map(dot, rows, rows)) * dot(first, first) > 127 ** 2:
-        raise AssertionError("a pairing may overflow its byte lane")
+        raise OverflowError("a pairing may overflow its byte lane")
     bias = keys[0].to_bytes(8, "big")[0] - first[0]
     mod3 = bytes((b - 128) // den ** 2 % 3 for b in range(256))
     n = len(keys)

@@ -15,7 +15,6 @@ from weyl_ising.cli import _degrees
 from weyl_ising.permgrp import (
     ClosureCapExceeded,
     PermGroup,
-    Permutation,
     closure,
     contains_minus_one,
     enumerate_elements,
@@ -23,6 +22,7 @@ from weyl_ising.permgrp import (
     transposition_profile,
     _compose,
     _cycle_lengths,
+    _inverse,
     _order,
     _pack,
     weyl_group,
@@ -30,17 +30,17 @@ from weyl_ising.permgrp import (
 from weyl_ising.rootsys import build_root_system
 
 
-def test_permutation_basics():
-    p = Permutation((1, 2, 0, 3))
-    q = Permutation((0, 1, 3, 2))
-    assert p(0) == 1 and p(2) == 0
-    assert (p * q).images == (1, 2, 3, 0)  # q acts first
-    assert (p * p.inverse()).is_identity()
-    assert p.order() == 3
-    assert Permutation((1, 0, 3, 2)).order() == 2
-    assert sorted(p.cycle_lengths()) == [1, 3]
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+def test_packed_kernel_basics():
+    """``_compose`` (right factor first), ``_inverse``, ``_order`` and
+    ``_cycle_lengths`` on one small pair, packed as bytes and padded past
+    256 points as tuples."""
+    for p, q in zip(_packed_both((1, 2, 0, 3)), _packed_both((0, 1, 3, 2))):
+        n = len(p)
+        ident = _pack(range(n), n)
+        assert tuple(_compose(p, q)[:4]) == (1, 2, 3, 0)  # q acts first
+        assert _compose(p, _inverse(p)) == ident == _compose(_inverse(p), p)
+        assert _order(p) == 3 and _order(q) == 2
+        assert sorted(_cycle_lengths(p)) == [1] * (n - 3) + [3]
 
 
 def test_schreier_sims_tiny():
@@ -59,8 +59,7 @@ def test_schreier_sims_deterministic():
     a = PermGroup(gens)
     b = PermGroup(gens)
     assert a.base == b.base
-    assert [g.images for g in a.strong_generators] == \
-        [g.images for g in b.strong_generators]
+    assert a.strong_generators == b.strong_generators
     assert a.order == b.order == 12  # S3 x S2
 
 
@@ -70,6 +69,8 @@ def test_empty_and_invalid_generators():
     assert tuple(range(5)) in G
     with pytest.raises(ValueError):
         PermGroup([])
+    with pytest.raises(ValueError):
+        enumerate_elements([])
     with pytest.raises(ValueError):
         PermGroup([(1, 0), (0, 1, 2)])
     with pytest.raises(ValueError):
@@ -112,7 +113,7 @@ def test_weyl_generators_match_fraction_reflections(kind, rank):
     index = {r: i for i, r in enumerate(R.roots)}
     expected = [tuple(index[reflect(a, r)] for r in R.roots)
                 for a in R.simple_roots()]
-    assert [g.images for g in weyl_group(R).generators] == expected
+    assert list(weyl_group(R).generators) == expected
 
 
 @pytest.mark.parametrize("kind,rank", [
@@ -278,7 +279,25 @@ def test_membership_rejects_non_bijections(degree):
     assert (degree,) + ident[1:] not in G           # image above range
     assert (300,) + ident[1:] not in G              # past a byte
     assert (0, 0) + ident[2:] not in G              # repeated image
-    assert Permutation(ident) in G
+    assert list(ident) in G                         # any int sequence
+
+
+@pytest.mark.parametrize("degree", [3, 300])
+def test_non_permutations_are_refused_at_every_entry(degree):
+    """A repeated image, or an image out of range (below 0, at the
+    degree, past a byte), is a ``ValueError`` from ``PermGroup`` and
+    from ``enumerate_elements``, alone or beside a permutation, and is
+    no member of a group."""
+    ident = tuple(range(degree))
+    G = PermGroup([_cycle(degree)])
+    for bad in [(0, 0) + ident[1:-1], (-1,) + ident[1:], (degree,) + ident[1:],
+                (degree + 2,) + ident[:-1], (300,) + ident[1:]]:
+        for gens in ([bad], [_cycle(degree), bad]):
+            with pytest.raises(ValueError, match="bijection"):
+                PermGroup(gens)
+            with pytest.raises(ValueError, match="bijection"):
+                enumerate_elements(gens)
+        assert bad not in G
 
 
 @pytest.mark.parametrize("n", [256, 257])
@@ -309,10 +328,12 @@ def test_bytes_and_tuple_paths_agree(gens):
     assert big.degree > 256
     assert small.order == big.order
     assert small.base == big.base
-    assert [g.images for g in small.strong_generators] == \
-        [g.images[:n] for g in big.strong_generators]
-    assert all(g.images[n:] == tuple(range(n, n + 260))
+    assert small.strong_generators == tuple(
+        g[:n] for g in big.strong_generators)
+    assert all(g[n:] == tuple(range(n, n + 260))
                for g in big.strong_generators)
+    assert all(type(g) is tuple and all(type(v) is int for v in g)
+               for g in small.strong_generators + big.strong_generators)
     elements = enumerate_elements(gens)
     assert all(type(x) is tuple and all(type(v) is int for v in x)
                for x in elements)
@@ -323,11 +344,13 @@ def test_bytes_and_tuple_paths_agree(gens):
 
 
 def test_degree_0_and_1_products_stay_tuples():
-    """``Permutation.__mul__`` sends image tuples of every degree through
-    ``_compose``; at degrees 0 and 1 the product is still a tuple."""
-    assert (Permutation(()) * Permutation(())).images == ()
-    assert (Permutation((0,)) * Permutation((0,))).images == (0,)
+    """At degrees 0 and 1 an image-tuple product through ``_compose`` is
+    still a tuple, and the trivial groups there hold their identity."""
     assert _compose((), ()) == () and _compose((0,), (0,)) == (0,)
+    for ident in ((), (0,)):
+        G = PermGroup([ident])
+        assert G.order == 1 and G.generators == (ident,)
+        assert ident in G and G.strong_generators == ()
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,7 +362,6 @@ def test_tuple_path_compose_matches_map_form(pair):
     assert type(p) is tuple and type(q) is tuple
     r = _compose(p, q)
     assert type(r) is tuple and r == tuple(map(p.__getitem__, q))
-    assert (Permutation(p) * Permutation(q)).images == r
 
 
 def _packed_both(images: tuple) -> list:

@@ -137,3 +137,33 @@ def test_an_export_counts_as_used_in_its_defining_module(tmp_path):
     (demos / "show.py").write_text("from pkg import shown\n")
     exported = ["__version__", "a", "shown", "solo", "tested"]
     assert unused_exports(src, demos, exported) == ["solo", "tested"]
+
+
+def assertion_sites(src: Path) -> list[str]:
+    """``module:line`` of each ``assert`` statement and each use of the
+    name ``AssertionError`` in the modules in ``src``: a failure there
+    would not be a typed error."""
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        lines = sorted(
+            node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Name) and node.id == "AssertionError"))
+        sites += [f"{path.stem}:{line}" for line in lines]
+    return sites
+
+
+def test_no_module_asserts():
+    assert assertion_sites(SRC) == []
+
+
+def test_asserts_and_assertion_errors_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x):\n    assert x\n    return x\n")
+    (tmp_path / "b.py").write_text(
+        "def g(x):\n    if x:\n        raise AssertionError('no')\n"
+        "    try:\n        return x\n    except AssertionError:\n"
+        "        return None\n")
+    (tmp_path / "c.py").write_text(
+        "def h(x):\n    if not x:\n        raise ValueError('asserted')\n")
+    assert assertion_sites(tmp_path) == ["a:2", "b:3", "b:6"]
