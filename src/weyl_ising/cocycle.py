@@ -30,8 +30,12 @@ kept as int tuples, so the row form c^T T of a block is eight int dots
 of its coordinates; coordinates and row form are memoized per distinct
 block, which recur across the vectors of an oracle sweep.  No
 ``Fraction`` enters a residue: the scalars are int numerators over the
-one denominator ``D``, and the result is an int mod 8.  The 240 E8 self-residues behind ``check_sign_lemma`` do not
-depend on the root system checked and are computed once per process.
+one denominator ``D``, and the result is an int mod 8.  The oracle
+takes residues in batches: ``residue_forms`` reduces row forms and
+coordinates mod 8, and ``eps0_residues`` gives the residues of one
+vector against many from one lane combination (``linalg.lane_dots``).
+The 240 E8 self-residues behind ``check_sign_lemma`` do not depend on
+the root system checked and are computed once per process.
 """
 
 from __future__ import annotations
@@ -42,12 +46,16 @@ from operator import mul
 from typing import Sequence
 
 from .lattice import Lattice, _combine, e8_model
-from .linalg import dot
+from .linalg import Packed, dot, lane_dots, lane_width, pack_columns
 from .rootsys import RootSystem
 
 IntVector = tuple[int, ...]
 
 SCALE = 4
+
+_MOD8 = (8).__rmod__  # c -> c % 8
+_MOD8_BYTES = bytes(map(_MOD8, range(256)))
+
 
 class NotInHalfLattice(ValueError):
     """Vector has no integer coordinates over the halved basis (as when
@@ -73,6 +81,39 @@ def _vec(w: IntVector) -> str:
     return "(" + ", ".join(str(Q(c, SCALE)) for c in w) + ")"
 
 
+@functools.cache
+def _halved_basis() -> tuple[list[list[int]], int, tuple]:
+    """The rows of ``adj = D B^-1`` and ``D``, for B the int matrix with
+    columns 4 x_k, and the residue table T by columns."""
+    basis = [tuple(int(2 * c) for c in a) for a in e8_model().simple_roots()]
+    adj, den = Lattice._from_ints(8, basis, 1)._inverse
+    # 4<x_k, x_l> = <4 x_k, 4 x_l> / 4
+    table = [[0] * 8 for _ in range(8)]
+    for k in range(8):
+        table[k][k] = 1
+        for l in range(k):
+            table[k][l] = (dot(basis[k], basis[l]) // 4) % 8
+    # row i of D B^-1 = adj(G) B^T is sum_k adj_ik (4 x_k); column l of a
+    # block's c^T T is one int dot of its coordinates c
+    return [_combine(a, basis, 8) for a in adj], den, tuple(zip(*table))
+
+
+@functools.cache
+def _block_forms(block: IntVector) -> tuple | None:
+    """The coordinates c of block / SCALE over the x-basis, c^T T, and
+    both mod 8 as bytes; None when c is not integral.  Shared by every
+    table, as blocks recur across the vectors of an oracle sweep."""
+    adj, den, columns = _halved_basis()
+    c = []
+    for row in adj:
+        q, r = divmod(sum(map(mul, row, block)), den)
+        if r:
+            return None
+        c.append(q)
+    row_form = [sum(map(mul, c, col)) for col in columns]
+    return c, row_form, bytes(map(_MOD8, c)), bytes(map(_MOD8, row_form))
+
+
 class CocycleTable:
     """Residue table on n blocks of halved E8 basis vectors.
 
@@ -83,61 +124,43 @@ class CocycleTable:
         if n < 1:
             raise ValueError("need at least one block")
         self.n = n
-        simple = e8_model().simple_roots()
-        self.x_basis = tuple(tuple(Q(c, 2) for c in a) for a in simple)
-        basis = [scaled(x) for x in self.x_basis]
-        adj, self._den = Lattice._from_ints(8, basis, 1)._inverse
-        # row i of D B^-1 = adj(G) B^T is sum_k adj_ik (4 x_k)
-        self._adj = [_combine(a, basis, 8) for a in adj]
-        # 4<x_k, x_l> = <4 x_k, 4 x_l> / 4
-        table = [[0] * 8 for _ in range(8)]
-        for k in range(8):
-            table[k][k] = 1
-            for l in range(k):
-                table[k][l] = (dot(basis[k], basis[l]) // 4) % 8
-        # the residue table T by columns: column l of a block's c^T T is
-        # one int dot of its coordinates c
-        self._columns = tuple(zip(*table))
-        # scaled vector -> (x-basis coordinates, coordinates times the
-        # residue table), both flattened over the blocks; the same pair
-        # for each distinct 8-coordinate block, which recur across vectors
-        self._memo: dict[IntVector, tuple[IntVector, IntVector]] = {}
-        self._blocks: dict[IntVector, tuple[list[int], list[int]]] = {}
+        self.x_basis = tuple(tuple(Q(c, 2) for c in a)
+                             for a in e8_model().simple_roots())
+        # row forms and coordinates mod 8 pair to at most 49 per coordinate
+        self._lane_bound = 49 * 8 * n
 
-    def _forms(self, w: IntVector) -> tuple[IntVector, IntVector]:
-        """Coordinates c of w / SCALE over the x-basis, and c^T T
-        blockwise for the residue table T."""
-        hit = self._memo.get(w)
-        if hit is not None:
-            return hit
+    def _blocks_of(self, w: IntVector) -> list[tuple]:
+        """``_block_forms`` of each block of w."""
         if len(w) != 8 * self.n:
             raise NotInHalfLattice(
                 f"vector of length {len(w)} on {self.n} blocks")
-        coords: list[int] = []
-        row_form: list[int] = []
-        for t in range(self.n):
-            block = w[8 * t: 8 * t + 8]
-            pair = self._blocks.get(block)
-            if pair is None:
-                c = []
-                for row in self._adj:
-                    q, r = divmod(sum(map(mul, row, block)), self._den)
-                    if r:
-                        raise NotInHalfLattice(
-                            f"block {t} of {_vec(w)} is not an integer "
-                            "combination of the x-basis")
-                    c.append(q)
-                pair = (c, [sum(map(mul, c, col)) for col in self._columns])
-                self._blocks[block] = pair
-            coords += pair[0]
-            row_form += pair[1]
-        forms = (tuple(coords), tuple(row_form))
-        self._memo[w] = forms
+        forms = [_block_forms(w[i:i + 8]) for i in range(0, len(w), 8)]
+        if None in forms:
+            raise NotInHalfLattice(
+                f"block {forms.index(None)} of {_vec(w)} is not an integer "
+                "combination of the x-basis")
         return forms
 
     def eps0_scaled(self, a: IntVector, b: IntVector) -> int:
         """``eps0(a / SCALE, b / SCALE)`` for int vectors a and b."""
-        return sum(map(mul, self._forms(a)[1], self._forms(b)[0])) % 8
+        return sum(dot(p[1], q[0]) for p, q in zip(
+            self._blocks_of(a), self._blocks_of(b))) % 8
+
+    def residue_forms(self, vectors: Sequence[IntVector]
+                      ) -> tuple[list[bytes], Packed]:
+        """For int vectors at ``SCALE``: their row forms c^T T mod 8 and
+        their coordinates c mod 8, packed, for ``eps0_residues``."""
+        blocks = [self._blocks_of(w) for w in vectors]
+        coords = [b"".join([p[2] for p in bs]) for bs in blocks]
+        return ([b"".join([p[3] for p in bs]) for bs in blocks],
+                pack_columns(coords, lane_width(self._lane_bound)))
+
+    def eps0_residues(self, row: bytes, coords: Packed) -> bytes:
+        """Byte j is ``eps0_scaled(a, b_j)``, for ``row`` the row form of a
+        and ``coords`` the coordinates of the b_j from ``residue_forms``:
+        one lane combination, lanes reduced mod 8 by their low byte."""
+        lanes = lane_dots(row, coords, self._lane_bound)
+        return lanes[::coords.width].translate(_MOD8_BYTES)
 
     def eps0(self, a: Sequence, b: Sequence) -> int:
         """Residue mod 8 of the pair (a, b)."""

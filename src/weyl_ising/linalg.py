@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
-from operator import mul
-from typing import Sequence
+from operator import add, mul
+from typing import NamedTuple, Sequence
 
 Vector = tuple[Q, ...]
 
@@ -245,3 +245,72 @@ def ldl_is_positive_definite(matrix: Sequence[Sequence[Q]]) -> bool:
     den = lcm(*(q.denominator for row in upper for q in row))
     a = [[q.numerator * (den // q.denominator) for q in row] for row in upper]
     return _bareiss_ldl(a) is not None
+
+
+# ---------------------------------------------------------------------------
+# Byte lanes: the dots of one row with many int vectors in one big int.
+# ---------------------------------------------------------------------------
+
+class LaneOverflow(OverflowError):
+    """A lane dot may not fit its lane, so it could carry into the next."""
+
+
+class Packed(NamedTuple):
+    """``(k, sum_j v_j[k] 256^(width j))`` for each nonzero column k of
+    ``count`` int vectors v_j, and ``2^(8 width - 1)`` in every lane."""
+    columns: list[tuple[int, int]]
+    count: int
+    width: int
+    half: int
+
+
+def lane_width(bound: int) -> int:
+    """The bytes of a two's complement lane that holds [-bound, bound]."""
+    return bound.bit_length() // 8 + 1
+
+
+def pack_columns(vectors: Sequence[bytes], width: int = 1,
+                 offset: int = 0) -> Packed:
+    """The int vectors ``vectors[j] - offset``, given as equal-length byte
+    strings, packed column by column into lanes of ``width`` bytes."""
+    n, flat = len(vectors), b"".join(vectors)
+    d = len(flat) // n if n else 0
+    lane = bytearray(n * width)
+    lane[::width] = b"\1" * n
+    ones = int.from_bytes(lane, "little")
+    shift = offset * ones
+    columns = []
+    for k in range(d):
+        lane[::width] = flat[k::d]
+        column = int.from_bytes(lane, "little") - shift
+        if column:
+            columns.append((k, column))
+    return Packed(columns, n, width, ones << (8 * width - 1))
+
+
+def lane_dots(row: Sequence[int], packed: Packed, bound: int) -> bytes:
+    """The dots ``<row, v_j>`` with the vectors of ``packed``, lane j in
+    two's complement, little-endian, given that ``bound`` bounds every
+    ``|<row, v_j>|``.  ``half + sum_k row_k P_k`` holds ``half + <row,
+    v_j>`` in lane j, inside the lane when the bound is below ``half``,
+    so that no lane carries into the next (``LaneOverflow`` otherwise);
+    flipping the top bit of every lane leaves the dot."""
+    columns, count, width, half = packed
+    if bound.bit_length() >= 8 * width:
+        raise LaneOverflow(f"a dot bounded by {bound} may overflow its "
+                           f"{width}-byte lane")
+    lane = half
+    for k, column in columns:
+        c = row[k]
+        if c:
+            lane += c * column
+    return (lane ^ half).to_bytes(count * width, "little")
+
+
+def lane_ints(lanes: bytes, width: int) -> list[int]:
+    """The lanes of ``lane_dots`` as ints: the top byte of each lane read
+    signed, then the lower bytes added in base 256."""
+    values = memoryview(lanes[width - 1::width]).cast("b").tolist()
+    for b in range(width - 2, -1, -1):
+        values = list(map(add, map((256).__mul__, values), lanes[b::width]))
+    return values

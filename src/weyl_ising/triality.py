@@ -31,6 +31,7 @@ action validates the exponent bookkeeping end to end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, isqrt, log
@@ -44,7 +45,7 @@ from .lattice import (
     e8_lattice,
     index_in,
 )
-from .linalg import dot
+from .linalg import dot, lane_dots, pack_columns
 from .permgrp import PermGroup, _compose, _pack, closure, miyamoto_group
 from .rootsys import sign_normalized, simple_system
 
@@ -327,6 +328,12 @@ _DELTA_CACHE: tuple | None = None
 _CHUNK = 1024  # keys per block of byte lanes in ``find_delta``
 
 
+@functools.cache
+def _mod3_table(den: int) -> bytes:
+    """Byte b, a pairing p in two's complement, to (p / den^2) mod 3."""
+    return bytes((b - 256 * (b >> 7)) // den ** 2 % 3 for b in range(256))
+
+
 def _lane_classes(L: Lattice, keys: list[int], decode) -> tuple[bytes, bytes]:
     """The classes in L/3L of a block of keys of one shell of L, an
     8-dimensional lattice whose shell keys have one-byte digits ``v_j +
@@ -335,34 +342,23 @@ def _lane_classes(L: Lattice, keys: list[int], decode) -> tuple[bytes, bytes]:
     i >= 4) for key m, kappa_i the pairing of basis vector i with v mod 3.
 
     With the basis as ``rows / den``, that pairing is ``<rows_i, v> /
-    den^2``.  The bytes of the keys, read in steps of 8, are the
-    coordinate columns; one big-int combination of them per basis row
-    puts ``<rows_i, v> + 128`` in byte m, which needs |<rows_i, v>| <=
-    127 (no byte carries into the next): checked by Cauchy-Schwarz on
-    the shell's norm, ``OverflowError`` otherwise.  A 256-byte
-    ``bytes.translate`` table reads the pairing mod 3 off each byte (L
-    integral: den^2 divides it), and each half is at most 80, so again
-    no byte carries."""
+    den^2``.  The key bytes less the bias are the vectors v, packed in
+    byte lanes (``linalg.pack_columns``); one lane combination per basis
+    row puts ``<rows_i, v>`` in byte m, bounded by Cauchy-Schwarz on the
+    shell's norm (``linalg.lane_dots`` raises ``LaneOverflow``, an
+    ``OverflowError``, past a byte).  A 256-byte ``bytes.translate``
+    table reads the pairing mod 3 off each byte (L integral: den^2
+    divides it), and each half is at most 80, so no byte carries."""
     rows, den = L._scaled
     first = decode(keys[0])
-    if max(map(dot, rows, rows)) * dot(first, first) > 127 ** 2:
-        raise OverflowError("a pairing may overflow its byte lane")
+    bound = isqrt(max(map(dot, rows, rows)) * dot(first, first))
     bias = keys[0].to_bytes(8, "big")[0] - first[0]
-    mod3 = bytes((b - 128) // den ** 2 % 3 for b in range(256))
-    n = len(keys)
-    blob = b"".join([key.to_bytes(8, "big") for key in keys])
-    columns = [int.from_bytes(blob[j::8], "little") for j in range(8)]
-    ones = int.from_bytes(b"\1" * n, "little")
-    residues = []
-    for row in rows:
-        lane = (128 - bias * sum(row)) * ones
-        for c, column in zip(row, columns):
-            if c:
-                lane += c * column
-        residues.append(int.from_bytes(
-            lane.to_bytes(n, "little").translate(mod3), "little"))
+    packed = pack_columns([key.to_bytes(8, "big") for key in keys], 1, bias)
+    mod3 = _mod3_table(den)
+    residues = [int.from_bytes(lane_dots(row, packed, bound).translate(mod3),
+                               "little") for row in rows]
     return tuple(sum(3 ** i * r for i, r in enumerate(half)).to_bytes(
-        n, "little") for half in (residues[:4], residues[4:]))
+        len(keys), "little") for half in (residues[:4], residues[4:]))
 
 
 def find_delta() -> tuple[tuple, Lattice]:

@@ -16,9 +16,8 @@ evaluated from first principles:
     <exp, exp>    ->  2 on equal labels, else 0
 
 with all scalars rational.  The sign of a surviving exponential term is
-z**k for the cocycle residue k of its pair; ``_real_sign`` admits only
-k = 0 (+1) and k = 4 (-1) and raises ``NonRealCocycle`` for any other
-residue, so a sign convention mistake surfaces as an error instead of a
+z**k for the cocycle residue k of its pair; only k = 0 (+1) and k = 4
+(-1) are admitted, and any other residue raises ``NonRealCocycle``, so a sign convention mistake surfaces as an error instead of a
 silent flip.  The ambient dimension must be a multiple of 8 so the
 block residue table applies.
 
@@ -39,27 +38,39 @@ so equal elements have equal cores; ``quad`` and ``exps`` are
 v and accumulates every output term as an int numerator over
 16 d_u d_v: a quad x quad entry ab counts 32 times (2ST + 2TS), a quad
 x exp term once (the 1/16 of a scaled quadratic term x_i x_j enters
-here), a shift 16 times and a square once.  In quad x exp the upper
-triangle of S is grouped by int weight (an entry on the diagonal, twice
-an entry off it), so each label x gives one int x^T S x from C-level
-sums over the groups' index pairs.  The public constructor takes index
-pairs in range(dim) and labels in true coordinates, rejects any
-coordinate outside (1/4)Z with ``cocycle.NotInHalfLattice``, converts
-every coefficient with ``Fraction`` (a non-rational one raises
-``TypeError``) and validates every term; sums, scalings and oracle
-products are built from terms that are already canonical and are not
-validated again.
+here), a shift 16 times and a square once.  Exponential terms are
+accumulated by label key (below) and reduced by the gcd before each
+key becomes a label, so every output label is decoded and hashed once.
+The public constructor takes index pairs in range(dim) and labels in
+true coordinates, rejects any coordinate outside (1/4)Z with
+``cocycle.NotInHalfLattice``, converts every coefficient with
+``Fraction`` (a non-rational one raises ``TypeError``) and validates
+every term; sums, scalings and oracle products are built from terms
+that are already canonical and are not validated again.
 
-Packed classification: only the close pairs, |16<x,y>| >= 32, add to
-the exponential x exponential term.  Every stored label has scaled norm
-64 (the constructor checks it, and x -+ y at 16<x,y> = +-32 has norm
-64 + 64 - 64), so |16<x,y>| <= 64 by Cauchy-Schwarz and 128 + 16<x,y>
-is a byte.  The labels y_j of one coefficient group are packed column
-by column into ints P_k = sum_j y_jk 256^j; for each x, the int
-128 sum_j 256^j + sum_k x_k P_k written as bytes holds 128 + 16<x,y_j>
-in byte j, one row of big-int arithmetic per label, and a regex scan
-hands only the bytes outside 97..159 to the shift, square and
-created-root branches, in the order of the plain double loop.
+Packed lanes: every stored label has scaled norm 64 (the constructor
+checks it, and x -+ y at 16<x,y> = +-32 has norm 64 + 64 - 64), so
+each coordinate c has |c| <= 8, and an element's label view, built on
+first use and reused by every product the element enters, holds each
+label as the bytes c + 8 and as their big-endian int, its key (E is the
+key of the zero label), and the label columns packed in lanes
+(``linalg.pack_columns``).  Then:
+
+* quad x exp: S is kept as S = sum_u g_u r_u^T, r_u the distinct rows
+  of S up to sign and g_u the signed indicator of the rows equal to
+  +-r_u, so x^T S x = sum_u <g_u, x><r_u, x>; each dot comes for all
+  labels at once from one lane combination (``linalg.lane_dots``) in
+  lanes as wide as the Cauchy-Schwarz bound needs.
+* exp x exp: only the close pairs, 16<x,y> in {+-32, +-48, +-64}, add
+  to it.  |16<x,y>| <= 64 by Cauchy-Schwarz, so for each x one lane
+  combination of byte lanes holds 16<x,y_j> in byte j, and a regex
+  scan hands the close bytes to the shift, square and created-root
+  branches in the order of the plain double loop.  The residues of x
+  against every y_j come from one more lane combination
+  (``CocycleTable.eps0_residues``).  A shift target x -+ y is the key
+  sum kx -+ ky +- E, sign-normalized by one compare with E, and only
+  distinct targets are decoded; a square adds its signed coefficient
+  to the weight of x, and sum_x w_x x x^T is summed by columns.
 """
 
 from __future__ import annotations
@@ -69,10 +80,11 @@ import math
 import re
 from fractions import Fraction as Q
 from itertools import chain
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .cocycle import SCALE, CocycleTable, NotInHalfLattice, _vec, scaled
-from .lattice import Lattice, _shell_ints
+from .lattice import Lattice, _shell_keys
+from .linalg import Packed, dot, lane_dots, lane_ints, lane_width, pack_columns
 from .rootsys import sign_normalized
 
 Label = tuple[int, ...]  # a scaled label SCALE * x
@@ -100,15 +112,11 @@ def _table_for(dim: int) -> CocycleTable:
     return CocycleTable(dim // 8)
 
 
-def _real_sign(residue: int, x: Label, y: Label | None) -> int:
-    """The sign z**residue of the pair (x, y), which must be +1 or -1;
-    y None stands for -x."""
-    if residue == 0:
-        return 1
-    if residue == 4:
-        return -1
+def _non_real(residue: int, x: Label, y: Label | None) -> NonRealCocycle:
+    """The error for a pair (x, y) whose sign z**residue is not +1 or
+    -1; y None stands for -x."""
     other = "-same" if y is None else _vec(y)
-    raise NonRealCocycle(
+    return NonRealCocycle(
         f"pair ({_vec(x)}, {other}) produced the non-real unit "
         f"z^{residue}")
 
@@ -160,12 +168,11 @@ class Weight2Element:
         quadratic part and of canonical scaled labels, without
         validation: zero numerators are dropped and the gcd of ``den``
         and the numerators is divided out."""
-        quad = {k: n for k, n in quad.items() if n}
-        exps = {x: n for x, n in exps.items() if n}
         g = math.gcd(den, *quad.values(), *exps.values())
-        if g > 1:
-            quad = {k: n // g for k, n in quad.items()}
-            exps = {x: n // g for x, n in exps.items()}
+        if g > 1 or 0 in quad.values():
+            quad = {k: n // g for k, n in quad.items() if n}
+        if g > 1 or 0 in exps.values():
+            exps = {x: n // g for x, n in exps.items() if n}
         self = object.__new__(cls)
         self.dim, self.den, self._quad, self._exps = dim, den // g, quad, exps
         return self
@@ -177,6 +184,28 @@ class Weight2Element:
     @functools.cached_property
     def exps(self) -> dict[Label, Q]:
         return {x: Q(n, self.den) for x, n in self._exps.items()}
+
+    @functools.cached_property
+    def _view(self) -> "_LabelView":
+        return _LabelView(list(self._exps), self.dim)
+
+    @functools.cached_property
+    def _factors(self) -> tuple[list[tuple[tuple, list[int]]], int]:
+        """The quadratic numerators S as S = sum_u g_u r_u^T, so that
+        x^T S x = sum_u <g_u, x><r_u, x>: the distinct rows r_u of S up
+        to sign, g_u the signed indicator of the rows equal to +-r_u; and
+        a bound on each such dot with a norm-64 label (Cauchy-Schwarz)."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, entries in _quad_rows(self._quad).items():
+            row = [0] * self.dim
+            for j, a in entries.items():
+                row[j] = a
+            row = tuple(row)
+            r = sign_normalized(row)
+            groups.setdefault(r, [0] * self.dim)[i] = 1 if r is row else -1
+        bound = max((math.isqrt(4 * _S2 * dot(w, w))
+                     for pair in groups.items() for w in pair), default=0)
+        return list(groups.items()), bound
 
     @staticmethod
     def zero(dim: int) -> "Weight2Element":
@@ -268,15 +297,19 @@ def _labels(vectors: list[tuple[int, ...]], den: int) -> list[Label]:
 
 def ising_vector(M: Lattice) -> Weight2Element:
     """(1/16) of the span quadratic plus (1/32) of every norm-4
-    symmetric exponential of M; requires the 240-vector shell, read in
-    ints and scaled to labels directly."""
-    vectors, den = _shell_ints(M, 4)
-    if len(vectors) != 240:
+    symmetric exponential of M; requires the 240-vector shell.  Its
+    sorted keys above the zero vector's are the 120 vectors in canonical
+    sign; read from the top down, they come in the order in which the
+    sorted shell first meets each pair +-v.  Only those are decoded and
+    scaled to labels."""
+    keys, decode, den = _shell_keys(M, 4)
+    if len(keys) != 240:
         raise WrongShellSize(
-            f"norm-4 shell has {len(vectors)} vectors, expected 240")
+            f"norm-4 shell has {len(keys)} vectors, expected 240")
     w = virasoro_quadratic(M).scale(Q(1, 16))
-    exps = {sign_normalized(x): 1 for x in _labels(vectors, den)}
-    return w + Weight2Element._trusted(M.ambient_dim, 32, {}, exps)
+    labels = _labels(list(map(decode, keys[:119:-1])), den)
+    return w + Weight2Element._trusted(M.ambient_dim, 32, {},
+                                       dict.fromkeys(labels, 1))
 
 
 def _quad_rows(quad: dict[tuple[int, int], object]) -> dict[int, dict]:
@@ -286,83 +319,64 @@ def _quad_rows(quad: dict[tuple[int, int], object]) -> dict[int, dict]:
     return rows
 
 
-def _by_value(terms: dict) -> dict:
-    """The keys of a term dict grouped by their coefficient."""
-    groups: dict = {}
-    for key, value in terms.items():
-        groups.setdefault(value, []).append(key)
-    return groups
+_BIAS = 8  # every coordinate c of a norm-64 label has |c| <= 8
+# the lane bytes, in two's complement, of the pairs that add to a product
+_CLOSE = re.compile(b"[%s]" % bytes(s % 256 for s in (32, 48, 64, -32,
+                                                     -48, -64)))
 
 
-def _weight_groups(quad: dict[tuple[int, int], int]
-                   ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """The entries i <= j of a symmetric int matrix S as (w, I, J): the
-    index pairs (I[k], J[k]) whose weight is w, an entry on the diagonal
-    and twice an entry off it, so that x^T S x is the sum over the
-    groups of w sum_k x[I[k]] x[J[k]]."""
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for (i, j), a in quad.items():
-        if i <= j:
-            rows, cols = groups.setdefault(a if i == j else 2 * a, ([], []))
-            rows.append(i)
-            cols.append(j)
-    return [(w, tuple(rows), tuple(cols))
-            for w, (rows, cols) in groups.items()]
+class _LabelView:
+    """The labels of one element in label order, with what its products
+    need of them: each label as the bytes ``c + 8`` and as their
+    big-endian int (its key), label columns packed per lane width, and,
+    on first need, their residue forms (``CocycleTable.residue_forms``)."""
+
+    def __init__(self, labels: list[Label], dim: int):
+        self.labels, self.dim = labels, dim
+        self.digits = [bytes(map(_BIAS.__add__, x)) for x in labels]
+        self.keys = [int.from_bytes(b, "big") for b in self.digits]
+        self.by_key = dict(zip(self.keys, labels))
+        self._columns: dict[int, Packed] = {}
+
+    def columns(self, width: int) -> Packed:
+        if width not in self._columns:
+            self._columns[width] = pack_columns(self.digits, width, _BIAS)
+        return self._columns[width]
+
+    @functools.cached_property
+    def residues(self) -> tuple[list[bytes], Packed]:
+        return _table_for(self.dim).residue_forms(self.labels)
 
 
-# Byte j of a packed row is 128 + s_j; |s_j| >= 32 outside 97..159.
-_BIAS = 128
-_FAR = re.compile(b"[^%c-%c]" % (_BIAS - 2 * _S2 + 1, _BIAS + 2 * _S2 - 1))
-
-
-def _packed_columns(ys: list[Label]) -> list[int]:
-    """Column k of the labels ys as one int P_k = sum_j ys[j][k] 256^j.
-
-    A norm-64 label has |c| <= 8 in every coordinate, so c + 8 is a
-    byte: P_k is column k of c + 8 read as little-endian bytes, less 8
-    in every byte."""
-    if not ys:
-        return []
-    n, d = len(ys), len(ys[0])
-    flat = bytes(map((8).__add__, chain.from_iterable(ys)))
-    eights = int.from_bytes(b"\x08" * n, "little")
-    return [int.from_bytes(flat[k::d], "little") - eights for k in range(d)]
-
-
-def _close_pairs(xs: list[Label], ys: list[Label], columns: list[int]):
-    """The pairs (x, y, s) with s = 16<x, y> and |s| >= 32, in the order of
-    the plain double loop over xs and ys; ``columns`` is
-    ``_packed_columns(ys)``.
-
-    Per x, the int 128 sum_j 256^j + sum_k x_k P_k has 128 + s_j in
-    byte j: |s_j| <= 64 by Cauchy-Schwarz on two norm-64 labels, so no
-    byte carries into the next."""
-    n = len(ys)
-    base = int.from_bytes(bytes([_BIAS]) * n, "little")
-    for x in xs:
-        row = base
-        for c, column in zip(x, columns):
-            if c:
-                row += c * column
-        row = row.to_bytes(n, "little")
-        for m in _FAR.finditer(row):
+def _close_pairs(xs: list[Label], view: _LabelView):
+    """The pairs (i, j, s), s = 16<xs[i], y_j> in {+-32, +-48, +-64}, of
+    labels xs and the labels y_j of ``view``, in the order of the plain
+    double loop.  One lane combination per x: |s| <= 64 by
+    Cauchy-Schwarz on two norm-64 labels, so a byte holds it."""
+    columns = view.columns(1)
+    for i, x in enumerate(xs):
+        lanes = lane_dots(x, columns, 4 * _S2)
+        signed = memoryview(lanes).cast("b")
+        for m in _CLOSE.finditer(lanes):
             j = m.start()
-            yield x, ys[j], row[j] - _BIAS
+            yield i, j, signed[j]
 
 
 def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
     """Bilinear degree-1 product of two weight-2 elements.
 
-    Reads the int cores of u and v; every term of the product is an
-    int numerator over the one denominator 16 d_u d_v (module
-    docstring)."""
+    Reads the int cores of u and v and their label views; every term of
+    the product is an int numerator over the one denominator 16 d_u d_v
+    (module docstring)."""
     if u.dim != v.dim:
         raise ValueError("ambient dimensions differ")
     dim = u.dim
     table = _table_for(dim)
     uq, ue, vq, ve = u._quad, u._exps, v._quad, v._exps
     quad: dict[tuple[int, int], int] = {}
-    exps: dict[Label, int] = {}
+    exps: dict[int, int] = {}  # by label key
+    views = []
+    biases = bytes([_BIAS]) * dim
 
     # quadratic x quadratic: 2(ST + TS)
     if uq and vq:
@@ -378,59 +392,85 @@ def oracle_product(u: Weight2Element, v: Weight2Element) -> Weight2Element:
                     quad[(i, j)] = quad.get((i, j), 0) + ab
                     quad[(j, i)] = quad.get((j, i), 0) + ab
 
-    # quadratic x exponential, both orders: (4x)^T S (4x) / 16, one int
-    # per label from the index pairs of S grouped by int weight
-    for s_quad, e_exps in ((uq, ve), (vq, ue)):
-        if not (s_quad and e_exps):
+    # quadratic x exponential, both orders: (4x)^T S (4x) / 16 as
+    # sum_u <g_u, 4x><r_u, 4x>, each dot in lanes for all labels at once
+    for s_el, e_el in ((u, v), (v, u)):
+        if not (s_el._quad and e_el._exps):
             continue
-        groups = _weight_groups(s_quad)
-        for x, c in e_exps.items():
-            get = x.__getitem__
-            n = 0
-            for w, rows, cols in groups:
-                n += w * sum(map(mul, map(get, rows), map(get, cols)))
-            exps[x] = exps.get(x, 0) + c * n
+        factors, bound = s_el._factors
+        view = e_el._view
+        views.append(view)
+        columns = view.columns(lane_width(bound))
 
-    # exponential x exponential, all ordered pairs, by s = 16<x, y>.  The
-    # labels are grouped by coefficient, so the signed shifts x -+ y and
-    # the squares (4x)(4x)^T are counted in ints and meet the coefficient
-    # cx cy once per group pair.  Only the close pairs (|s| >= 32) can
-    # contribute; ``_close_pairs`` finds them from label columns packed
-    # once per v group, one byte per dot, which the norm-64 invariant of
-    # every label (module docstring) keeps within 64..192.
-    shift, root, square = 2 * _S2, 3 * _S2, 4 * _S2
-    v_groups = [(cy, ys, _packed_columns(ys))
-                for cy, ys in _by_value(ve).items()]
-    for cx, xs in _by_value(ue).items():
-        for cy, ys, columns in v_groups:
-            shifts: dict[Label, int] = {}
-            squares: dict[tuple[int, int], int] = {}
-            for x, y, s in _close_pairs(xs, ys, columns):
-                if s in (shift, -shift):
-                    z = sign_normalized(tuple(map(sub, x, y)) if s > 0
-                                        else tuple(map(add, x, y)))
-                    sign = _real_sign(table.eps0_scaled(x, y), x, y)
-                    shifts[z] = shifts.get(z, 0) + sign
-                elif s in (square, -square):
-                    sign = _real_sign(
-                        table.eps0_scaled(x, tuple(-c for c in x)),
-                        x, None)
-                    support = [i for i, a in enumerate(x) if a]
-                    for i in support:
-                        for j in support:
-                            squares[(i, j)] = (squares.get((i, j), 0)
-                                               + sign * x[i] * x[j])
-                elif s in (root, -root):
-                    raise RootCreated(
-                        f"labels {_vec(x)} and {_vec(y)} with "
-                        f"product {s // _S2} create a norm-2 vector")
-            c = cx * cy
-            for z, n in shifts.items():
-                exps[z] = exps.get(z, 0) + 16 * c * n
-            for ij, n in squares.items():
-                quad[ij] = quad.get(ij, 0) + c * n
+        def dots(w):
+            return lane_ints(lane_dots(w, columns, bound), columns.width)
 
-    return Weight2Element._trusted(dim, 16 * u.den * v.den, quad, exps)
+        terms = [map(mul, dots(r), dots(g)) for r, g in factors]
+        for key, c, n in zip(view.keys, e_el._exps.values(),
+                             map(sum, zip(*terms))):
+            exps[key] = exps.get(key, 0) + c * n
+
+    # exponential x exponential over the close pairs (x, y), s = 16<x, y>.
+    # A shift target x -+ y is the key sum kx -+ ky +- E with E the key
+    # of the zero label, sign-normalized by one compare with E; a square
+    # adds its signed coefficient to the weight of x.  The residues of
+    # one x against every y_j come from one lane combination.
+    if ue and ve:
+        uview, vview = u._view, v._view
+        views += (uview, vview)
+        ucoef, vcoef = list(ue.values()), list(ve.values())
+        ys, ykeys = vview.labels, vview.keys
+        zero = int.from_bytes(biases, "big")
+        squares: dict[int, int] = {}
+        last = residues = None
+        for i, j, s in _close_pairs(uview.labels, vview):
+            x = uview.labels[i]
+            if s == 48 or s == -48:
+                raise RootCreated(
+                    f"labels {_vec(x)} and {_vec(ys[j])} with "
+                    f"product {s // _S2} create a norm-2 vector")
+            if i != last:
+                last = i
+                residues = table.eps0_residues(
+                    uview.residues[0][i], vview.residues[1])
+            c = ucoef[i] * vcoef[j]
+            if s == 32 or s == -32:
+                r = residues[j]
+                if r & 3:
+                    raise _non_real(r, x, ys[j])
+                key = uview.keys[i]
+                key = key - ykeys[j] + zero if s > 0 else key + ykeys[j] - zero
+                if key < zero:
+                    key = 2 * zero - key
+                exps[key] = exps.get(key, 0) + (-16 * c if r else 16 * c)
+            else:
+                # eps0(x, -x), with y_j = x at s = 64 and -x at s = -64
+                r = -residues[j] % 8 if s > 0 else residues[j]
+                if r & 3:
+                    raise _non_real(r, x, None)
+                squares[i] = squares.get(i, 0) + (-c if r else c)
+        # sum_x w_x (4x)(4x)^T, entry (a, b) a column sum over the squares
+        columns = list(zip(*(uview.labels[i] for i in squares)))
+        weights = list(squares.values())
+        support = [a for a, col in enumerate(columns) if any(col)]
+        for k, a in enumerate(support):
+            wa = list(map(mul, weights, columns[a]))
+            for b in support[k:]:
+                n = sum(map(mul, wa, columns[b]))
+                quad[(a, b)] = quad.get((a, b), 0) + n
+                if a != b:
+                    quad[(b, a)] = quad.get((b, a), 0) + n
+
+    # reduced here, so that each label key is decoded and hashed once
+    den = 16 * u.den * v.den
+    g = math.gcd(den, *quad.values(), *exps.values())
+    known: dict[int, Label] = {}
+    for view in views:
+        known.update(view.by_key)
+    return Weight2Element._trusted(
+        dim, den // g, {k: n // g for k, n in quad.items() if n},
+        {known.get(key) or tuple(map(sub, key.to_bytes(dim, "big"), biases)):
+         n // g for key, n in exps.items() if n})
 
 
 def oracle_pairing(u: Weight2Element, v: Weight2Element) -> Q:

@@ -160,7 +160,8 @@ def test_griess_oracle_counts_typed_errors_as_disagreement(capsys, monkeypatch):
     criterion 1 fail with exit 1 and the message on stderr, not a
     traceback."""
     from weyl_ising.cocycle import CocycleTable
-    monkeypatch.setattr(CocycleTable, "eps0_scaled", lambda self, a, b: 2)
+    monkeypatch.setattr(CocycleTable, "eps0_residues",
+                        lambda self, row, coords: bytes([2]) * coords.count)
     assert cli.main(["griess", "A", "3", "--oracle"]) == 1
     captured = capsys.readouterr()
     assert "NonRealCocycle: pair ((" in captured.err

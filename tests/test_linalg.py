@@ -31,13 +31,18 @@ from fraction_reference import ldl as reference_ldl
 from weyl_ising import cli, linalg
 from weyl_ising.axes import from_root_system, gram_positive_definite
 from weyl_ising.linalg import (
+    LaneOverflow,
     SmithDidNotConverge,
     dot,
     hnf,
     hnf_with_transform,
     int_kernel,
+    lane_dots,
+    lane_ints,
+    lane_width,
     ldl_is_positive_definite,
     mat_mul,
+    pack_columns,
     smith_invariants,
 )
 from weyl_ising.rootsys import build_root_system
@@ -462,3 +467,32 @@ def test_ldl_e6_axis_gram_matches_fraction_reference():
     g = axis_gram(from_root_system(build_root_system("E", 6)))
     assert ldl_is_positive_definite(g)
     assert reference_ldl(g) is not None
+
+
+@PROPERTY
+@given(st.integers(0, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=d, max_size=d),
+    st.lists(st.lists(st.integers(-128, 127), min_size=d, max_size=d),
+             max_size=9))))
+@example(([127], [[1], [-1]]))
+@example(([128], [[1], [-1]]))
+def test_lane_dots_match_dot(case):
+    """At width 1, width 2 and the width that ``lane_width`` derives from
+    the largest |dot|, the lanes read back as the plain dots; a bound of
+    2^(8 width - 1) - 1 is accepted and 2^(8 width - 1) refused."""
+    row, vectors = case
+    digits = [bytes(c + 128 for c in v) for v in vectors]
+    dots = [dot(row, v) for v in vectors]
+    bound = max(map(abs, dots), default=0)
+    need = lane_width(bound)
+    assert bound < 2 ** (8 * need - 1)
+    assert need == 1 or bound >= 2 ** (8 * need - 9)
+    for width in (1, 2, need):
+        packed = pack_columns(digits, width, 128)
+        edge = 2 ** (8 * width - 1)
+        if bound < edge:
+            for b in (bound, edge - 1):
+                assert lane_ints(lane_dots(row, packed, b), width) == dots
+        with pytest.raises(LaneOverflow):
+            lane_dots(row, packed, edge)
+    assert issubclass(LaneOverflow, OverflowError)

@@ -23,9 +23,9 @@ from weyl_ising.weight2 import (
     RootCreated,
     Weight2Element,
     WrongShellSize,
+    _LabelView,
     _close_pairs,
     _labels,
-    _packed_columns,
     ising_vector,
     oracle_pairing,
     oracle_product,
@@ -184,6 +184,38 @@ def test_error_messages_print_rationals():
     assert "Fraction" not in str(err.value)
 
 
+def _labels_of(*vectors):
+    return [tuple(Q(c, 2) for c in v) for v in vectors]
+
+
+def test_first_offending_pair_in_double_loop_order_raises():
+    """Of two offending pairs, the error names the first in the order of
+    the plain double loop over the labels of u and then of v, whether
+    the two share their x or not."""
+    x_root, x_real = _labels_of((4, 0, 0, 0, 0, 0, 0, 0),
+                                (3, 2, 1, 1, 1, 0, 0, 0))
+    y_root, y_real, y_far = _labels_of((3, 1, 1, 1, 1, 1, 1, -1),
+                                       (0, 2, 0, 2, 2, 0, -2, 0),
+                                       (1, 2, 1, 1, 3, 0, 0, 0))
+    assert dot(x_real, y_real) == 2 and dot(x_real, y_far) == 3
+    assert dot(x_root, y_root) == 3
+    # the other pairs are harmless: no shift, square or created root
+    assert dot(x_real, y_root) == Q(7, 2)
+    assert dot(x_root, y_real) == 0 and dot(x_root, y_far) == 1
+
+    def element(*labels):
+        return Weight2Element(8, {}, dict.fromkeys(labels, 1))
+
+    cases = [((x_real,), (y_real, y_far), NonRealCocycle),
+             ((x_real,), (y_far, y_real), RootCreated),
+             ((x_root, x_real), (y_real, y_root), RootCreated),
+             ((x_real, x_root), (y_root, y_real), NonRealCocycle)]
+    for xs, ys, error in cases:
+        with pytest.raises((NonRealCocycle, RootCreated)) as err:
+            oracle_product(element(*xs), element(*ys))
+        assert err.type is error
+
+
 def test_label_outside_half_integers_is_rejected():
     """Labels may lie in (1/4)Z; a coordinate outside it is rejected."""
     x = (Q(6, 5), Q(8, 5)) + (Q(0),) * 6
@@ -322,7 +354,12 @@ _ROOT_Y = (6, 2, 2, 2, 2, 2, 2, -2) + (0,) * 56
 
 def _brute_close_pairs(xs, ys):
     return [(x, y, s) for x in xs for y in ys
-            if abs(s := sum(map(mul, x, y))) >= 32]
+            if (s := sum(map(mul, x, y))) in (32, 48, 64, -32, -48, -64)]
+
+
+def _lane_close_pairs(xs, ys):
+    return [(xs[i], ys[j], s)
+            for i, j, s in _close_pairs(xs, _LabelView(ys, 64))]
 
 
 def _signed(label, negate):
@@ -334,7 +371,8 @@ def _signed(label, negate):
 def test_close_pairs_match_brute_force(data):
     """On random signed subsets of E6/E7/E8 shell labels, plus +-x of
     drawn labels and a +-48 pair, the packed kernel yields exactly the
-    brute-force pairs with |16<x, y>| >= 32, in the same order."""
+    brute-force pairs with 16<x, y> = +-32, +-48 or +-64, in the same
+    order."""
     pool = _shell_label_pool(data.draw(st.sampled_from([6, 7, 8])))
     pool += (_ROOT_X, _ROOT_Y)
     label = st.builds(_signed, st.sampled_from(pool), st.booleans())
@@ -345,8 +383,7 @@ def test_close_pairs_match_brute_force(data):
             st.builds(_signed, st.sampled_from(xs), st.booleans()),
             max_size=3))
     ys = data.draw(st.permutations(ys))
-    got = list(_close_pairs(xs, ys, _packed_columns(ys)))
-    assert got == _brute_close_pairs(xs, ys)
+    assert _lane_close_pairs(xs, ys) == _brute_close_pairs(xs, ys)
 
 
 def test_close_pairs_cover_every_close_value():
@@ -359,10 +396,10 @@ def test_close_pairs_cover_every_close_value():
     xs = [x, _ROOT_X]
     ys = [x, _signed(x, True), shift, _signed(shift, True), far, _ROOT_Y,
           _signed(_ROOT_Y, True)]
-    got = list(_close_pairs(xs, ys, _packed_columns(ys)))
+    got = _lane_close_pairs(xs, ys)
     assert got == _brute_close_pairs(xs, ys)
     assert {s for _, _, s in got} == {64, -64, 48, -48, 32, -32}
-    assert list(_close_pairs(xs, [], _packed_columns([]))) == []
+    assert _lane_close_pairs(xs, []) == []
 
 
 def _e8_sample_pairs(R, A, per_stratum=4):

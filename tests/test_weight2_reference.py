@@ -21,10 +21,11 @@ from weyl_ising.cyclotomic import Cyc8
 from fraction_reference import mat_vec, matrix_inverse
 from weyl_ising.cocycle import SCALE, CocycleTable, scaled
 from weyl_ising.lattice import e8_model, malpha_lattice, shell
-from weyl_ising.linalg import dot
+from weyl_ising.linalg import dot, lane_width
 from weyl_ising.rootsys import build_root_system, sign_normalized
 from weyl_ising.weight2 import (
     Weight2Element,
+    ising_vector,
     oracle_pairing,
     oracle_product,
     virasoro_quadratic,
@@ -222,6 +223,40 @@ def test_full_ising_product_matches_reference():
     assert as_reference(oracle_product(u, v)) == want
 
 
+@PROPERTY
+@given(data=st.data(), big=st.integers(2 ** 7, 2 ** 90))
+def test_wide_quadratic_lanes_match_fraction_reference(families, data, big):
+    """quad x exp with quadratic numerators far past a byte, so that the
+    lanes of x^T S x are several bytes wide, in both orders."""
+    dim, parts = data.draw(st.sampled_from(families))
+    labels, quad = data.draw(st.sampled_from(parts))
+    sym = {k: c * big for k, c in quad.items()}
+    i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    sym[(i, j)] = sym[(j, i)] = Q(-big, 3)
+    u = Weight2Element(dim, sym, {})
+    assert lane_width(u._factors[1]) > 1
+    v = data.draw(sub_elements(dim, parts))
+    for a, b in ((u, v), (v, u)):
+        want = ref_product(dim, as_reference(a), as_reference(b))
+        assert as_reference(oracle_product(a, b)) == want
+
+
+def test_batched_residues_match_pairwise_eps0(e6_half_roots):
+    """``eps0_residues`` gives, byte by byte, ``eps0_scaled`` of one label
+    against every label of another E6 Ising vector (coordinates in
+    (1/4)Z), for a 3C and a 2B pair."""
+    R, alpha, two_b, three_c = e6_half_roots
+    xs = list(ising_vector(malpha_lattice(R, alpha)).exps)
+    table = CocycleTable(len(xs[0]) // 8)
+    rows, _ = table.residue_forms(xs[::3])
+    for beta in (two_b, three_c):
+        ys = list(ising_vector(malpha_lattice(R, beta)).exps)
+        _, coords = table.residue_forms(ys)
+        for x, row in zip(xs[::3], rows):
+            assert table.eps0_residues(row, coords) == bytes(
+                table.eps0_scaled(x, y) for y in ys)
+
+
 # -- the integer residue against the Fraction definition ----------------
 
 small = st.integers(-3, 3)
@@ -243,10 +278,10 @@ def test_eps0_matches_mat_vec_definition(coeffs):
     a, b = vector(coeffs[0]), vector(coeffs[1])
     table = CocycleTable(len(a) // 8)
     assert table.eps0(a, b) == ref_eps0(a, b)
-    coords, row_form = table._forms(scaled(a))
-    assert coords == tuple(coeffs[0])
+    blocks = table._blocks_of(scaled(a))
+    assert [c for b in blocks for c in b[0]] == coeffs[0]
     c = coeffs[0]
-    assert row_form == tuple(
+    assert [f for b in blocks for f in b[1]] == list(
         sum(c[8 * t + k] * ref_table[k][l] for k in range(8))
         for t in range(len(c) // 8) for l in range(8))
 
